@@ -27,27 +27,30 @@ lint:
 
 # bench runs the E1 exploration benchmarks — throughput variants, the
 # checkpointed-DFS pooled/stream/checkpoint column, and the DPOR
-# schedules-to-finding/-exhaustion hunts — and archives the numbers
-# (ns/op, allocs/op, schedules/sec, schedules-to-finding,
-# schedules-to-exhaustion, explored-fraction per variant) into
+# schedules-to-finding/-exhaustion hunts — plus the simulated kernel's
+# context-switch benchmark, and archives the numbers (ns/op, allocs/op,
+# schedules/sec, schedules-to-finding, schedules-to-exhaustion,
+# explored-fraction per variant; switches/sec for the kernel) into
 # BENCH_explore.json. The file is a committed baseline: benchjson
 # merges fresh runs into it line by line instead of overwriting, so a
 # partial -bench filter never loses the other variants. Override
 # BENCHTIME (e.g. BENCHTIME=1x) for a smoke run.
+BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch
+BENCHPKGS := . ./internal/kernel
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkE1 -benchmem -benchtime $(BENCHTIME) -count 1 . \
+	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime $(BENCHTIME) -count 1 $(BENCHPKGS) \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_explore.json
 
 # bench-check regression-gates a fresh bench run against the committed
 # BENCH_explore.json baseline: any variant whose goodness ratio on a
-# gated metric (schedules/sec and explored-fraction up,
+# gated metric (schedules/sec, explored-fraction and switches/sec up,
 # schedules-to-finding and schedules-to-exhaustion down) falls below
 # TOLERANCE fails. Metrics the baseline predates are skipped, so a
 # pre-DPOR baseline never fails a post-DPOR run. CI runs this after
 # the bench smoke.
 TOLERANCE ?= 0.8
 bench-check:
-	$(GO) test -run '^$$' -bench BenchmarkE1 -benchmem -benchtime $(BENCHTIME) -count 1 . \
+	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime $(BENCHTIME) -count 1 $(BENCHPKGS) \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o bench-fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance $(TOLERANCE) BENCH_explore.json bench-fresh.json
 

@@ -413,7 +413,7 @@ func BenchmarkB1DiskScheduler(b *testing.B) {
 
 // BenchmarkB1KernelAblation compares the two kernel substrates on the
 // same workload (DESIGN.md §6.1): the deterministic kernel pays one
-// scheduler handshake per step; the real kernel pays goroutine wakeups.
+// coroutine round trip per step; the real kernel pays goroutine wakeups.
 func BenchmarkB1KernelAblation(b *testing.B) {
 	suite, _ := solutions.ByMechanism("monitor")
 	b.Run("sim", func(b *testing.B) {

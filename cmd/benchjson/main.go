@@ -24,16 +24,16 @@
 //
 // With -compare it gates instead of archiving: given a baseline report
 // and a fresh one, every benchmark present in both is checked on the
-// gated metrics — schedules/sec and explored-fraction (higher is
-// better), schedules-to-finding (lower is better) — and the run exits
-// non-zero if any goodness ratio fell below tolerance. Metrics the
+// gated metrics — schedules/sec, explored-fraction and switches/sec
+// (higher is better), schedules-to-finding (lower is better) — and the
+// run exits non-zero if any goodness ratio fell below tolerance. Metrics the
 // baseline predates (pre-DPOR reports have no schedules-to-finding)
 // are skipped, not failed. CI runs this after the bench smoke so an
 // exploration-engine regression fails the build.
 //
 // Usage:
 //
-//	go test -run '^$' -bench BenchmarkE1 -benchmem . | benchjson -o BENCH_explore.json
+//	go test -run '^$' -bench 'BenchmarkE1|BenchmarkSimContextSwitch' -benchmem . ./internal/kernel | benchjson -o BENCH_explore.json
 //	syncload -json | benchjson -load -o BENCH_load.json
 //	syncload -soak -json | benchjson -load -o BENCH_load.json   # NDJSON: every snapshot validated, final archived
 //	benchjson -compare -tolerance 0.8 BENCH_explore.json fresh.json
@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,7 +85,7 @@ type Report struct {
 func main() {
 	out := flag.String("o", "", "write JSON here instead of stdout; an existing bench report is merged into, not overwritten")
 	loadMode := flag.Bool("load", false, "ingest a syncload report instead of bench output")
-	compareMode := flag.Bool("compare", false, "compare two reports (baseline.json fresh.json) on the gated metrics (schedules/sec, schedules-to-finding, explored-fraction); exit non-zero on regression")
+	compareMode := flag.Bool("compare", false, "compare two reports (baseline.json fresh.json) on the gated metrics (schedules/sec, schedules-to-finding, explored-fraction, switches/sec); exit non-zero on regression")
 	loadCompareMode := flag.Bool("load-compare", false, "compare two syncload reports (baseline.json fresh.json) on throughput and p99 latency; exit non-zero on regression")
 	tolerance := flag.Float64("tolerance", 0.8, "with -compare/-load-compare, minimum acceptable goodness ratio (fresh/baseline, inverted for lower-is-better metrics)")
 	flag.Parse()
@@ -194,8 +195,10 @@ func mergeReports(base, fresh Report) Report {
 // throughput; schedules-to-finding is how many schedules the reduced
 // search judges before the Figure-1 anomaly (fewer is the whole point
 // of DPOR); explored-fraction is the analytically covered share of the
-// schedule space. ns/op is deliberately not gated — wall-clock per
-// hunt moves with budget choices, while these are figures of merit.
+// schedule space; switches/sec is the simulated kernel's context-switch
+// rate (BenchmarkSimContextSwitch), the layer under every schedule. ns/op
+// is deliberately not gated — wall-clock per hunt moves with budget
+// choices, while these are figures of merit.
 var gatedMetrics = []struct {
 	unit         string
 	higherBetter bool
@@ -204,6 +207,7 @@ var gatedMetrics = []struct {
 	{"schedules-to-finding", false},
 	{"schedules-to-exhaustion", false},
 	{"explored-fraction", true},
+	{"switches/sec", true},
 }
 
 // compareReports checks every benchmark present in both reports on each
@@ -503,7 +507,13 @@ func parse(sc *bufio.Scanner) (Report, error) {
 		case strings.HasPrefix(line, "goarch: "):
 			r.GoArch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
-			r.Package = strings.TrimPrefix(line, "pkg: ")
+			// A multi-package run names every package it benchmarked.
+			pkg := strings.TrimPrefix(line, "pkg: ")
+			if r.Package == "" {
+				r.Package = pkg
+			} else if !slices.Contains(strings.Split(r.Package, ", "), pkg) {
+				r.Package += ", " + pkg
+			}
 		case strings.HasPrefix(line, "cpu: "):
 			r.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "Benchmark"):

@@ -75,6 +75,22 @@ func TestParseRejectsMalformed(t *testing.T) {
 // Non-benchmark noise (build logs, PASS/ok lines, blank lines) still
 // passes through untouched; an input with only noise yields an empty
 // report, which main turns into the "no benchmark lines" diagnostic.
+// A bench run over several packages (make bench covers the root package
+// and internal/kernel) records each package once, in order.
+func TestParseMultiPackage(t *testing.T) {
+	in := "pkg: repro\nBenchmarkA-2 1 5 ns/op\npkg: repro/internal/kernel\nBenchmarkB-2 1 7 ns/op\npkg: repro\n"
+	r, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "repro, repro/internal/kernel"; r.Package != want {
+		t.Fatalf("pkg = %q, want %q", r.Package, want)
+	}
+	if len(r.Benchmarks) != 2 {
+		t.Fatalf("benchmarks: %+v", r.Benchmarks)
+	}
+}
+
 func TestParseEmptyOutput(t *testing.T) {
 	r, err := parse(bufio.NewScanner(strings.NewReader("PASS\nok  \trepro\t1.2s\n")))
 	if err != nil {
@@ -139,31 +155,33 @@ func TestMergeReports(t *testing.T) {
 	}
 }
 
+// writeReport marshals r into a fresh temp file and returns its path.
+func writeReport(t *testing.T, name string, r Report) string {
+	t.Helper()
+	buf, err := marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := t.TempDir() + "/" + name
+	if err := os.WriteFile(p, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // The -compare gate: within tolerance passes, a drop below tolerance
 // fails, benchmarks on one side only are skipped without failing, and
 // zero comparable benchmarks is a configuration error.
 func TestCompareReports(t *testing.T) {
-	write := func(t *testing.T, name string, r Report) string {
-		t.Helper()
-		buf, err := marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := t.TempDir() + "/" + name
-		if err := os.WriteFile(p, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	bench := func(name string, v float64) Benchmark {
 		return Benchmark{Name: name, Iterations: 1, Metrics: map[string]float64{"schedules/sec": v}}
 	}
-	base := write(t, "base.json", Report{Benchmarks: []Benchmark{
+	base := writeReport(t, "base.json", Report{Benchmarks: []Benchmark{
 		bench("BenchmarkA", 1000), bench("BenchmarkOnlyInBase", 500),
 	}})
 
 	var out strings.Builder
-	ok, err := compareReports(base, write(t, "good.json", Report{
+	ok, err := compareReports(base, writeReport(t, "good.json", Report{
 		Benchmarks: []Benchmark{bench("BenchmarkA", 900)},
 	}), 0.8, &out)
 	if err != nil || !ok {
@@ -174,7 +192,7 @@ func TestCompareReports(t *testing.T) {
 	}
 
 	out.Reset()
-	ok, err = compareReports(base, write(t, "bad.json", Report{
+	ok, err = compareReports(base, writeReport(t, "bad.json", Report{
 		Benchmarks: []Benchmark{bench("BenchmarkA", 700)},
 	}), 0.8, &out)
 	if err != nil || ok {
@@ -184,7 +202,7 @@ func TestCompareReports(t *testing.T) {
 		t.Fatalf("missing regression line:\n%s", out.String())
 	}
 
-	if _, err = compareReports(base, write(t, "none.json", Report{
+	if _, err = compareReports(base, writeReport(t, "none.json", Report{
 		Benchmarks: []Benchmark{{Name: "BenchmarkUnrelated", Iterations: 1, Metrics: map[string]float64{"ns/op": 1}}},
 	}), 0.8, &out); err == nil {
 		t.Fatal("zero comparable benchmarks should be an error")
@@ -195,29 +213,17 @@ func TestCompareReports(t *testing.T) {
 // explored-fraction when it shrinks, and a baseline that predates a
 // metric (pre-DPOR reports) skips that metric instead of failing.
 func TestCompareReportsDirectionAware(t *testing.T) {
-	write := func(t *testing.T, name string, r Report) string {
-		t.Helper()
-		buf, err := marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := t.TempDir() + "/" + name
-		if err := os.WriteFile(p, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	bench := func(m map[string]float64) Benchmark {
 		return Benchmark{Name: "BenchmarkE1SchedulesToFinding/dpor-prune", Iterations: 1, Metrics: m}
 	}
-	base := write(t, "base.json", Report{Benchmarks: []Benchmark{bench(map[string]float64{
+	base := writeReport(t, "base.json", Report{Benchmarks: []Benchmark{bench(map[string]float64{
 		"schedules-to-finding": 100, "explored-fraction": 0.5,
 	})}})
 
 	// Fewer schedules to the finding and a larger covered fraction both
 	// count as improvements.
 	var out strings.Builder
-	ok, err := compareReports(base, write(t, "better.json", Report{Benchmarks: []Benchmark{
+	ok, err := compareReports(base, writeReport(t, "better.json", Report{Benchmarks: []Benchmark{
 		bench(map[string]float64{"schedules-to-finding": 40, "explored-fraction": 0.9}),
 	}}), 0.8, &out)
 	if err != nil || !ok {
@@ -226,7 +232,7 @@ func TestCompareReportsDirectionAware(t *testing.T) {
 
 	// Needing more schedules is a regression even though the number went up.
 	out.Reset()
-	ok, err = compareReports(base, write(t, "slower.json", Report{Benchmarks: []Benchmark{
+	ok, err = compareReports(base, writeReport(t, "slower.json", Report{Benchmarks: []Benchmark{
 		bench(map[string]float64{"schedules-to-finding": 200, "explored-fraction": 0.5}),
 	}}), 0.8, &out)
 	if err != nil || ok {
@@ -238,7 +244,7 @@ func TestCompareReportsDirectionAware(t *testing.T) {
 
 	// A shrinking explored fraction is a regression too.
 	out.Reset()
-	ok, err = compareReports(base, write(t, "thinner.json", Report{Benchmarks: []Benchmark{
+	ok, err = compareReports(base, writeReport(t, "thinner.json", Report{Benchmarks: []Benchmark{
 		bench(map[string]float64{"schedules-to-finding": 100, "explored-fraction": 0.1}),
 	}}), 0.8, &out)
 	if err != nil || ok {
@@ -247,12 +253,12 @@ func TestCompareReportsDirectionAware(t *testing.T) {
 
 	// A pre-DPOR baseline knows only schedules/sec: the new metrics are
 	// SKIPped, the old gate still runs, and nothing fails.
-	preDPOR := write(t, "predpor.json", Report{Benchmarks: []Benchmark{
+	preDPOR := writeReport(t, "predpor.json", Report{Benchmarks: []Benchmark{
 		{Name: "BenchmarkE1SchedulesToFinding/dpor-prune", Iterations: 1,
 			Metrics: map[string]float64{"schedules/sec": 1000}},
 	}})
 	out.Reset()
-	ok, err = compareReports(preDPOR, write(t, "post.json", Report{Benchmarks: []Benchmark{
+	ok, err = compareReports(preDPOR, writeReport(t, "post.json", Report{Benchmarks: []Benchmark{
 		bench(map[string]float64{"schedules/sec": 950, "schedules-to-finding": 40, "explored-fraction": 0.9}),
 	}}), 0.8, &out)
 	if err != nil || !ok {
@@ -261,6 +267,56 @@ func TestCompareReportsDirectionAware(t *testing.T) {
 	if !strings.Contains(out.String(), "predates the schedules-to-finding metric") ||
 		!strings.Contains(out.String(), "predates the explored-fraction metric") {
 		t.Fatalf("missing pre-DPOR skip lines:\n%s", out.String())
+	}
+}
+
+// The kernel's context-switch rate is gated higher-is-better, and a
+// baseline row archived before the benchmark reported it skips the
+// metric instead of failing.
+func TestCompareReportsSwitchesPerSec(t *testing.T) {
+	bench := func(m map[string]float64) Benchmark {
+		return Benchmark{Name: "BenchmarkSimContextSwitch", CPUs: 2, Iterations: 1, Metrics: m}
+	}
+	base := writeReport(t, "base.json", Report{Benchmarks: []Benchmark{
+		bench(map[string]float64{"ns/op": 3e6, "switches/sec": 2.5e6}),
+	}})
+	for _, c := range []struct {
+		name     string
+		switches float64
+		ok       bool
+	}{
+		{"faster", 3.5e6, true},
+		{"within", 2.1e6, true},
+		{"slower", 1.5e6, false},
+	} {
+		var out strings.Builder
+		ok, err := compareReports(base, writeReport(t, c.name+".json", Report{Benchmarks: []Benchmark{
+			bench(map[string]float64{"switches/sec": c.switches}),
+		}}), 0.8, &out)
+		if err != nil || ok != c.ok {
+			t.Fatalf("%s: ok=%v err=%v, want ok=%v\n%s", c.name, ok, err, c.ok, out.String())
+		}
+		if !strings.Contains(out.String(), "switches/sec") {
+			t.Fatalf("%s: no switches/sec verdict:\n%s", c.name, out.String())
+		}
+	}
+
+	// A baseline row without the metric skips it; the throughput row
+	// beside it still gates.
+	old := writeReport(t, "old.json", Report{Benchmarks: []Benchmark{
+		bench(map[string]float64{"ns/op": 1300}),
+		{Name: "BenchmarkE1ExploreThroughput/dfs", CPUs: 2, Iterations: 1, Metrics: map[string]float64{"schedules/sec": 1000}},
+	}})
+	var out strings.Builder
+	ok, err := compareReports(old, writeReport(t, "new.json", Report{Benchmarks: []Benchmark{
+		bench(map[string]float64{"switches/sec": 3e6}),
+		{Name: "BenchmarkE1ExploreThroughput/dfs", CPUs: 2, Iterations: 1, Metrics: map[string]float64{"schedules/sec": 1000}},
+	}}), 0.8, &out)
+	if err != nil || !ok {
+		t.Fatalf("baseline without switches/sec: ok=%v err=%v\n%s", ok, err, out.String())
+	}
+	if !strings.Contains(out.String(), "predates the switches/sec metric") {
+		t.Fatalf("missing skip line:\n%s", out.String())
 	}
 }
 

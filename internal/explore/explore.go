@@ -10,9 +10,12 @@
 // replayable choice sequence, making the anomaly a reproducible artifact
 // rather than an argument.
 //
-// Exploration is stateless-model-checking shaped but deliberately simple:
-// programs under test are small scenario constructors, so bounded DFS
-// over scheduling choices (without partial-order reduction) is enough.
+// Exploration is stateless-model-checking shaped: programs under test are
+// small scenario constructors, so bounded DFS over scheduling choices is
+// enough to reach the anomalies. Options.DPOR adds dynamic partial-order
+// reduction (dpor.go): the DFS branches only where two conflicting steps
+// are not ordered by happens-before, and coverage.go reports how much of
+// the schedule space the reduced search provably covered.
 //
 // # Parallelism and determinism
 //

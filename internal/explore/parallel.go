@@ -161,7 +161,7 @@ func (e *executor) release(out runOut) {
 	e.mu.Unlock()
 }
 
-// close releases every slot's recycled worker goroutines. Call once, when
+// close releases every slot's recycled process coroutines. Call once, when
 // no run is in flight (the phases wait out their helpers before
 // returning).
 func (e *executor) close() {

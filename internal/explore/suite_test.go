@@ -216,7 +216,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// Pooled exploration parks worker goroutines between runs; Run must
+// Pooled exploration keeps process coroutines between runs; Run must
 // release them on exit (executor.close -> SimKernel.Close), so repeated
 // pooled explorations cannot accumulate goroutines.
 func TestPoolNoGoroutineLeak(t *testing.T) {

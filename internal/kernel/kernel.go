@@ -83,7 +83,6 @@ type procImpl interface {
 	unpark()
 	yield()
 	sleep(ticks int64)
-	exited()
 }
 
 // Proc is a handle to a kernel process. The same Proc value is passed to

@@ -125,10 +125,11 @@ func (k *RealKernel) Now() Time { return int64(time.Since(k.start)) }
 // daemon servers parked waiting for requests that will never come — is
 // unwound (its goroutine exits, running deferred calls) instead of
 // leaking for the life of the host program. Processes that subsequently
-// reach a Park unwind there too. This mirrors SimKernel's close-based
-// shutdown; it is safe because the mechanism discipline forbids holding a
-// lock another process may need while parked. Call Close after Run has
-// returned; the kernel must not be used afterwards. Close is idempotent.
+// reach a Park unwind there too. Unlike SimKernel.Run's unwind this is
+// asynchronous: the goroutines exit after Close returns. It is safe
+// because the mechanism discipline forbids holding a lock another
+// process may need while parked. Call Close after Run has returned; the
+// kernel must not be used afterwards. Close is idempotent.
 //
 // A process spinning without ever parking cannot be unwound (goroutines
 // are not preemptively killable); the watchdog reports it, Close cannot
@@ -152,8 +153,7 @@ func (rp *realProc) park() {
 		runtime.Goexit()
 	}
 }
-func (rp *realProc) yield()  { runtime.Gosched() }
-func (rp *realProc) exited() {}
+func (rp *realProc) yield() { runtime.Gosched() }
 
 func (rp *realProc) unpark() {
 	select {

@@ -87,6 +87,24 @@ func TestRealWatchdog(t *testing.T) {
 	k.Close()
 }
 
+// waitGoroutines polls until the goroutine count settles at or below
+// want, failing the test at the deadline. RealKernel.Close unwinds the
+// abandoned process goroutines asynchronously.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if runtime.NumGoroutine() <= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, want <= %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // A watchdog expiry must be recoverable: Run reports ErrTimeout, and Close
 // then unwinds every process still blocked in Park — including the
 // kernel's internal wg watcher — so repeated timed-out runs do not

@@ -136,10 +136,9 @@ func (r *ExactReplay) Pick(ready []*Proc) int {
 // followed the recording so far.
 func (r *ExactReplay) Err() error { return r.err }
 
-// errShutdown is the panic value used to unwind process goroutines when
-// the kernel shuts down (deadlock, step limit, or normal termination with
-// daemons still live). It never escapes the kernel: the spawn wrapper
-// recovers it.
+// errShutdown is the panic value used to unwind suspended processes when
+// the run is over (deadlock, step limit, Stop, or normal termination with
+// daemons still live). It never escapes the kernel: runBody recovers it.
 var errShutdown = errors.New("kernel: simulation shut down")
 
 // SimKernel is a deterministic cooperative scheduler. Exactly one process
@@ -147,10 +146,12 @@ var errShutdown = errors.New("kernel: simulation shut down")
 // operation (Park, Yield, Sleep, process exit). Virtual time advances only
 // when no process is runnable and some process is sleeping.
 //
-// When Run returns — normal completion, deadlock, or step limit — every
-// goroutine the kernel spawned is released: processes still blocked in a
-// kernel operation are unwound (their resume channels are closed) and
-// exit, so repeated simulation runs do not accumulate goroutines.
+// Each process body runs on a coroutine that Run resumes and suspends.
+// When Run returns — normal completion, deadlock, step limit, or Stop —
+// every process still suspended in a kernel operation has already been
+// unwound and its deferred calls have run; without WithRecycle no
+// coroutine outlives Run, so repeated simulation runs do not accumulate
+// goroutines.
 type SimKernel struct {
 	policy   Policy
 	maxSteps int64
@@ -201,24 +202,18 @@ type SimKernel struct {
 	readyIDs []int32
 	causes   []int32
 
-	// wg counts live process executions; Reset waits on it so a recycled
-	// kernel never shares state with stragglers from the previous run.
-	wg sync.WaitGroup
+	// Process recycling (WithRecycle): procPool holds every process object
+	// earlier runs spawned, with its coroutine, for in-place reuse at the
+	// same spawn position — deterministic programs respawn the same
+	// processes in the same order, so reuse also recovers the interned
+	// name labels and a run starts no coroutine.
+	recycle  bool
+	procPool []*simProc
 
-	// Worker-goroutine recycling (WithRecycle): instead of one goroutine
-	// per process per run, worker goroutines park between runs and are fed
-	// process bodies. procPool holds the previous run's simProcs for
-	// in-place reuse — deterministic programs respawn the same processes
-	// in the same order, so reuse also recovers the interned name labels.
-	recycle     bool
-	freeWorkers []*recWorker
-	allWorkers  []*recWorker
-	procPool    []*simProc
+	// panicked is the first non-shutdown panic raised by a process body
+	// in this run; Run re-raises it after unwinding the other processes.
+	panicked any
 
-	// doneCh carries the run outcome from whichever goroutine detects
-	// termination back to Run. Buffered so the finishing process never
-	// blocks on the driver.
-	doneCh        chan error
 	started       bool
 	finished      bool
 	stopRequested bool
@@ -239,12 +234,13 @@ func WithMaxSteps(n int64) SimOption {
 	return func(k *SimKernel) { k.maxSteps = n }
 }
 
-// WithRecycle enables worker-goroutine and process-object recycling
-// across Reset: spawning reuses a parked worker goroutine and the
-// previous run's process objects instead of allocating fresh ones. Meant
-// for run pools (package explore) that execute many runs on one kernel;
-// a kernel with recycling enabled must be released with Close when it is
-// no longer needed, or its parked workers leak.
+// WithRecycle makes process objects and their coroutines survive Reset:
+// spawning reuses the process object earlier runs created at the same
+// spawn position, whose coroutine runs the new body, instead of
+// allocating a fresh object and starting a fresh coroutine. Meant for run
+// pools (package explore) that execute many runs on one kernel; a kernel
+// with recycling enabled must be released with Close when it is no longer
+// needed, or its suspended coroutines leak.
 func WithRecycle() SimOption {
 	return func(k *SimKernel) { k.recycle = true }
 }
@@ -254,7 +250,6 @@ func NewSim(opts ...SimOption) *SimKernel {
 	k := &SimKernel{
 		policy:   FIFO(),
 		maxSteps: 10_000_000,
-		doneCh:   make(chan error, 1),
 		choices:  make([]Choice, 0, 64),
 	}
 	for _, o := range opts {
@@ -264,59 +259,27 @@ func NewSim(opts ...SimOption) *SimKernel {
 }
 
 type simProc struct {
-	proc         *Proc
-	kernel       *SimKernel
-	daemon       bool
-	state        procState
-	permit       bool
-	wakeAt       int64  // valid when sleeping
-	readyAt      int64  // readiness stamp for deterministic ordering
-	readyCause   int32  // step that readied this process; -1 if none (see deps.go)
-	schedCount   uint64 // completed scheduling steps (fingerprint PC proxy)
-	fpContrib    uint64 // cached fingerprint contribution
-	resume       chan struct{}
-	resumeClosed bool // resume was closed by finishLocked; remake on reuse
-}
+	proc       *Proc
+	kernel     *SimKernel
+	fn         func(p *Proc) // the process body
+	daemon     bool
+	state      procState
+	permit     bool
+	wakeAt     int64  // valid when sleeping
+	readyAt    int64  // readiness stamp for deterministic ordering
+	readyCause int32  // step that readied this process; -1 if none (see deps.go)
+	schedCount uint64 // completed scheduling steps (fingerprint PC proxy)
+	fpContrib  uint64 // cached fingerprint contribution
 
-// recWorker is a recycled worker goroutine, parked on feed between
-// process executions (WithRecycle).
-type recWorker struct {
-	feed chan workJob
-}
-
-type workJob struct {
-	sp *simProc
-	fn func(p *Proc)
-}
-
-// workerLoop runs process bodies fed to a recycled worker until the
-// kernel is closed.
-func (k *SimKernel) workerLoop(w *recWorker) {
-	for job := range w.feed {
-		k.runJob(w, job)
-	}
-}
-
-// runJob executes one process body on a recycled worker: wait for the
-// first schedule, run, and record the exit. A shutdown unwind
-// (errShutdown) is recovered here so the worker survives to the next run.
-// The worker re-enters the freelist before wg.Done, so once Reset's
-// wg.Wait returns every worker is reusable.
-func (k *SimKernel) runJob(w *recWorker, job workJob) {
-	defer func() {
-		if r := recover(); r != nil && r != errShutdown {
-			panic(r)
-		}
-		k.mu.Lock()
-		k.freeWorkers = append(k.freeWorkers, w)
-		k.mu.Unlock()
-		k.wg.Done()
-	}()
-	if _, ok := <-job.sp.resume; !ok {
-		return // kernel shut down before the first schedule
-	}
-	job.fn(job.sp.proc)
-	job.sp.exited()
+	// The process coroutine (see coro.go): resume and stop are its
+	// iter.Pull handles, nil until Run first schedules the process, and
+	// suspend is the coroutine's yield. inBody reports that the coroutine
+	// is inside the body, so the process must be unwound when the run
+	// ends.
+	resume  func() (decision, bool)
+	stop    func()
+	suspend func(decision) bool
+	inBody  bool
 }
 
 // Spawn implements Kernel. The process does not begin executing until the
@@ -328,13 +291,14 @@ func (k *SimKernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnDaemon implements Kernel: the process is scheduled normally but is
 // invisible to termination and deadlock detection. When the last
 // non-daemon process finishes, Run returns and remaining daemons are shut
-// down: their goroutines are unwound and exit rather than staying parked.
+// down: Run unwinds them before it returns.
 func (k *SimKernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return k.spawn(name, fn, true)
 }
 
 func (k *SimKernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	k.mu.Lock()
+	defer k.mu.Unlock()
 	k.nextID++
 	id := k.nextID
 	var sp *simProc
@@ -350,10 +314,6 @@ func (k *SimKernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 			p.name = name
 			p.label = fmt.Sprintf("%s#%d", name, id)
 		}
-		if sp.resumeClosed {
-			sp.resume = make(chan struct{})
-			sp.resumeClosed = false
-		}
 		sp.daemon = daemon
 		sp.state = stateRunnable
 		sp.permit = false
@@ -367,54 +327,19 @@ func (k *SimKernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 			kernel: k,
 			daemon: daemon,
 			state:  stateRunnable,
-			resume: make(chan struct{}),
 		}
 		p.impl = sp
 	}
+	sp.fn = fn
 	if k.finished {
-		// Spawn after Run returned: never schedule; release the goroutine
-		// (or worker) immediately so it cannot leak.
+		// Spawn after the run is over: the process never runs.
 		sp.state = stateDead
-		close(sp.resume)
-		sp.resumeClosed = true
-		k.mu.Unlock()
 		return p
 	}
 	k.procs = append(k.procs, sp)
 	k.stepVisible = true // the spawning step changed the ready set
 	k.noteDepLocked(objProc(id))
 	k.markReadyLocked(sp)
-	k.wg.Add(1)
-	if k.recycle {
-		var w *recWorker
-		if n := len(k.freeWorkers); n > 0 {
-			w = k.freeWorkers[n-1]
-			k.freeWorkers[n-1] = nil
-			k.freeWorkers = k.freeWorkers[:n-1]
-		} else {
-			w = &recWorker{feed: make(chan workJob, 1)}
-			k.allWorkers = append(k.allWorkers, w)
-			go k.workerLoop(w)
-		}
-		k.mu.Unlock()
-		w.feed <- workJob{sp: sp, fn: fn} // cap 1: an idle worker never blocks us
-		return p
-	}
-	k.mu.Unlock()
-
-	go func() {
-		defer k.wg.Done()
-		defer func() {
-			if r := recover(); r != nil && r != errShutdown {
-				panic(r)
-			}
-		}()
-		if _, ok := <-sp.resume; !ok {
-			return // kernel shut down before the first schedule
-		}
-		fn(p)
-		sp.exited()
-	}()
 	return p
 }
 
@@ -502,23 +427,21 @@ func (k *SimKernel) Stop() {
 // given options are applied on top of the kernel's current configuration
 // (pass WithPolicy to change the schedule).
 //
-// Reset must only be called before any Spawn or after Run has returned.
-// It blocks until every process goroutine from the previous run has
-// unwound. Proc handles and slices obtained from the view accessors
-// become invalid.
+// Reset must only be called before any Spawn or after Run has returned
+// (Run leaves no process mid-body, so there is nothing to wait for).
+// Proc handles and slices obtained from the view accessors become
+// invalid.
 func (k *SimKernel) Reset(opts ...SimOption) {
-	// Wait outside the lock: unwinding goroutines briefly take k.mu on
-	// their way out.
-	k.wg.Wait()
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.now = 0
 	k.nextID = 0
 	k.readySeq = 0
-	if k.recycle {
-		// Hand the finished run's processes to the pool for in-place
-		// reuse (see spawn); the pool's previous backing array becomes
-		// the next run's procs slice.
+	// spawn reuses the pool positionally, so the finished run's procs
+	// are a prefix of the pool or extend it. Keep the longer as the pool
+	// for in-place reuse (see spawn): every pooled coroutine stays
+	// reachable for Close.
+	if k.recycle && len(k.procs) > len(k.procPool) {
 		k.procs, k.procPool = k.procPool[:0], k.procs
 	} else {
 		k.procs = k.procs[:0]
@@ -536,6 +459,7 @@ func (k *SimKernel) Reset(opts ...SimOption) {
 	k.deps = k.deps[:0]
 	k.readyIDs = k.readyIDs[:0]
 	k.causes = k.causes[:0]
+	k.panicked = nil
 	k.started = false
 	k.finished = false
 	k.stopRequested = false
@@ -544,28 +468,36 @@ func (k *SimKernel) Reset(opts ...SimOption) {
 	}
 }
 
-// Close releases the kernel's recycled worker goroutines (WithRecycle);
-// without recycling it is a no-op. It blocks until in-flight process
-// executions finish unwinding. The kernel must not be used after Close.
+// Close stops the coroutines a recycling kernel (WithRecycle) keeps
+// between runs; without recycling Run stops every coroutine it started,
+// and Close is a no-op. Call it after Run has returned; the kernel must
+// not be used after Close.
 func (k *SimKernel) Close() {
-	k.wg.Wait()
 	k.mu.Lock()
-	ws := k.allWorkers
-	k.allWorkers = nil
-	k.freeWorkers = nil
-	k.procPool = nil
+	sps := append(k.procPool, k.procs...)
+	k.procPool, k.procs = nil, nil
 	k.mu.Unlock()
-	for _, w := range ws {
-		close(w.feed)
+	for _, sp := range sps {
+		sp.release()
+	}
+}
+
+// release stops sp's coroutine, if it has one. A process still inside
+// its body unwinds first: its pending kernel operation panics
+// errShutdown.
+func (sp *simProc) release() {
+	if sp.stop != nil {
+		sp.stop()
+		sp.resume, sp.stop = nil, nil
 	}
 }
 
 // NowCooperative reads the virtual clock without locking. Safe under the
 // cooperative discipline: exactly one process runs at a time and the
-// clock only advances inside schedule(), which runs on the yielding
-// process's goroutine before the resume-channel handoff to the next —
-// so every access is ordered by those handoffs. The trace recorder uses
-// it to stamp events without a lock acquisition.
+// clock only advances inside schedule(), which runs before the coroutine
+// switch that resumes the next process. iter.Pull's switches order every
+// access, for the race detector too. The trace recorder uses it to stamp
+// events without a lock acquisition.
 func (k *SimKernel) NowCooperative() Time { return k.now }
 
 // MarkStepVisible marks the scheduling step in progress as visible to the
@@ -575,28 +507,25 @@ func (k *SimKernel) NowCooperative() Time { return k.now }
 // Unlocked by the same cooperative-discipline argument as NowCooperative.
 func (k *SimKernel) MarkStepVisible() { k.stepVisible = true }
 
-// finishLocked marks the kernel finished and releases every goroutine
-// still blocked in a kernel operation: closing a process's resume channel
-// wakes it with ok=false, which unwinds its stack (see simProc.await).
-func (k *SimKernel) finishLocked() {
-	k.finished = true
-	for _, sp := range k.procs {
-		if sp.state != stateDead {
-			close(sp.resume)
-			sp.resumeClosed = true
-		}
-	}
-}
+// finishLocked marks the run over. Every process still suspended in a
+// kernel operation is unwound by Run before it returns (see unwind), and
+// a kernel operation issued during the unwind panics errShutdown (see
+// checkLiveLocked).
+func (k *SimKernel) finishLocked() { k.finished = true }
 
-// Run implements Kernel: it dispatches the first process and then waits
-// for the run outcome. Run must be called exactly once.
+// Run implements Kernel: it runs the spawned processes until the run is
+// over and returns the outcome. Run must be called exactly once.
 //
-// Scheduling is by direct handoff: each process giving up the processor
-// runs the scheduling step on its own goroutine and resumes its successor
-// directly, so a context switch costs one goroutine wakeup, not a bounce
-// through a central scheduler loop (two wakeups). Whichever goroutine
-// detects termination — every process dead, deadlock, step limit, Stop —
-// delivers the outcome to Run over doneCh.
+// Run is a loop on the caller's goroutine. It resumes the coroutine of
+// the process the scheduler picked; that process runs until it gives up
+// the processor, makes the next scheduling decision itself (schedule),
+// and yields the decision back. A context switch therefore costs two
+// coroutine switches and no trip through the Go scheduler, and a process
+// the scheduler picks again runs on without any switch. When the run is
+// over — every process dead, deadlock, step limit, Stop — Run unwinds
+// every process still suspended before it returns. If a process body
+// panics, the run ends there: the other processes unwind, and Run
+// re-raises the panic with its original value.
 func (k *SimKernel) Run() error {
 	k.mu.Lock()
 	if k.started {
@@ -607,18 +536,40 @@ func (k *SimKernel) Run() error {
 	k.mu.Unlock()
 
 	next, fin, err := k.schedule(nil)
-	if fin {
-		return err
+	for !fin {
+		d := next.run()
+		next, fin, err = d.next, d.next == nil, d.err
 	}
-	next.resume <- struct{}{} // hand the processor to the first pick
-	return <-k.doneCh
+	k.unwind()
+	if r := k.panicked; r != nil {
+		panic(r)
+	}
+	return err
 }
 
-// schedule performs one scheduling decision on the calling goroutine.
-// self is the process giving up the processor (nil for the initial
-// dispatch from Run). It returns the process to hand off to, or fin=true
-// with the run outcome when the run is over — in which case finishLocked
-// has already unwound every live process, and the caller delivers err.
+// unwind ends the run's processes on Run's goroutine, so the deferred
+// calls of every abandoned body have run when Run returns. Without
+// recycling it stops every coroutine the run started: a process
+// suspended in a kernel operation panics errShutdown there, and a
+// finished one just ends. With recycling it resumes each process still
+// inside its body; the run is over, so the pending operation panics
+// errShutdown, and the coroutine then waits for the next run's process.
+func (k *SimKernel) unwind() {
+	for _, sp := range k.procs {
+		switch {
+		case !k.recycle:
+			sp.release()
+		case sp.inBody:
+			sp.resume()
+		}
+	}
+}
+
+// schedule performs one scheduling decision on the caller's stack. self
+// is the process giving up the processor (nil for the initial dispatch
+// from Run). It returns the process to resume, or fin=true with the run
+// outcome when the run is over — in which case finishLocked has marked
+// the run finished, and Run unwinds the live processes and returns err.
 func (k *SimKernel) schedule(self *simProc) (next *simProc, fin bool, err error) {
 	k.mu.Lock()
 	// Close out the previous step's visibility record (the running
@@ -731,24 +682,16 @@ func (k *SimKernel) schedule(self *simProc) (next *simProc, fin bool, err error)
 	return next, false, nil
 }
 
-// handoff transfers the processor from sp (which has already recorded its
-// new state under k.mu) to whatever the scheduler picks next, then blocks
-// until sp is rescheduled. If the run is over it delivers the outcome to
-// Run and unwinds; if the scheduler picked sp itself (possible after a
-// yield), it returns immediately with no channel traffic at all.
+// handoff gives up the processor: sp (which has already recorded its new
+// state under k.mu) makes the next scheduling decision and suspends
+// until Run resumes it. If the scheduler picked sp itself (possible after
+// a yield), it keeps running with no coroutine switch at all.
 func (sp *simProc) handoff() {
-	k := sp.kernel
-	next, fin, err := k.schedule(sp)
-	switch {
-	case fin:
-		k.doneCh <- err
-		sp.await() // our resume was closed by finishLocked: unwind
-	case next == sp:
-		// Rescheduled without a context switch; keep running.
-	default:
-		next.resume <- struct{}{}
-		sp.await()
+	next, fin, err := sp.kernel.schedule(sp)
+	if !fin && next == sp {
+		return
 	}
+	sp.await(decision{next: next, err: err})
 }
 
 // wakeSleepersLocked advances the clock to the earliest wake time and
@@ -801,18 +744,9 @@ func (k *SimKernel) parkedNamesLocked() []string {
 	return names
 }
 
-// await blocks until the scheduler hands the processor back. If the kernel
-// shut down instead (resume closed), it unwinds the process stack; the
-// spawn wrapper recovers the sentinel and the goroutine exits.
-func (sp *simProc) await() {
-	if _, ok := <-sp.resume; !ok {
-		panic(errShutdown)
-	}
-}
-
-// checkLiveLocked unwinds the calling process if the kernel has already
-// finished — this catches kernel operations issued while a process stack
-// is being unwound (e.g. from a deferred cleanup).
+// checkLiveLocked unwinds the calling process if the run is already over
+// — this catches kernel operations issued while a process stack is being
+// unwound (e.g. from a deferred cleanup).
 func (k *SimKernel) checkLiveLocked() {
 	if k.finished {
 		k.mu.Unlock()
@@ -883,20 +817,17 @@ func (sp *simProc) sleep(ticks int64) {
 	sp.handoff()
 }
 
-func (sp *simProc) exited() {
+// exited records the end of sp's body and makes the next scheduling
+// decision; the caller yields it to Run.
+func (sp *simProc) exited() decision {
 	k := sp.kernel
 	k.mu.Lock()
+	k.checkLiveLocked()
 	sp.state = stateDead
 	k.stepVisible = true
 	k.noteDepLocked(objProc(sp.proc.id))
 	k.touchFPLocked(sp)
 	k.mu.Unlock()
-	// Hand the processor on; no resume will follow, so the goroutine
-	// simply returns instead of parking.
-	next, fin, err := k.schedule(sp)
-	if fin {
-		k.doneCh <- err
-		return
-	}
-	next.resume <- struct{}{}
+	next, _, err := k.schedule(sp)
+	return decision{next: next, err: err}
 }

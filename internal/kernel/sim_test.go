@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSimRunsAllProcesses(t *testing.T) {
@@ -437,22 +436,37 @@ func TestSimPropertyNoLostProcesses(t *testing.T) {
 	}
 }
 
+// BenchmarkSimContextSwitch measures the kernel's context switch in
+// steady state: each op is one run of a recycled kernel (the exploration
+// pool's configuration) in which two processes yield to each other
+// switchPairs times, so every scheduling step is a switch. A warm-up run
+// before the timer starts means even -benchtime=1x times a run whose
+// coroutines and buffers already exist.
 func BenchmarkSimContextSwitch(b *testing.B) {
-	k := NewSim(WithMaxSteps(int64(b.N)*4 + 1000))
-	k.Spawn("a", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Yield()
+	const switchPairs = 4096
+	k := NewSim(WithRecycle())
+	defer k.Close()
+	pingPong := func() {
+		k.Reset()
+		for _, name := range []string{"a", "b"} {
+			k.Spawn(name, func(p *Proc) {
+				for i := 0; i < switchPairs; i++ {
+					p.Yield()
+				}
+			})
 		}
-	})
-	k.Spawn("b", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Yield()
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
 	}
+	pingPong()
+	b.ResetTimer()
+	var switches int64
+	for i := 0; i < b.N; i++ {
+		pingPong()
+		switches += k.Steps()
+	}
+	b.ReportMetric(float64(switches)/b.Elapsed().Seconds(), "switches/sec")
 }
 
 // Every scheduling step records exactly one choice, and Steps() matches.
@@ -496,26 +510,19 @@ func TestSimClockMonotone(t *testing.T) {
 	}
 }
 
-// waitGoroutines polls until the goroutine count settles at or below
-// want+slack, failing the test at the deadline. Kernel shutdown unwinds
-// process goroutines asynchronously after Run returns.
-func waitGoroutines(t *testing.T, want int) {
+// wantGoroutines fails the test if more than want goroutines are live.
+// Run unwinds every process before it returns, so there is nothing to
+// wait for. Fewer is fine: goroutines an earlier RealKernel test
+// abandoned may still be exiting.
+func wantGoroutines(t *testing.T, want int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines = %d, want <= %d", runtime.NumGoroutine(), want)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if n := runtime.NumGoroutine(); n > want {
+		t.Fatalf("%d goroutines live, want at most %d", n, want)
 	}
 }
 
-// A deadlocked run must release every process goroutine when Run returns:
-// abandoned processes blocked in Park are unwound, not stranded.
+// A deadlocked run must release every process coroutine by the time Run
+// returns: abandoned processes blocked in Park are unwound, not stranded.
 func TestSimDeadlockReleasesGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 100; i++ {
@@ -525,8 +532,8 @@ func TestSimDeadlockReleasesGoroutines(t *testing.T) {
 		if err := k.Run(); !errors.Is(err, ErrDeadlock) {
 			t.Fatalf("Run = %v, want deadlock", err)
 		}
+		wantGoroutines(t, base)
 	}
-	waitGoroutines(t, base+4)
 }
 
 // Hitting the step limit must likewise release the spinning processes.
@@ -548,12 +555,12 @@ func TestSimStepLimitReleasesGoroutines(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "step limit") {
 			t.Fatalf("Run = %v, want step-limit error", err)
 		}
+		wantGoroutines(t, base)
 	}
-	waitGoroutines(t, base+4)
 }
 
-// Daemons abandoned at normal termination are unwound too, and sleepers
-// blocked mid-Sleep do not survive a deadlocked run.
+// Daemons abandoned at normal termination are unwound too, whether
+// parked or mid-Sleep.
 func TestSimDaemonsAndSleepersReleased(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 100; i++ {
@@ -563,12 +570,161 @@ func TestSimDaemonsAndSleepersReleased(t *testing.T) {
 				p.Park()
 			}
 		})
+		k.SpawnDaemon("sleeper", func(p *Proc) { p.Sleep(1000) })
 		k.Spawn("client", func(p *Proc) { p.Yield() })
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
+		wantGoroutines(t, base)
 	}
-	waitGoroutines(t, base+4)
+}
+
+// However a run ends, Run returns only after every process it abandons
+// has unwound: each abandoned body's deferred calls have already run,
+// and a kernel without recycling leaves no goroutine behind (a recycling
+// one none after Close). The second run of each kernel exercises the
+// coroutines a Reset kernel reuses.
+func TestSimUnwindIsSynchronous(t *testing.T) {
+	cases := []struct {
+		name  string
+		opts  []SimOption
+		spawn func(k *SimKernel, unwound func())
+		check func(error) bool
+	}{
+		{
+			name: "deadlock",
+			spawn: func(k *SimKernel, unwound func()) {
+				k.Spawn("a", func(p *Proc) { defer unwound(); p.Park() })
+				k.Spawn("b", func(p *Proc) { defer unwound(); p.Yield(); p.Park() })
+			},
+			check: func(err error) bool { return errors.Is(err, ErrDeadlock) },
+		},
+		{
+			name: "step-limit",
+			opts: []SimOption{WithMaxSteps(32)},
+			spawn: func(k *SimKernel, unwound func()) {
+				for _, name := range []string{"a", "b"} {
+					k.Spawn(name, func(p *Proc) {
+						defer unwound()
+						for {
+							p.Yield()
+						}
+					})
+				}
+			},
+			check: func(err error) bool { return err != nil && strings.Contains(err.Error(), "step limit") },
+		},
+		{
+			name: "stop",
+			spawn: func(k *SimKernel, unwound func()) {
+				k.Spawn("waiter", func(p *Proc) { defer unwound(); p.Park() })
+				k.Spawn("stopper", func(p *Proc) { defer unwound(); k.Stop(); p.Yield() })
+			},
+			check: func(err error) bool { return err == nil },
+		},
+		{
+			name: "daemons",
+			spawn: func(k *SimKernel, unwound func()) {
+				k.SpawnDaemon("server", func(p *Proc) {
+					defer unwound()
+					for {
+						p.Park()
+					}
+				})
+				k.SpawnDaemon("sleeper", func(p *Proc) { defer unwound(); p.Sleep(1000) })
+				k.Spawn("client", func(p *Proc) { p.Yield() })
+			},
+			check: func(err error) bool { return err == nil },
+		},
+	}
+	for _, c := range cases {
+		for _, recycle := range []bool{false, true} {
+			name := c.name
+			opts := c.opts
+			if recycle {
+				name += "/recycle"
+				opts = append([]SimOption{WithRecycle()}, opts...)
+			}
+			t.Run(name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				k := NewSim(opts...)
+				for run := 0; run < 2; run++ {
+					k.Reset()
+					unwound := 0
+					c.spawn(k, func() { unwound++ })
+					if err := k.Run(); !c.check(err) {
+						t.Fatalf("run %d: Run = %v", run, err)
+					}
+					if unwound != 2 {
+						t.Fatalf("run %d: %d of 2 deferred calls had run when Run returned", run, unwound)
+					}
+					if !recycle {
+						wantGoroutines(t, base)
+					}
+				}
+				k.Close()
+				wantGoroutines(t, base)
+			})
+		}
+	}
+}
+
+// A panic in a process body reaches Run's caller with its original
+// value, after the other processes have unwound, and leaves no goroutine
+// behind; a recycled kernel stays usable after it. That holds for a body
+// that panics while running and for a deferred call that panics while
+// the run's end unwinds it (the victim, spawned later, still unwinds).
+func TestSimPanicReachesRun(t *testing.T) {
+	type boom struct{ n int }
+	bombs := []struct {
+		when string
+		body func(p *Proc)
+	}{
+		{"running", func(p *Proc) { p.Yield(); panic(boom{7}) }},
+		{"unwinding", func(p *Proc) { defer func() { panic(boom{7}) }(); p.Park() }},
+	}
+	for _, bomb := range bombs {
+		for _, recycle := range []bool{false, true} {
+			var opts []SimOption
+			name := bomb.when
+			if recycle {
+				opts, name = []SimOption{WithRecycle()}, bomb.when+"/recycle"
+			}
+			t.Run(name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				k := NewSim(opts...)
+				unwound, unwoundAtRecover := 0, -1
+				got := func() (r any) {
+					defer func() {
+						r = recover()
+						unwoundAtRecover = unwound
+					}()
+					k.Spawn("bomb", bomb.body)
+					k.Spawn("victim", func(p *Proc) { defer func() { unwound++ }(); p.Park() })
+					k.Run()
+					return nil
+				}()
+				if got != (boom{7}) {
+					t.Fatalf("Run's caller recovered %#v, want boom{7}", got)
+				}
+				if unwoundAtRecover != 1 {
+					t.Fatalf("victim unwound %d times before the panic reached Run's caller, want 1", unwoundAtRecover)
+				}
+				if !recycle {
+					wantGoroutines(t, base)
+				}
+				k.Reset()
+				ran := 0
+				k.Spawn("bomb", func(p *Proc) { p.Yield(); ran++ })
+				k.Spawn("victim", func(p *Proc) { ran++ })
+				if err := k.Run(); err != nil || ran != 2 {
+					t.Fatalf("run after the panic: Run = %v, %d of 2 bodies ran", err, ran)
+				}
+				k.Close()
+				wantGoroutines(t, base)
+			})
+		}
+	}
 }
 
 // The ready set is maintained in readiness-stamp order without sorting;

@@ -90,8 +90,9 @@ func (e Event) String() string {
 // cooperativeKernel is the part of kernel.SimKernel the recorder's
 // unsynchronized fast path relies on: a clock readable without a lock
 // (exactly one process runs at a time, so recording is already
-// serialized by the scheduler handoff) and the step-visibility hook the
-// exploration pruner consumes.
+// serialized by the kernel's coroutine switches, which iter.Pull also
+// reports to the race detector as happens-before edges) and the
+// step-visibility hook the exploration pruner consumes.
 type cooperativeKernel interface {
 	NowCooperative() kernel.Time
 	MarkStepVisible()
@@ -100,7 +101,8 @@ type cooperativeKernel interface {
 
 // Recorder collects events. It is safe for concurrent use; when the
 // kernel is the cooperative SimKernel it skips its own lock entirely (the
-// scheduler handoff already serializes and orders every record call).
+// kernel's coroutine switches already serialize and order every record
+// call).
 type Recorder struct {
 	k    kernel.Kernel
 	coop cooperativeKernel // non-nil: unsynchronized fast path
@@ -192,8 +194,8 @@ func (r *Recorder) record(p *kernel.Proc, kind Kind, op string, arg int64, note 
 	}
 	if r.coop != nil {
 		// Cooperative fast path: exactly one process runs at a time and
-		// the scheduler handoff orders every access, so neither the
-		// recorder's lock nor the kernel clock's is needed.
+		// the kernel's coroutine switches order every access, so neither
+		// the recorder's lock nor the kernel clock's is needed.
 		r.coop.MarkStepVisible()
 		r.coop.NoteTraceDep()
 		return r.append(p, r.coop.NowCooperative(), kind, op, arg, note)
