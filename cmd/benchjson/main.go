@@ -196,9 +196,10 @@ func mergeReports(base, fresh Report) Report {
 // search judges before the Figure-1 anomaly (fewer is the whole point
 // of DPOR); explored-fraction is the analytically covered share of the
 // schedule space; switches/sec is the simulated kernel's context-switch
-// rate (BenchmarkSimContextSwitch), the layer under every schedule. ns/op
-// is deliberately not gated — wall-clock per hunt moves with budget
-// choices, while these are figures of merit.
+// rate (BenchmarkSimContextSwitch), the layer under every schedule;
+// counts/sec is the schedule-space counter's rate (BenchmarkCoverage),
+// run once per DPOR search. ns/op is deliberately not gated — wall-clock
+// per hunt moves with budget choices, while these are figures of merit.
 var gatedMetrics = []struct {
 	unit         string
 	higherBetter bool
@@ -208,6 +209,7 @@ var gatedMetrics = []struct {
 	{"schedules-to-exhaustion", false},
 	{"explored-fraction", true},
 	{"switches/sec", true},
+	{"counts/sec", true},
 }
 
 // compareReports checks every benchmark present in both reports on each

@@ -274,48 +274,60 @@ func TestCompareReportsDirectionAware(t *testing.T) {
 // baseline row archived before the benchmark reported it skips the
 // metric instead of failing.
 func TestCompareReportsSwitchesPerSec(t *testing.T) {
+	checkRateGate(t, "BenchmarkSimContextSwitch", "switches/sec", 2.5e6)
+}
+
+// So is the schedule-space counter's rate (BenchmarkCoverage).
+func TestCompareReportsCountsPerSec(t *testing.T) {
+	checkRateGate(t, "BenchmarkCoverage", "counts/sec", 2e4)
+}
+
+// checkRateGate pins a higher-is-better rate metric of one benchmark:
+// faster and within-tolerance runs pass, a slower one fails, and a
+// baseline row without the metric skips it while the throughput row
+// beside it still gates.
+func checkRateGate(t *testing.T, name, unit string, rate float64) {
+	t.Helper()
 	bench := func(m map[string]float64) Benchmark {
-		return Benchmark{Name: "BenchmarkSimContextSwitch", CPUs: 2, Iterations: 1, Metrics: m}
+		return Benchmark{Name: name, CPUs: 2, Iterations: 1, Metrics: m}
 	}
 	base := writeReport(t, "base.json", Report{Benchmarks: []Benchmark{
-		bench(map[string]float64{"ns/op": 3e6, "switches/sec": 2.5e6}),
+		bench(map[string]float64{"ns/op": 3e6, unit: rate}),
 	}})
 	for _, c := range []struct {
-		name     string
-		switches float64
-		ok       bool
+		name  string
+		ratio float64
+		ok    bool
 	}{
-		{"faster", 3.5e6, true},
-		{"within", 2.1e6, true},
-		{"slower", 1.5e6, false},
+		{"faster", 1.4, true},
+		{"within", 0.84, true},
+		{"slower", 0.6, false},
 	} {
 		var out strings.Builder
 		ok, err := compareReports(base, writeReport(t, c.name+".json", Report{Benchmarks: []Benchmark{
-			bench(map[string]float64{"switches/sec": c.switches}),
+			bench(map[string]float64{unit: c.ratio * rate}),
 		}}), 0.8, &out)
 		if err != nil || ok != c.ok {
 			t.Fatalf("%s: ok=%v err=%v, want ok=%v\n%s", c.name, ok, err, c.ok, out.String())
 		}
-		if !strings.Contains(out.String(), "switches/sec") {
-			t.Fatalf("%s: no switches/sec verdict:\n%s", c.name, out.String())
+		if !strings.Contains(out.String(), unit) {
+			t.Fatalf("%s: no %s verdict:\n%s", c.name, unit, out.String())
 		}
 	}
 
-	// A baseline row without the metric skips it; the throughput row
-	// beside it still gates.
 	old := writeReport(t, "old.json", Report{Benchmarks: []Benchmark{
 		bench(map[string]float64{"ns/op": 1300}),
 		{Name: "BenchmarkE1ExploreThroughput/dfs", CPUs: 2, Iterations: 1, Metrics: map[string]float64{"schedules/sec": 1000}},
 	}})
 	var out strings.Builder
 	ok, err := compareReports(old, writeReport(t, "new.json", Report{Benchmarks: []Benchmark{
-		bench(map[string]float64{"switches/sec": 3e6}),
+		bench(map[string]float64{unit: 1.2 * rate}),
 		{Name: "BenchmarkE1ExploreThroughput/dfs", CPUs: 2, Iterations: 1, Metrics: map[string]float64{"schedules/sec": 1000}},
 	}}), 0.8, &out)
 	if err != nil || !ok {
-		t.Fatalf("baseline without switches/sec: ok=%v err=%v\n%s", ok, err, out.String())
+		t.Fatalf("baseline without %s: ok=%v err=%v\n%s", unit, ok, err, out.String())
 	}
-	if !strings.Contains(out.String(), "predates the switches/sec metric") {
+	if !strings.Contains(out.String(), "predates the "+unit+" metric") {
 		t.Fatalf("missing skip line:\n%s", out.String())
 	}
 }

@@ -4,13 +4,13 @@
 // steps — the same happens-before relation DPOR backtracks on — and the
 // scenario's interleavings are exactly that order's linear extensions.
 // Counting them follows the "Combinatorics of Barrier Synchronization"
-// program: per-process step chains plus cross-process constraint edges
-// form a DAG whose linear-extension count is computed by dynamic
-// programming over down-sets. The per-proc chain structure keeps the
-// down-set lattice small — a down-set is a vector of chain positions, so
-// the state space is Π(n_p + 1), not 2^S — and when even that is too
-// large the multinomial bound S! / Π n_p! (all constraints dropped)
-// still upper-bounds the count, flagged inexact.
+// program: per-process step chains plus cross-process edges. Processes
+// linked by edges form a component; components compose in parallel, so
+// the count is the shuffle multinomial S! / Π s_c! times each
+// component's own count. A chain counts 1; a component of several
+// processes is counted by dynamic programming over its down-sets,
+// vectors of chain positions (Π(n_p + 1) states, not 2^s_c), or, past
+// the state budget, bounded by its chain multinomial s_c! / Π n_p!.
 //
 // The DAG deliberately uses only the *synchronization* edges of the
 // dependency trace — readying causes and per-process cells (park/unpark,
@@ -24,167 +24,174 @@ package explore
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/kernel"
 )
 
-// maxCovStates caps the down-set DP's state space (product of per-proc
-// chain lengths + 1). ~2M float64 memo entries ≈ 16 MB, transient.
+// maxCovStates caps the down-set DP's summed state spaces (Π(n_p + 1)
+// per component). ~2M float64 memo entries ≈ 16 MB, transient.
 const maxCovStates = 1 << 21
 
+// pred names a step by its process and its position in that chain.
+type pred struct{ proc, pos int32 }
+
 // coverageOf measures the schedule space of the scenario from a
-// completed baseline run: log2 of the number of linear extensions of the
-// run's happens-before order, and whether the count is exact or the
-// multinomial upper bound.
+// completed baseline run: log2 of the number of linear extensions of its
+// happens-before order, and whether that is exact or an upper bound.
 func coverageOf(out runOut) (log2 float64, exact bool) {
-	schedule := out.schedule
-	steps := len(schedule)
-	if steps > dporAnalysisCap {
-		steps = dporAnalysisCap
+	if order, ok := orderOf(out); ok {
+		return countExtensions(order)
 	}
-	if steps == 0 {
-		return 0, true
-	}
+	return 0, false // no dependency records; nothing to count
+}
 
-	// Flattened ready-set offsets and the executing process per step.
-	off := make([]int, len(schedule))
-	o := 0
-	for i, c := range schedule {
-		off[i] = o
-		o += c.Ready
-	}
-	if o > len(out.readyIDs) || len(out.causes) < len(schedule) {
-		return 0, false // no dependency records; nothing to count
-	}
-	var maxID int32
-	for _, p := range out.readyIDs {
-		if p > maxID {
-			maxID = p
+// orderOf extracts a whole run's happens-before order in chain form:
+// order[p][n] lists the cross-process predecessors of process p's n-th
+// step, so len(order[p]) is p's chain length.
+func orderOf(out runOut) (order [][][]pred, ok bool) {
+	at := make([]pred, len(out.schedule)) // each step's process and position
+	off := 0
+	for i, c := range out.schedule {
+		if off+c.Ready > len(out.readyIDs) || i >= len(out.causes) {
+			return nil, false
 		}
-	}
-	nProcs := int(maxID) + 1
-	stepProc := make([]int32, steps)
-	for i := 0; i < steps; i++ {
-		stepProc[i] = out.readyIDs[off[i]+schedule[i].Picked]
-	}
-
-	// Chain position of each step within its process.
-	count := make([]int, nProcs) // steps per process
-	pos := make([]int32, steps)
-	for i := 0; i < steps; i++ {
-		pos[i] = int32(count[stepProc[i]])
-		count[stepProc[i]]++
+		p := out.readyIDs[off+c.Picked]
+		off += c.Ready
+		if int(p) >= len(order) {
+			order = append(order, make([][][]pred, int(p)+1-len(order))...)
+		}
+		at[i] = pred{p, int32(len(order[p]))}
+		order[p] = append(order[p], nil)
 	}
 
 	// Cross-process predecessor edges: readying causes plus same-object
 	// last-access adjacency (transitively sufficient — each step need
 	// only wait for the latest prior access of each object it touches).
-	type pred struct{ proc, pos int32 }
-	preds := make([][]pred, steps)
 	addPred := func(j, i int) {
-		if i < 0 || i >= j || stepProc[i] == stepProc[j] {
+		if i < 0 || i >= j || at[i].proc == at[j].proc {
 			return // same-chain edges are implied by chain order
 		}
-		p := pred{proc: stepProc[i], pos: pos[i]}
-		for _, q := range preds[j] {
-			if q == p {
-				return
-			}
+		if preds := &order[at[j].proc][at[j].pos]; !slices.Contains(*preds, at[i]) {
+			*preds = append(*preds, at[i])
 		}
-		preds[j] = append(preds[j], p)
 	}
-	lastAcc := map[uint64]int32{}
-	di := 0
+	lastAcc := map[uint64]int32{} // 1 + the latest step that touched obj
 	deps := out.deps
-	for di < len(deps) && deps[di].Step < 0 {
-		di++
-	}
-	for j := 0; j < steps; j++ {
+	for j := range out.schedule {
 		if c := out.causes[j]; c >= 0 {
 			addPred(j, int(c))
 		}
-		start := di
-		for di < len(deps) && deps[di].Step == int32(j) {
-			if obj := deps[di].Obj; obj != kernel.DepObjTrace {
-				if i, ok := lastAcc[obj]; ok {
-					addPred(j, int(i))
+		// Accesses before the first step (Step < 0) order nothing.
+		for ; len(deps) > 0 && deps[0].Step <= int32(j); deps = deps[1:] {
+			if obj := deps[0].Obj; obj != kernel.DepObjTrace && deps[0].Step >= 0 {
+				addPred(j, int(lastAcc[obj])-1)
+				lastAcc[obj] = int32(j) + 1
+			}
+		}
+	}
+	return order, true
+}
+
+// countExtensions returns log2 of the number of linear extensions of an
+// order in orderOf's chain form, and whether it is exact. Terms are
+// summed in log2: a one-component order's multinomial term is exactly 0.
+func countExtensions(order [][][]pred) (log2 float64, exact bool) {
+	// Quick-find union-find: comp[p] is the smallest process of p's
+	// component, relabelled on each of the at most P-1 merges.
+	comp := make([]int32, len(order))
+	for p := range comp {
+		comp[p] = int32(p)
+	}
+	steps := 0
+	for p, chain := range order {
+		for _, preds := range chain {
+			for _, q := range preds {
+				if a, b := max(comp[p], comp[q.proc]), min(comp[p], comp[q.proc]); a != b {
+					for r := range comp {
+						if comp[r] == a {
+							comp[r] = b
+						}
+					}
 				}
 			}
-			di++
 		}
-		for k := start; k < di; k++ {
-			if obj := deps[k].Obj; obj != kernel.DepObjTrace {
-				lastAcc[obj] = int32(j)
-			}
+		steps += len(chain)
+	}
+	comps := make([][]int32, len(order))
+	for p, chain := range order {
+		if len(chain) > 0 {
+			comps[comp[p]] = append(comps[comp[p]], int32(p))
 		}
 	}
 
-	// Upper bound, always available: drop every cross edge and count the
-	// interleavings of free chains, S! / Π n_p!.
-	bound := lgamma(float64(steps) + 1)
+	// Each component's count: exact while the summed DP state spaces fit
+	// maxCovStates, else its chain multinomial, and the count inexact.
+	multi := lgamma(float64(steps) + 1)
+	exact, budget := true, maxCovStates
+	for _, procs := range comps {
+		size, states := 0, 1
+		for _, p := range procs {
+			size += len(order[p])
+			if states <= budget {
+				states *= len(order[p]) + 1
+			}
+		}
+		multi -= lgamma(float64(size) + 1)
+		if len(procs) < 2 {
+			continue // a chain, or no component
+		}
+		if states <= budget {
+			budget -= states
+			if n := extensions(order, procs); !math.IsInf(n, 1) && n > 0 {
+				log2 += math.Log2(n)
+				continue
+			}
+		}
+		bound := lgamma(float64(size) + 1)
+		for _, p := range procs {
+			bound -= lgamma(float64(len(order[p])) + 1)
+		}
+		log2 += bound / math.Ln2
+		exact = false
+	}
+	return multi/math.Ln2 + log2, exact
+}
+
+// extensions counts the linear extensions of order restricted to procs,
+// processes no cross edge leaves, by memoized DP over down-sets: a state
+// is the per-process vector of completed chain positions in mixed radix,
+// f(state) the number of linear extensions of the remaining steps. A
+// process's next step is schedulable when every cross predecessor
+// (q, pos) is done: done[q] > pos. Every reachable down-set has an
+// extension, so a zero memo entry is one not yet computed.
+func extensions(order [][][]pred, procs []int32) float64 {
+	stride, done := make([]int, len(order)), make([]int32, len(order))
 	states := 1
-	overflow := false
-	for _, n := range count {
-		bound -= lgamma(float64(n) + 1)
-		if !overflow {
-			states *= n + 1
-			if states > maxCovStates {
-				overflow = true
-			}
-		}
+	for _, p := range procs {
+		stride[p] = states
+		states *= len(order[p]) + 1
 	}
-	bound /= math.Ln2
-
-	if overflow {
-		return bound, false
-	}
-
-	// Exact count: memoized top-down DP over down-sets. A state is the
-	// per-process vector of completed chain positions, encoded in mixed
-	// radix; f(state) is the number of linear extensions of the remaining
-	// steps. A process's next step is schedulable when every cross
-	// predecessor (pp, pos) is already done: c[pp] > pos.
-	stride := make([]int, nProcs)
-	s := 1
-	for p := 0; p < nProcs; p++ {
-		stride[p] = s
-		s *= count[p] + 1
-	}
-	// Step lookup: stepAt[p][n] = global index of process p's n-th step.
-	stepAt := make([][]int32, nProcs)
-	for p := range stepAt {
-		stepAt[p] = make([]int32, 0, count[p])
-	}
-	for i := 0; i < steps; i++ {
-		stepAt[stepProc[i]] = append(stepAt[stepProc[i]], int32(i))
-	}
-	memo := make([]float64, s)
-	for i := range memo {
-		memo[i] = -1
-	}
-	done := make([]int32, nProcs)
+	memo := make([]float64, states)
 	var f func(idx int) float64
 	f = func(idx int) float64 {
-		if v := memo[idx]; v >= 0 {
+		if idx == states-1 {
+			return 1 // every step done
+		}
+		if v := memo[idx]; v > 0 {
 			return v
 		}
 		total := 0.0
-		complete := true
-		for p := 0; p < nProcs; p++ {
-			if int(done[p]) >= count[p] {
+	next:
+		for _, p := range procs {
+			chain := order[p]
+			if int(done[p]) >= len(chain) {
 				continue
 			}
-			complete = false
-			j := stepAt[p][done[p]]
-			ok := true
-			for _, q := range preds[j] {
+			for _, q := range chain[done[p]] {
 				if done[q.proc] <= q.pos {
-					ok = false
-					break
+					continue next
 				}
-			}
-			if !ok {
-				continue
 			}
 			done[p]++
 			total += f(idx + stride[p])
@@ -193,17 +200,10 @@ func coverageOf(out runOut) (log2 float64, exact bool) {
 				break
 			}
 		}
-		if complete {
-			total = 1
-		}
 		memo[idx] = total
 		return total
 	}
-	n := f(0)
-	if math.IsInf(n, 1) || n <= 0 {
-		return bound, false
-	}
-	return math.Log2(n), true
+	return f(0)
 }
 
 // lgamma is math.Lgamma without the sign (arguments here are ≥ 1).

@@ -146,47 +146,67 @@ func TestDPORMatchesFull(t *testing.T) {
 	}
 }
 
-// On a scenario of truly independent processes the reduced search
-// collapses to a handful of runs while plain DFS enumerates every
-// interleaving — and the analytic count agrees exactly with what plain
-// exhaustion executed.
+// On scenarios of truly independent processes the reduced search
+// collapses to a handful of runs, and the analytic count is exact: the
+// multinomial S! / Π n_p!, which on the small case is what plain
+// exhaustion enumerates. The other cases are past the whole-order DP's
+// state cap (40 one-step processes) and past DPOR's analysis window (a
+// 4202-step run, counted whole).
 func TestDPORIndependentProcessesCollapse(t *testing.T) {
-	prog := Program(func(k kernel.Kernel, r *trace.Recorder) {
-		for _, name := range []string{"a", "b"} {
-			k.Spawn(name, func(p *kernel.Proc) {
-				p.Yield()
-				p.Yield()
+	for _, c := range []struct {
+		name   string
+		yields []int // per process; a process runs yields+1 steps
+		want   float64
+		plain  bool // small enough for plain DFS to enumerate
+	}{
+		{"2x3", []int{2, 2}, math.Log2(20), true},
+		{"40x1", make([]int, 40), math.Log2(factorial(40)), false},
+		{"4201+1", []int{4200, 0}, math.Log2(4202), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prog := Program(func(k kernel.Kernel, r *trace.Recorder) {
+				for _, n := range c.yields {
+					k.Spawn("p", func(p *kernel.Proc) {
+						for i := 0; i < n; i++ {
+							p.Yield()
+						}
+					})
+				}
 			})
-		}
-	})
-	exhaust := Options{RandomRuns: -1, DFSRuns: 1 << 20, DFSDepth: 64}
-	plain := Run(prog, func(trace.Trace) []problems.Violation { return nil }, exhaust)
-	if !plain.Stats.Exhausted {
-		t.Fatalf("plain DFS did not exhaust (%d runs)", plain.Runs)
-	}
-
-	reduced := exhaust
-	reduced.DPOR = true
-	fast := Run(prog, func(trace.Trace) []problems.Violation { return nil }, reduced)
-	if !fast.Stats.Exhausted {
-		t.Fatalf("reduced DFS did not exhaust (%d runs)", fast.Runs)
-	}
-	if fast.Stats.ExploredFraction != 1 {
-		t.Fatalf("exhausted search reports fraction %v", fast.Stats.ExploredFraction)
-	}
-	// Independent steps all commute: one schedule per equivalence class.
-	if fast.Runs*4 > plain.Runs {
-		t.Fatalf("independent processes barely reduced: %d vs %d runs", fast.Runs, plain.Runs)
-	}
-	// The analytic denominator is exact here and equals what plain
-	// exhaustion actually enumerated: Runs minus one because the FIFO
-	// baseline is judged once on its own and again as the DFS root.
-	if !fast.Stats.ScheduleSpaceExact {
-		t.Fatalf("expected an exact count, got bound 2^%.2f", fast.Stats.ScheduleSpaceLog2)
-	}
-	got := math.Round(math.Exp2(fast.Stats.ScheduleSpaceLog2))
-	if int(got) != plain.Runs-1 {
-		t.Fatalf("analytic count %v != %d enumerated schedules", got, plain.Runs-1)
+			noOracle := func(trace.Trace) []problems.Violation { return nil }
+			exhaust := Options{RandomRuns: -1, DFSRuns: 1 << 20, DFSDepth: 64, DPOR: true}
+			fast := Run(prog, noOracle, exhaust)
+			if !fast.Stats.Exhausted || fast.Err != nil {
+				t.Fatalf("reduced DFS did not exhaust (%d runs, err %v)", fast.Runs, fast.Err)
+			}
+			if fast.Stats.ExploredFraction != 1 {
+				t.Fatalf("exhausted search reports fraction %v", fast.Stats.ExploredFraction)
+			}
+			got := fast.Stats.ScheduleSpaceLog2
+			if !fast.Stats.ScheduleSpaceExact || math.Abs(got-c.want) > 1e-12*c.want {
+				t.Fatalf("schedule space 2^%v (exact %v), want exactly 2^%v",
+					got, fast.Stats.ScheduleSpaceExact, c.want)
+			}
+			if !c.plain {
+				return
+			}
+			plainOpts := exhaust
+			plainOpts.DPOR = false
+			plain := Run(prog, noOracle, plainOpts)
+			if !plain.Stats.Exhausted {
+				t.Fatalf("plain DFS did not exhaust (%d runs)", plain.Runs)
+			}
+			// Independent steps all commute: one schedule per equivalence class.
+			if fast.Runs*4 > plain.Runs {
+				t.Fatalf("independent processes barely reduced: %d vs %d runs", fast.Runs, plain.Runs)
+			}
+			// The analytic count equals what plain exhaustion actually
+			// enumerated: Runs minus one because the FIFO baseline is
+			// judged once on its own and again as the DFS root.
+			if n := math.Round(math.Exp2(got)); int(n) != plain.Runs-1 {
+				t.Fatalf("analytic count %v != %d enumerated schedules", n, plain.Runs-1)
+			}
+		})
 	}
 }
 

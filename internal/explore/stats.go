@@ -61,8 +61,12 @@ type StatsCore struct {
 	// by linear-extension counting. Zero unless Options.DPOR.
 	ScheduleSpaceLog2 float64
 	// ScheduleSpaceExact reports whether ScheduleSpaceLog2 is an exact
-	// linear-extension count (dynamic programming over the step DAG) or
-	// the multinomial upper bound used when the DAG is too large.
+	// linear-extension count or an upper bound. The count is the shuffle
+	// multinomial across the order's independent components times each
+	// component's own count: 1 for a single process, dynamic programming
+	// over down-sets for interacting processes. A component whose DP
+	// does not fit the shared state budget is bounded by its own chain
+	// multinomial (its edges dropped), and then the count is inexact.
 	ScheduleSpaceExact bool
 	// ExploredFraction is the judged fraction of the schedule space:
 	// Runs / 2^ScheduleSpaceLog2, clamped to 1, and exactly 1 when
