@@ -14,8 +14,13 @@ all: lint build test
 build:
 	$(GO) build ./...
 
+# perfbench/ is its own module (it imports this one through a replace
+# directive), so ./... does not reach it; its tests pin the benchmark's
+# determinism self-check and its planted-wrong-verdict gate.
 test:
 	$(GO) test ./...
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test -race ./...
 
 race:
 	$(GO) test -race ./...

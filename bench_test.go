@@ -89,9 +89,11 @@ func benchExploreThroughput(b *testing.B, opts explore.Options) {
 }
 
 // BenchmarkE1ExploreThroughput tracks the exploration engine's speed for
-// the random and DFS phases separately, with the parallel engine (Workers
+// the random and DFS phases separately, at the default Workers (which
 // follows GOMAXPROCS, so `-cpu 1,2,4` sweeps the scaling curve) and with
-// the engine pinned sequential (the speedup baseline). Results are
+// Workers pinned to 1 (the -seq rows). Only the random phase runs on
+// several workers, so with `-cpu` the random rows scale and the DFS rows,
+// which run on the driver alone at any Workers, do not. Results are
 // identical across worker counts by construction; only throughput moves.
 func BenchmarkE1ExploreThroughput(b *testing.B) {
 	const budget = 64

@@ -23,8 +23,8 @@ import (
 
 // ExploreWorkers is the worker count handed to every anomaly search in
 // this package (explore.Options.Workers): 0 uses all cores. Exploration
-// results are identical for every value — parallelism only speculates
-// ahead of the canonical search order — so this is purely a throughput
+// results are identical for every value — workers only run random-phase
+// seeds the driver judges in seed order — so this is purely a throughput
 // knob, settable from the evalsync -workers flag.
 var ExploreWorkers int
 

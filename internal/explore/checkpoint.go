@@ -17,8 +17,7 @@
 // Everything here runs on the driver in canonical pop order, so
 // registration, consumption, and eviction — and therefore the
 // CheckpointForks/SavedSteps/ReplayedSteps counters — are independent of
-// the worker count. Helper workers keep executing speculative runs by
-// full replay; a fork only happens when the driver runs a node inline.
+// the worker count, and every DFS run that finds a live checkpoint forks.
 // Restore-and-re-drive is observationally identical to replay by
 // determinism (pinned by TestCheckpointMatchesReplay), so checkpointing
 // never changes what is judged, only what it costs.
@@ -94,14 +93,14 @@ func (g *ckptRegistry) take(branchKey []byte) *ckptEntry {
 // runs register — a violating or errored run may have been cut short
 // (Options.Stream stops violating runs mid-flight), so its trace is not
 // a sound prefix to resume from.
-func (g *ckptRegistry) registerRun(out runOut, children []*dfsNode) {
+func (g *ckptRegistry) registerRun(out runOut, children [][]kernel.Choice) {
 	// Collect the deepest groups, scanning from the tail.
 	var depths, pendings [ckptGroupsPerRun]int
 	n := 0
 	for i := len(children); i > 0 && n < ckptGroupsPerRun; {
-		d := len(children[i-1].prefix) - 1
+		d := len(children[i-1]) - 1
 		j := i
-		for j > 0 && len(children[j-1].prefix)-1 == d {
+		for j > 0 && len(children[j-1])-1 == d {
 			j--
 		}
 		if d >= 1 { // forking at the root saves nothing

@@ -29,10 +29,10 @@
 // demanded, not all of them.
 //
 // Everything here runs on the driver, over completed runs, in canonical
-// LIFO order — helpers only speculate executions — so the reduced search
-// is byte-deterministic at every Workers count. The dependency relation
-// itself is deliberately conservative but heuristic (see kernel/deps.go);
-// Options.DPORAudit is the correctness gate, mirroring PruneAudit.
+// LIFO order, so the reduced search is byte-deterministic at every
+// Workers count. The dependency relation itself is deliberately
+// conservative but heuristic (see kernel/deps.go); Options.DPORAudit is
+// the correctness gate, mirroring PruneAudit.
 package explore
 
 import (
@@ -128,7 +128,7 @@ func (d *dporState) join(dst []int32, step int) {
 // unchanged). blocked counts the sibling alternatives within the node's
 // own suffix that plain branching would have pushed and the reduction
 // did not.
-func (d *dporState) expand(prefix []kernel.Choice, out runOut, depth int, parallel bool, expanded map[uint64]bool, pruned *int) ([]*dfsNode, int) {
+func (d *dporState) expand(prefix []kernel.Choice, out runOut, depth int, expanded map[uint64]bool, pruned *int) ([][]kernel.Choice, int) {
 	schedule := out.schedule
 	limit := len(schedule)
 	if limit > depth {
@@ -151,7 +151,7 @@ func (d *dporState) expand(prefix []kernel.Choice, out runOut, depth int, parall
 	if off > len(out.readyIDs) || len(out.causes) < len(schedule) {
 		// No dependency records (defensive; the executor enables
 		// WithDepTrace whenever DPOR is on): fall back to plain branching.
-		return expandDFS(prefix, out, depth, parallel, expanded, pruned), 0
+		return expandDFS(prefix, out, depth, expanded, pruned), 0
 	}
 	var maxID int32
 	for _, p := range out.readyIDs {
@@ -264,13 +264,13 @@ func (d *dporState) expand(prefix []kernel.Choice, out runOut, depth int, parall
 		}
 		return d.props[a].alt < d.props[b].alt
 	})
-	var children []*dfsNode
+	var children [][]kernel.Choice
 	clear(d.pushedAt)
 	for _, pr := range d.props {
 		branch := make([]kernel.Choice, pr.i+1)
 		copy(branch, schedule[:pr.i])
 		branch[pr.i] = kernel.Choice{Ready: schedule[pr.i].Ready, Picked: pr.alt}
-		children = append(children, newDFSNode(branch, parallel))
+		children = append(children, branch)
 		d.pushedAt[pr.i]++
 	}
 	blocked := 0

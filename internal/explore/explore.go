@@ -19,17 +19,16 @@
 //
 // # Parallelism and determinism
 //
-// Run executes schedules on Options.Workers goroutines (default: all
-// cores) while keeping its result independent of the worker count. The
-// trick is speculation rather than racing: a single driver consumes run
-// outcomes in the canonical sequential order (seed order for the random
-// phase, LIFO frontier order for DFS), and helper goroutines merely
-// execute upcoming schedules ahead of time. Whatever finding the
-// sequential engine would have reported, the parallel engine reports —
-// same Schedule, same Runs count — because every run is deterministic
-// given its policy, and the driver's walk over outcomes is unchanged.
-// Workers: 1 spawns no helpers at all and is literally the sequential
-// engine.
+// Run judges every outcome on one driver goroutine, in the canonical
+// order: ascending seed for the random phase, LIFO frontier order for DFS.
+// Every run is deterministic given its policy, so the Result — Schedule,
+// Runs, Stats and the rest — is the same for every Options.Workers value.
+// Only the random phase runs schedules in parallel: its seeds are known up
+// front, so Workers goroutines, the driver included, claim them from one
+// cursor, and the driver runs the next unclaimed seed itself whenever the
+// one it must judge next is still running elsewhere. The DFS phase runs on
+// the driver alone, since each run's children come from the run before.
+// Workers: 1 runs the same random-phase loop with no helper goroutines.
 package explore
 
 import (
@@ -65,8 +64,8 @@ type Result struct {
 	// Violations are the oracle findings for that run.
 	Violations []problems.Violation
 	// Runs is the number of schedules judged, counting the violating one.
-	// Speculative runs executed by helper workers past the finding are not
-	// counted, so Runs is identical for every Workers setting.
+	// Random-phase runs that other workers executed past the finding are
+	// not counted, so Runs is identical for every Workers setting.
 	Runs int
 	// Pruned counts sibling schedules the DFS phase skipped via
 	// fingerprint pruning; always 0 unless Options.Prune. Like Runs it is
@@ -115,9 +114,10 @@ type Options struct {
 	// instead of counting them as findings. By default a kernel error is
 	// a finding (with Violations nil and Err set).
 	IgnoreKernelErrors bool
-	// Workers is the number of goroutines executing schedules. 0 means
-	// runtime.GOMAXPROCS(0). The Result is the same for every value (see
-	// the package comment); Workers: 1 pins the sequential engine.
+	// Workers is the number of goroutines executing random-phase
+	// schedules, the driver included; the DFS phase always runs on the
+	// driver alone. 0 means runtime.GOMAXPROCS(0). The Result is the same
+	// for every value (see the package comment).
 	Workers int
 	// Prune enables schedule-space pruning in the DFS phase: decision
 	// points whose kernel-state fingerprint was already branched from are

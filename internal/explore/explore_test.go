@@ -185,10 +185,12 @@ func TestDFSBudgetExact(t *testing.T) {
 	}
 }
 
-// The determinism contract: Run returns the same Result regardless of
-// Workers. Five oracle/option combinations over the Figure-1 program,
-// exercising findings in the random phase, findings deep in the DFS
-// phase, budget exhaustion without findings, and a clean solution.
+// The determinism contract: Run returns the same Result — every field,
+// Stats and MinSchedule included — regardless of Workers. The rows cover
+// findings in the random phase, findings deep in the DFS phase, budget
+// exhaustion without findings, a clean solution, and the syncfuzz option
+// set (pooled, stream-judged, pruned, DPOR-reduced, checkpointed, shrunk)
+// on a program that finds in the random phase and on a clean one.
 func TestParallelMatchesSequential(t *testing.T) {
 	figure1 := Program(func(k kernel.Kernel, r *trace.Recorder) {
 		rwScenario(pathexprsol.NewReadersPriority())(k, r)
@@ -197,49 +199,81 @@ func TestParallelMatchesSequential(t *testing.T) {
 		rwScenario(monitorsol.NewReadersPriority())(k, r)
 	})
 	never := func(trace.Trace) []problems.Violation { return nil }
+	inc, ok := problems.IncrementalOracleFor(problems.NameReadersPriority)
+	if !ok {
+		t.Fatal("no incremental oracle for readers-priority")
+	}
+	syncfuzz := Options{RandomRuns: 150, DFSRuns: 100, Prune: true, DPOR: true,
+		Checkpoint: true, Pool: true, Stream: inc.New, Shrink: true}
 	cases := []struct {
 		name   string
 		prog   Program
 		oracle Oracle
 		opts   Options
+		phase  string // where the finding must land; "" for none
 	}{
 		{"random-phase-finding", figure1, problems.CheckReadersPriority,
-			Options{RandomRuns: 300, DFSRuns: 600}},
+			Options{RandomRuns: 300, DFSRuns: 600}, "random"},
 		{"dfs-only-finding", figure1, problems.CheckReadersPriority,
-			Options{RandomRuns: -1, DFSRuns: 2000, DFSDepth: 24}},
+			Options{RandomRuns: -1, DFSRuns: 2000, DFSDepth: 24}, "dfs"},
 		{"writers-oracle", figure1, problems.CheckWritersPriority,
-			Options{RandomRuns: 50, DFSRuns: 100}},
+			Options{RandomRuns: 50, DFSRuns: 100}, ""},
 		{"budget-exhausted", figure1, never,
-			Options{RandomRuns: 20, DFSRuns: 60}},
+			Options{RandomRuns: 20, DFSRuns: 60}, ""},
 		{"clean-solution", monitor, problems.CheckReadersPriority,
-			Options{RandomRuns: 30, DFSRuns: 60}},
+			Options{RandomRuns: 30, DFSRuns: 60}, ""},
+		{"syncfuzz-random-finding", figure1, problems.CheckReadersPriority, syncfuzz, "random"},
+		{"syncfuzz-clean", monitor, problems.CheckReadersPriority, syncfuzz, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seqOpts := tc.opts
-			seqOpts.Workers = 1
-			parOpts := tc.opts
-			parOpts.Workers = 8
-			seq := Run(tc.prog, tc.oracle, seqOpts)
-			par := Run(tc.prog, tc.oracle, parOpts)
-			if seq.Found != par.Found {
-				t.Fatalf("Found: workers=1 %v, workers=8 %v", seq.Found, par.Found)
+			var phase string
+			opts := tc.opts
+			opts.Workers = 1
+			opts.Progress = func(s Stats) {
+				if s.Phase != "shrink" && s.Phase != "done" {
+					phase = s.Phase
+				}
 			}
-			if !reflect.DeepEqual(seq.Schedule, par.Schedule) {
-				t.Fatalf("Schedule diverged:\n  workers=1: %v\n  workers=8: %v",
-					seq.Schedule, par.Schedule)
+			seq := Run(tc.prog, tc.oracle, opts)
+			if tc.phase != "" && (!seq.Found || phase != tc.phase) {
+				t.Fatalf("want a finding in the %s phase, got found=%v in the %s phase", tc.phase, seq.Found, phase)
 			}
-			if seq.Runs != par.Runs {
-				t.Fatalf("Runs: workers=1 %d, workers=8 %d", seq.Runs, par.Runs)
-			}
-			if (seq.Err == nil) != (par.Err == nil) {
-				t.Fatalf("Err: workers=1 %v, workers=8 %v", seq.Err, par.Err)
-			}
-			if len(seq.Violations) != len(par.Violations) {
-				t.Fatalf("Violations: workers=1 %d, workers=8 %d",
-					len(seq.Violations), len(par.Violations))
+			for _, w := range []int{2, 8} {
+				opts := tc.opts
+				opts.Workers = w
+				if par := Run(tc.prog, tc.oracle, opts); !reflect.DeepEqual(seq, par) {
+					t.Fatalf("Result depends on Workers:\n  workers=1: %+v\n  workers=%d: %+v", seq, w, par)
+				}
 			}
 		})
+	}
+}
+
+// A random phase holds O(Workers) pooled slots, not O(RandomRuns). Each
+// seed claimed but not yet judged holds one slot, and claims run at most
+// randomLead×Workers seeds ahead of judging. A slow batch oracle keeps
+// the driver far behind the helpers: without the lead bound they would
+// run nearly every seed ahead and pin a slot per outcome.
+func TestRandomPhasePoolBounded(t *testing.T) {
+	monitor := Program(func(k kernel.Kernel, r *trace.Recorder) {
+		rwScenario(monitorsol.NewReadersPriority())(k, r)
+	})
+	slow := func(tr trace.Trace) []problems.Violation {
+		for start := time.Now(); time.Since(start) < 300*time.Microsecond; {
+		}
+		return problems.CheckReadersPriority(tr)
+	}
+	const workers = 4
+	peak := 0
+	res := Run(monitor, slow, Options{RandomRuns: 200, Workers: workers, Pool: true,
+		Progress: func(s Stats) { peak = max(peak, s.PoolSlots) }})
+	if res.Found {
+		t.Fatalf("unexpected finding: %v err=%v", res.Violations, res.Err)
+	}
+	if bound := randomLead * workers; peak > bound {
+		t.Fatalf("random phase created %d pooled slots for %d seeds, want at most randomLead×Workers = %d",
+			peak, res.Runs-1, bound)
 	}
 }
 

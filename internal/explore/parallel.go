@@ -1,23 +1,28 @@
-// The parallel exploration engine: a sequential driver plus speculative
-// helper workers.
+// The exploration engine's search loops and the executor they share.
 //
-// Both exploration phases share one structure. The canonical order in
-// which the sequential engine would execute schedules is known in advance
-// (random: ascending seed) or discoverable as the search unfolds (DFS:
-// LIFO frontier order). Helper goroutines claim upcoming schedules and
-// execute them on private kernels; the driver walks the canonical order,
-// adopting a helper's cached outcome when one exists and executing
-// inline otherwise. Because every schedule is deterministic, the driver
-// observes exactly the outcomes the sequential engine would have, so the
-// reported Result — Schedule, Runs, Violations — is independent of the
-// worker count. Speculation past a finding or past the budget is wasted
-// work, never wrong answers.
+// Both phases have a canonical order in which schedules are judged —
+// ascending seed for the random phase, LIFO frontier order for DFS — and
+// one driver goroutine judges every outcome in that order. Because every
+// schedule is deterministic given its policy, the reported Result —
+// Schedule, Runs, Violations, Stats — is independent of the worker count.
 //
-// All schedule-space pruning (fingerprint dedup, the invisible-step rule)
-// happens on the driver, in canonical order, so pruning decisions are
-// also independent of the worker count: helpers may speculatively execute
-// schedules the driver later discards, which costs time but never changes
-// the answer.
+// The random phase runs on Options.Workers goroutines. Its schedules are
+// known up front, so every worker, the driver included, claims seeds from
+// one atomic cursor and runs them on private kernels. When the seed the
+// driver must judge next is still running elsewhere, the driver runs the
+// next unclaimed seed itself rather than wait; it blocks only when nothing
+// is left to claim. Runs past a finding are wasted work, never a different
+// answer, and randomLead bounds how many there can be.
+//
+// The DFS phase runs on the driver alone. Each run's children come from
+// the run before, LIFO order pushes them above anything a helper could
+// have claimed ahead, and the driver forks most runs from checkpoints
+// (checkpoint.go) a helper would have to replay from the root; measured
+// speculation cost more CPU than it saved (DESIGN.md §6.5).
+//
+// All schedule-space pruning (fingerprint dedup, the invisible-step rule,
+// DPOR) happens on the driver in canonical order, so pruning decisions are
+// independent of the worker count too.
 package explore
 
 import (
@@ -77,9 +82,9 @@ type executor struct {
 	dpor       bool
 
 	// slots counts runSlots ever created; reuses counts runs served by a
-	// recycled slot. Atomics because helpers acquire concurrently; they
-	// feed Stats observability fields only, never the deterministic
-	// Result.
+	// recycled slot. Atomics because random-phase workers acquire
+	// concurrently; they feed Stats observability fields only, never the
+	// deterministic Result.
 	slots  atomic.Int64
 	reuses atomic.Int64
 
@@ -162,7 +167,7 @@ func (e *executor) release(out runOut) {
 }
 
 // close releases every slot's recycled process coroutines. Call once, when
-// no run is in flight (the phases wait out their helpers before
+// no run is in flight (the random phase waits out its helpers before
 // returning).
 func (e *executor) close() {
 	for _, s := range e.all {
@@ -238,95 +243,148 @@ func (e *executor) runFrom(prog Program, snap *kernel.Snapshot, prefix trace.Tra
 	}
 }
 
-// randSlot holds the speculative outcome for one random seed.
+// randomLead is how many seeds per worker the random phase's claims may
+// run ahead of judging. A claimed seed holds a pooled slot until it is
+// judged, so the lead bounds both the slots a phase holds and the runs
+// wasted past a finding at randomLead×Workers.
+const randomLead = 4
+
+// randSlot holds one random-phase outcome. seq, stored after out, is the
+// 1-based seed the outcome belongs to.
 type randSlot struct {
-	claimed atomic.Bool
-	done    chan struct{}
-	out     runOut
+	seq atomic.Int64
+	out runOut
 }
 
-// randomPhase samples seeds 1..RandomRuns in seed order. Helpers claim
-// seeds through an atomic cursor and publish outcomes through per-slot
-// channels; the driver consumes slots in seed order, so the first finding
-// is always the lowest-seed finding — what the sequential scan reports.
+// seedRing is the random phase's shared state. Workers claim seeds from
+// cursor and publish each outcome in slot seed mod lead. A seed is claimed
+// only while fewer than lead claimed seeds are unjudged, so its slot is
+// always free.
+type seedRing struct {
+	n, lead int64
+	slots   []randSlot
+	cursor  atomic.Int64
+	judged  atomic.Int64 // written by the driver only
+	stop    atomic.Bool
+
+	// Slow path: a helper parked on a full lead, or the driver waiting on
+	// a seed a helper is still running. sleepers lets wake skip the lock
+	// when nobody sleeps.
+	mu       sync.Mutex
+	cond     sync.Cond
+	sleepers atomic.Int32
+}
+
+// claim takes the next unclaimed seed. It returns -1 while the lead is
+// full and n once every seed is claimed.
+func (r *seedRing) claim() int64 {
+	for {
+		c := r.cursor.Load()
+		if c >= r.n {
+			return r.n
+		}
+		if c-r.judged.Load() >= r.lead {
+			return -1
+		}
+		if r.cursor.CompareAndSwap(c, c+1) {
+			return c
+		}
+	}
+}
+
+func (r *seedRing) published(i int64) bool { return r.slots[i%r.lead].seq.Load() == i+1 }
+
+func (r *seedRing) publish(i int64, out runOut) {
+	s := &r.slots[i%r.lead]
+	s.out = out
+	s.seq.Store(i + 1)
+	r.wake()
+}
+
+// sleep blocks until ready holds. Every change ready can observe is an
+// atomic store followed by wake, and sleep counts itself in sleepers
+// before testing ready, so a wake-up is never lost.
+func (r *seedRing) sleep(ready func() bool) {
+	r.mu.Lock()
+	r.sleepers.Add(1)
+	for !ready() {
+		r.cond.Wait()
+	}
+	r.sleepers.Add(-1)
+	r.mu.Unlock()
+}
+
+func (r *seedRing) wake() {
+	if r.sleepers.Load() > 0 {
+		r.mu.Lock()
+		r.cond.Broadcast()
+		r.mu.Unlock()
+	}
+}
+
+// randomPhase samples seeds 1..RandomRuns. Every worker, the driver
+// included, claims seeds from one cursor; the driver judges in seed
+// order, so the first finding is always the lowest-seed finding, whatever
+// the worker count. When the seed it must judge next is still running on
+// a helper, the driver runs the next unclaimed seed itself and checks
+// again; it blocks only when nothing is left to claim.
 func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *tracker) (Result, bool) {
 	n := opts.RandomRuns
 	if n == 0 {
 		return Result{}, false
 	}
 	t.phase("random")
-	helpers := opts.Workers - 1
-	if helpers > n-1 {
-		helpers = n - 1
-	}
-	var (
-		slots  []randSlot
-		cancel atomic.Bool
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	)
-	if helpers > 0 {
-		slots = make([]randSlot, n)
-		for i := range slots {
-			slots[i].done = make(chan struct{})
-		}
-		wg.Add(helpers)
-		for w := 0; w < helpers; w++ {
-			go func() {
-				defer wg.Done()
-				for !cancel.Load() {
-					i := int(cursor.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					s := &slots[i]
-					if !s.claimed.CompareAndSwap(false, true) {
-						continue // driver ran this seed inline
-					}
-					s.out = e.run(prog, kernel.Random(int64(i+1)))
-					close(s.done)
+	workers := min(opts.Workers, n)
+	r := &seedRing{n: int64(n), lead: int64(randomLead * workers)}
+	r.slots = make([]randSlot, r.lead)
+	r.cond.L = &r.mu
+	room := func() bool { return r.stop.Load() || r.cursor.Load()-r.judged.Load() < r.lead }
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for !r.stop.Load() {
+				switch i := r.claim(); {
+				case i == r.n:
+					return
+				case i < 0:
+					r.sleep(room)
+				default:
+					r.publish(i, e.run(prog, kernel.Random(i+1)))
 				}
-			}()
-		}
-		// Stop helpers before returning so goroutines never outlive the
-		// phase; in-flight runs are bounded by MaxSteps.
-		defer func() {
-			cancel.Store(true)
-			wg.Wait()
+			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		var out runOut
-		if helpers > 0 && !slots[i].claimed.CompareAndSwap(false, true) {
-			<-slots[i].done // claimed by a helper; adopt its outcome
-			out = slots[i].out
-		} else {
-			out = e.run(prog, kernel.Random(int64(i+1)))
+	// Stop the helpers before returning so no goroutine outlives the
+	// phase (in-flight runs are bounded by MaxSteps), then return to the
+	// pool the slots of runs left unjudged past a finding.
+	defer func() {
+		r.stop.Store(true)
+		r.wake()
+		wg.Wait()
+		for i := r.judged.Load(); i < min(r.cursor.Load(), r.n); i++ {
+			e.release(r.slots[i%r.lead].out)
 		}
+	}()
+	for next := int64(0); next < r.n; next++ {
+		for !r.published(next) {
+			if i := r.claim(); i >= 0 && i < r.n {
+				r.publish(i, e.run(prog, kernel.Random(i+1)))
+			} else {
+				r.sleep(func() bool { return r.published(next) })
+			}
+		}
+		out := r.slots[next%r.lead].out
 		t.ran()
 		if res, found := judge(out, oracle, opts, t.st.Runs); found {
 			return res, true
 		}
 		e.release(out)
+		r.judged.Store(next + 1)
+		r.wake()
 	}
 	return Result{}, false
-}
-
-// dfsNode is one frontier entry: a choice prefix to replay, plus the
-// claim/publish machinery for speculative execution.
-type dfsNode struct {
-	prefix  []kernel.Choice
-	claimed atomic.Bool
-	done    chan struct{} // nil when running without helpers
-	out     runOut
-}
-
-// dfsShared is the frontier shared between the DFS driver and helpers.
-type dfsShared struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	stack []*dfsNode
-	over  bool
 }
 
 // auditSet summarizes what a DFS pass found, for the PruneAudit
@@ -413,33 +471,13 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 	if opts.DFSRuns <= 0 {
 		return Result{Runs: t.st.Runs}, found
 	}
-	helpers := opts.Workers - 1
-	st := &dfsShared{}
-	st.cond = sync.NewCond(&st.mu)
-	st.stack = []*dfsNode{newDFSNode(nil, helpers > 0)}
-	if helpers > 0 {
-		var wg sync.WaitGroup
-		wg.Add(helpers)
-		for w := 0; w < helpers; w++ {
-			go func() {
-				defer wg.Done()
-				dfsHelper(e, prog, st)
-			}()
-		}
-		defer func() {
-			st.mu.Lock()
-			st.over = true
-			st.mu.Unlock()
-			st.cond.Broadcast()
-			wg.Wait()
-		}()
-	}
+	stack := [][]kernel.Choice{nil}
 
 	// seen dedups frontier prefixes by compact binary key; dedup happens
-	// at pop time (not push time) to preserve the sequential engine's
-	// exploration order exactly. expanded dedups *states*: a decision
-	// point whose fingerprint was already branched from is not branched
-	// again, killing subtrees that differ only in how they arrived.
+	// at pop time (not push time) to preserve the LIFO exploration order
+	// exactly. expanded dedups *states*: a decision point whose
+	// fingerprint was already branched from is not branched again,
+	// killing subtrees that differ only in how they arrived.
 	seen := map[string]bool{}
 	var expanded map[uint64]bool
 	if prune {
@@ -462,27 +500,21 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 	var keyBuf []byte
 	var first Result
 	dfsRuns := 0 // explicit budget counter: at most DFSRuns schedules execute
-	for dfsRuns < opts.DFSRuns {
-		st.mu.Lock()
-		if len(st.stack) == 0 {
-			st.mu.Unlock()
-			break
-		}
-		node := st.stack[len(st.stack)-1]
-		st.stack = st.stack[:len(st.stack)-1]
-		t.st.Frontier = len(st.stack)
-		st.mu.Unlock()
+	for dfsRuns < opts.DFSRuns && len(stack) > 0 {
+		prefix := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		t.st.Frontier = len(stack)
 
 		// Build the node's binary key so that its branch-point prefix —
 		// the node minus its final (branching) choice — is the leading
 		// keyBuf[:branchEnd] bytes: appendScheduleKey is concatenative.
-		n := len(node.prefix)
+		n := len(prefix)
 		keyBuf = keyBuf[:0]
 		branchEnd := 0
 		if n > 0 {
-			keyBuf = appendScheduleKey(keyBuf, node.prefix[:n-1])
+			keyBuf = appendScheduleKey(keyBuf, prefix[:n-1])
 			branchEnd = len(keyBuf)
-			keyBuf = appendScheduleKey(keyBuf, node.prefix[n-1:])
+			keyBuf = appendScheduleKey(keyBuf, prefix[n-1:])
 		}
 		// Consume the node's checkpoint slot before the dedup check:
 		// duplicate prefixes were counted as pending siblings when their
@@ -497,21 +529,13 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 		seen[string(keyBuf)] = true
 
 		var out runOut
-		if node.claimed.CompareAndSwap(false, true) {
-			if ent != nil {
-				out = e.runFrom(prog, ent.snap, ent.events, kernel.Replay(node.prefix[ent.depth:]))
-			} else {
-				out = e.run(prog, kernel.Replay(node.prefix))
-			}
+		if ent != nil {
+			out = e.runFrom(prog, ent.snap, ent.events, kernel.Replay(prefix[ent.depth:]))
 		} else {
-			<-node.done // claimed by a helper; adopt its outcome
-			out = node.out
+			out = e.run(prog, kernel.Replay(prefix))
 		}
 		dfsRuns++
 		if reg != nil {
-			// Canonical accounting: a helper may have executed this run
-			// by full replay, but the counters follow the driver's fork
-			// decision so they are identical for every worker count.
 			if ent != nil {
 				t.forked(ent.depth, n-ent.depth)
 			} else {
@@ -535,51 +559,35 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 
 		// Branch: for each decision point within depth (at or beyond the
 		// prefix), schedule the alternatives not taken — or, with DPOR,
-		// only the backtrack points the run's dependency trace demands.
-		// Push order matches the sequential engine, so LIFO pops explore
-		// the same tree.
-		var children []*dfsNode
+		// only the backtrack points the run's dependency trace demands —
+		// in ascending depth, so LIFO pops explore the deepest first.
+		var children [][]kernel.Choice
 		if dp != nil {
 			var blocked int
-			children, blocked = dp.expand(node.prefix, out, opts.DFSDepth, helpers > 0, expanded, &pruned)
+			children, blocked = dp.expand(prefix, out, opts.DFSDepth, expanded, &pruned)
 			t.st.BacktrackPoints += len(children)
 			t.st.DPORBlocked += blocked
 		} else {
-			children = expandDFS(node.prefix, out, opts.DFSDepth, helpers > 0, expanded, &pruned)
+			children = expandDFS(prefix, out, opts.DFSDepth, expanded, &pruned)
 		}
 		if reg != nil && !isFinding && out.err == nil {
 			reg.registerRun(out, children)
 		}
 		e.release(out)
-		if len(children) > 0 {
-			st.mu.Lock()
-			st.stack = append(st.stack, children...)
-			t.st.Frontier = len(st.stack)
-			st.mu.Unlock()
-			st.cond.Broadcast()
-		}
+		stack = append(stack, children...)
+		t.st.Frontier = len(stack)
 	}
 	t.st.Frontier = 0
-	st.mu.Lock()
-	if len(st.stack) == 0 {
+	if len(stack) == 0 {
 		// The frontier emptied before the budget ran out: every schedule
 		// the (possibly reduced) search wanted to run has been run.
 		t.st.Exhausted = true
 	}
-	st.mu.Unlock()
 	if !first.Found {
 		first.Runs = t.st.Runs
 		first.Pruned = pruned
 	}
 	return first, found
-}
-
-func newDFSNode(prefix []kernel.Choice, parallel bool) *dfsNode {
-	n := &dfsNode{prefix: prefix}
-	if parallel {
-		n.done = make(chan struct{})
-	}
-	return n
 }
 
 // expandDFS builds the branch nodes of a completed run: every alternative
@@ -602,7 +610,7 @@ func newDFSNode(prefix []kernel.Choice, parallel bool) *dfsNode {
 // Skipped sibling counts accumulate into *pruned for reporting. The
 // fingerprint is a heuristic abstraction (see kernel.Fingerprint);
 // Options.PruneAudit cross-checks that pruning lost no violation.
-func expandDFS(prefix []kernel.Choice, out runOut, depth int, parallel bool, expanded map[uint64]bool, pruned *int) []*dfsNode {
+func expandDFS(prefix []kernel.Choice, out runOut, depth int, expanded map[uint64]bool, pruned *int) [][]kernel.Choice {
 	schedule := out.schedule
 	limit := len(schedule)
 	if limit > depth {
@@ -618,7 +626,7 @@ func expandDFS(prefix []kernel.Choice, out runOut, depth int, parallel bool, exp
 			limit = len(out.fps)
 		}
 	}
-	var children []*dfsNode
+	var children [][]kernel.Choice
 	for i := len(prefix); i < limit; i++ {
 		if schedule[i].Ready < 2 {
 			continue // no alternatives existed
@@ -641,40 +649,10 @@ func expandDFS(prefix []kernel.Choice, out runOut, depth int, parallel bool, exp
 			branch := make([]kernel.Choice, i+1)
 			copy(branch, schedule[:i])
 			branch[i] = kernel.Choice{Ready: schedule[i].Ready, Picked: alt}
-			children = append(children, newDFSNode(branch, parallel))
+			children = append(children, branch)
 		}
 	}
 	return children
-}
-
-// dfsHelper speculatively executes unclaimed frontier entries, scanning
-// from the top of the stack (the driver's next pops). It parks on the
-// condition variable when everything visible is claimed and exits when the
-// phase is over.
-func dfsHelper(e *executor, prog Program, st *dfsShared) {
-	for {
-		st.mu.Lock()
-		var node *dfsNode
-		for {
-			if st.over {
-				st.mu.Unlock()
-				return
-			}
-			for i := len(st.stack) - 1; i >= 0; i-- {
-				if st.stack[i].claimed.CompareAndSwap(false, true) {
-					node = st.stack[i]
-					break
-				}
-			}
-			if node != nil {
-				break
-			}
-			st.cond.Wait()
-		}
-		st.mu.Unlock()
-		node.out = e.run(prog, kernel.Replay(node.prefix))
-		close(node.done)
-	}
 }
 
 // appendScheduleKey appends a compact binary encoding of the choice

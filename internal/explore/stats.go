@@ -27,9 +27,8 @@ type StatsCore struct {
 	ShrinkLen int
 	// CheckpointForks is the number of DFS runs that forked from a
 	// checkpoint instead of replaying their prefix from the root
-	// (Options.Checkpoint). Counted canonically on the driver, so it is
-	// Workers-independent even though helper workers always execute by
-	// full replay.
+	// (Options.Checkpoint). The driver runs every DFS schedule itself, so
+	// it is Workers-independent.
 	CheckpointForks int
 	// SavedSteps counts prefix steps served from a checkpoint across all
 	// forked runs: steps the scheduler re-drove with the per-step
