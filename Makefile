@@ -33,7 +33,8 @@ lint:
 # bench runs the E1 exploration benchmarks — throughput variants, the
 # checkpointed-DFS pooled/stream/checkpoint column, and the DPOR
 # schedules-to-finding/-exhaustion hunts — plus the simulated kernel's
-# context-switch benchmark and the schedule-space counter's
+# context-switch benchmark, the random policy's reseed-and-pick cost
+# (BenchmarkRandomPolicy) and the schedule-space counter's
 # (BenchmarkCoverage), and archives the numbers (ns/op, allocs/op,
 # schedules/sec, schedules-to-finding, schedules-to-exhaustion,
 # explored-fraction per variant; switches/sec for the kernel;
@@ -43,7 +44,7 @@ lint:
 # other variants. Override BENCHTIME (e.g. BENCHTIME=1x) for a smoke
 # run. -p 1 runs one package's benchmarks at a time, so no package's
 # build or benchmark competes with another's timed loop for the CPUs.
-BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch|BenchmarkCoverage
+BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch|BenchmarkRandomPolicy|BenchmarkCoverage
 BENCHPKGS := . ./internal/kernel ./internal/explore
 bench:
 	$(GO) test -p 1 -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime $(BENCHTIME) -count 1 $(BENCHPKGS) \

@@ -2,11 +2,44 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden summary")
+
+// TestSummaryGolden locks the repro-fuzz/v1 summary of the make fuzz
+// window (-n 8 -seed 26 at the default budgets) byte for byte. Its
+// random-phase schedules are named by seed, so the summary pins the
+// seed-to-schedule mapping end to end: a change to the random policy's
+// stream, the search, or a mechanism shows up here. Regenerate with
+//
+//	go test ./cmd/syncfuzz -run TestSummaryGolden -update
+func TestSummaryGolden(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-n", "8", "-seed", "26", "-quiet", "-summary", "-"}, &out, &errb); code != 0 {
+		t.Fatalf("fuzz: exit %d, stderr: %s", code, errb.String())
+	}
+	golden := filepath.Join("testdata", "summary.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("summary drifted from %s (run with -update if the change is intended)\n--- got ---\n%s", golden, out.String())
+	}
+}
 
 // TestSummaryIsWorkersInvariant pins the determinism contract: the same
 // corpus seed and budgets produce a byte-identical summary regardless of

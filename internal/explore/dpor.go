@@ -69,7 +69,7 @@ type dporState struct {
 	lastOf   []int32 // process id -> its latest step so far, -1 if none
 	clocks   []int32 // flat per-step vector clocks, stride = max id + 1
 	pclock   []int32 // pre-access clock of the step under analysis
-	lastAcc  map[uint64]int32
+	lastAcc  []int32 // object slot -> its latest accessing step, -1 if none
 	props    []dporProposal
 	propSeen map[int64]bool
 	pushedAt map[int]int
@@ -80,7 +80,6 @@ func newDPORState() *dporState {
 	return &dporState{
 		groupSeen: map[string][]int32{},
 		stateSeen: map[uint64][]int32{},
-		lastAcc:   map[uint64]int32{},
 		propSeen:  map[int64]bool{},
 		pushedAt:  map[int]int{},
 	}
@@ -210,11 +209,33 @@ func (d *dporState) expand(prefix []kernel.Choice, out runOut, depth int, expand
 	for i := range d.lastOf {
 		d.lastOf[i] = -1
 	}
-	clear(d.lastAcc)
+	// Dependency objects are dense: process cells by id, then the trace
+	// cell in the last slot. Size from the accesses, not the ready sets:
+	// a spawn touches its child's cell before the child appears in any
+	// ready set, and a run cut short can end right there.
+	deps := out.deps
+	traceSlot := 0
+	for _, a := range deps {
+		if a.Obj != kernel.DepObjTrace && int(a.Obj) >= traceSlot {
+			traceSlot = int(a.Obj) + 1
+		}
+	}
+	if cap(d.lastAcc) <= traceSlot {
+		d.lastAcc = make([]int32, traceSlot+1)
+	}
+	d.lastAcc = d.lastAcc[:traceSlot+1]
+	for i := range d.lastAcc {
+		d.lastAcc[i] = -1
+	}
+	objSlot := func(obj uint64) int {
+		if obj == kernel.DepObjTrace {
+			return traceSlot
+		}
+		return int(obj)
+	}
 	d.props = d.props[:0]
 	clear(d.propSeen)
 
-	deps := out.deps
 	di := 0
 	for di < len(deps) && deps[di].Step < 0 {
 		di++ // pre-run accesses precede every decision; nothing to backtrack
@@ -234,7 +255,7 @@ func (d *dporState) expand(prefix []kernel.Choice, out runOut, depth int, expand
 		}
 		start := di
 		for di < len(deps) && deps[di].Step == int32(j) {
-			if i, ok := d.lastAcc[deps[di].Obj]; ok {
+			if i := d.lastAcc[objSlot(deps[di].Obj)]; i >= 0 {
 				p := d.stepProc[i]
 				if p != q && pc[p] < i {
 					d.propose(int(i), q, out, limit, expanded, pruned)
@@ -245,14 +266,14 @@ func (d *dporState) expand(prefix []kernel.Choice, out runOut, depth int, expand
 		jc := d.clocks[j*stride : (j+1)*stride]
 		copy(jc, pc)
 		for k := start; k < di; k++ {
-			if i, ok := d.lastAcc[deps[k].Obj]; ok {
+			if i := d.lastAcc[objSlot(deps[k].Obj)]; i >= 0 {
 				d.join(jc, int(i))
 			}
 		}
 		jc[q] = int32(j)
 		d.lastOf[q] = int32(j)
 		for k := start; k < di; k++ {
-			d.lastAcc[deps[k].Obj] = int32(j)
+			d.lastAcc[objSlot(deps[k].Obj)] = int32(j)
 		}
 	}
 

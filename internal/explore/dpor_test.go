@@ -2,6 +2,7 @@ package explore
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -207,6 +208,37 @@ func TestDPORIndependentProcessesCollapse(t *testing.T) {
 				t.Fatalf("analytic count %v != %d enumerated schedules", n, plain.Runs-1)
 			}
 		})
+	}
+}
+
+// A spawn touches its child's cell before the child appears in any ready
+// set, and a run cut short by Stop or the step limit can end right there,
+// so a run's dependency objects can reach past every id in its ready
+// sets. expand sizes its per-object table from the accesses; here the
+// children's cells (2 and 3) are never in a ready set, and the one race
+// is the two trace accesses.
+func TestDPORExpandSpawnAtCutoff(t *testing.T) {
+	out := runOut{
+		// p0 records; p1 records, spawns p2 and p3, and the run stops.
+		schedule: []kernel.Choice{{Ready: 2, Picked: 0}, {Ready: 2, Picked: 0}},
+		visible:  []bool{true, true},
+		fps:      []uint64{1, 2},
+		deps: []kernel.DepAccess{
+			{Step: -1, Obj: 0}, {Step: -1, Obj: 1},
+			{Step: 0, Obj: kernel.DepObjTrace},
+			{Step: 1, Obj: kernel.DepObjTrace}, {Step: 1, Obj: 2}, {Step: 1, Obj: 3},
+		},
+		readyIDs: []int32{0, 1, 1, 0},
+		causes:   []int32{-1, -1},
+	}
+	pruned := 0
+	children, blocked := newDPORState().expand(nil, out, 64, nil, &pruned)
+	// The race puts p1 first at decision 0; decision 1's alternative (p0
+	// before p1's step) commutes and stays blocked.
+	want := [][]kernel.Choice{{{Ready: 2, Picked: 1}}}
+	if !reflect.DeepEqual(children, want) || blocked != 1 || pruned != 0 {
+		t.Fatalf("expand = %v, blocked %d, pruned %d; want %v, blocked 1, pruned 0",
+			children, blocked, pruned, want)
 	}
 }
 

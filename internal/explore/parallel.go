@@ -327,7 +327,10 @@ func (r *seedRing) wake() {
 // order, so the first finding is always the lowest-seed finding, whatever
 // the worker count. When the seed it must judge next is still running on
 // a helper, the driver runs the next unclaimed seed itself and checks
-// again; it blocks only when nothing is left to claim.
+// again; it blocks only when nothing is left to claim. Each worker
+// reseeds one kernel.RandomPolicy per claimed seed: the kernel consults
+// its policy only inside Run, so a slot still holding the policy after
+// its run never draws from it again.
 func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *tracker) (Result, bool) {
 	n := opts.RandomRuns
 	if n == 0 {
@@ -344,6 +347,7 @@ func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *trac
 	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			policy := kernel.Random(0)
 			for !r.stop.Load() {
 				switch i := r.claim(); {
 				case i == r.n:
@@ -351,7 +355,8 @@ func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *trac
 				case i < 0:
 					r.sleep(room)
 				default:
-					r.publish(i, e.run(prog, kernel.Random(i+1)))
+					policy.Seed(i + 1)
+					r.publish(i, e.run(prog, policy))
 				}
 			}
 		}()
@@ -367,10 +372,12 @@ func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *trac
 			e.release(r.slots[i%r.lead].out)
 		}
 	}()
+	policy := kernel.Random(0)
 	for next := int64(0); next < r.n; next++ {
 		for !r.published(next) {
 			if i := r.claim(); i >= 0 && i < r.n {
-				r.publish(i, e.run(prog, kernel.Random(i+1)))
+				policy.Seed(i + 1)
+				r.publish(i, e.run(prog, policy))
 			} else {
 				r.sleep(func() bool { return r.published(next) })
 			}

@@ -57,12 +57,34 @@ func FIFO() Policy { return PolicyFunc(func([]*Proc) int { return 0 }) }
 // overtaking behaviors.
 func LIFO() Policy { return PolicyFunc(func(ready []*Proc) int { return len(ready) - 1 }) }
 
-// Random returns a seeded uniformly random policy. The same seed and
-// program produce the same schedule.
-func Random(seed int64) Policy {
-	rng := rand.New(rand.NewSource(seed))
-	return PolicyFunc(func(ready []*Proc) int { return rng.Intn(len(ready)) })
+// RandomPolicy is the seeded uniformly random policy (see Random). Its
+// source seeds in O(1) (randsrc.go), so one policy can be reseeded for
+// run after run without allocating. It is not safe for concurrent use.
+type RandomPolicy struct {
+	src lazySource
+	rng *rand.Rand
 }
+
+// Random returns a uniformly random policy seeded with seed: its Picks
+// are rand.New(rand.NewSource(seed)).Intn(len(ready)), draw for draw, so
+// the same seed and program produce the same schedule. That stream,
+// pinned by TestRandomMatchesMathRand, is what seed-named schedules,
+// simtrace -seed, sealed artifacts and goldens depend on; how it is
+// computed is not.
+func Random(seed int64) *RandomPolicy {
+	p := &RandomPolicy{}
+	p.rng = rand.New(&p.src)
+	p.Seed(seed)
+	return p
+}
+
+// Seed restarts the policy's stream as if it were Random(seed). A
+// SimKernel consults its policy only inside Run, so a policy may be
+// reseeded between runs while a kernel still holds it.
+func (p *RandomPolicy) Seed(seed int64) { p.rng.Seed(seed) }
+
+// Pick implements Policy.
+func (p *RandomPolicy) Pick(ready []*Proc) int { return p.rng.Intn(len(ready)) }
 
 // Choice records one scheduling decision: how many processes were ready
 // and which index was chosen.
