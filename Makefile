@@ -3,7 +3,7 @@
 GO        ?= go
 BENCHTIME ?= 2s
 
-.PHONY: all build test race lint bench bench-check hunt load load-check load-million fuzz xcheck dpor-audit clean
+.PHONY: all build test race lint bench bench-check ab hunt load load-check load-million fuzz xcheck dpor-audit clean
 
 # Load-run knobs for make load; see cmd/syncload -h for the full set.
 LOAD_RATE     ?= 2000
@@ -34,9 +34,12 @@ lint:
 # checkpointed-DFS pooled/stream/checkpoint column, and the DPOR
 # schedules-to-finding/-exhaustion hunts — plus the simulated kernel's
 # context-switch benchmark, the random policy's reseed-and-pick cost
-# (BenchmarkRandomPolicy) and the schedule-space counter's
-# (BenchmarkCoverage), and archives the numbers (ns/op, allocs/op,
-# schedules/sec, schedules-to-finding, schedules-to-exhaustion,
+# (BenchmarkRandomPolicy), the schedule-space counter's
+# (BenchmarkCoverage), the synth derived oracle's cost per judged run
+# (BenchmarkSynthCheck) and interval pairing's, for one process in
+# series and for 256 requests in flight
+# (BenchmarkIntervalsReconstruction). It archives the numbers (ns/op,
+# B/op, allocs/op, schedules/sec, schedules-to-finding, schedules-to-exhaustion,
 # explored-fraction per variant; switches/sec for the kernel;
 # counts/sec for the counter) into BENCH_explore.json. The file is a
 # committed baseline: benchjson merges fresh runs into it line by line
@@ -44,8 +47,8 @@ lint:
 # other variants. Override BENCHTIME (e.g. BENCHTIME=1x) for a smoke
 # run. -p 1 runs one package's benchmarks at a time, so no package's
 # build or benchmark competes with another's timed loop for the CPUs.
-BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch|BenchmarkRandomPolicy|BenchmarkCoverage
-BENCHPKGS := . ./internal/kernel ./internal/explore
+BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch|BenchmarkRandomPolicy|BenchmarkCoverage|BenchmarkSynthCheck|BenchmarkIntervalsReconstruction
+BENCHPKGS := . ./internal/kernel ./internal/explore ./internal/synth ./internal/trace
 bench:
 	$(GO) test -p 1 -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime $(BENCHTIME) -count 1 $(BENCHPKGS) \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_explore.json
@@ -62,6 +65,27 @@ bench-check:
 	$(GO) test -p 1 -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime $(BENCHTIME) -count 1 $(BENCHPKGS) \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o bench-fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance $(TOLERANCE) BENCH_explore.json bench-fresh.json
+
+# ab compares this checkout with BASE (any git revision) on perfbench the
+# way BENCHMARK.json's gate does: PAIRS pairs of AB_SECONDS-second runs of
+# AB_WORKLOAD at AB_SEED, alternating which side runs first, each run's
+# JSON line appended to AB_OUT (scripts/ab.sh checks BASE out with git
+# worktree in a temporary directory and removes it afterwards). benchjson
+# -ab then prints, per end-to-end metric, both medians with quartiles,
+# the ratio, wins out of PAIRS and a verdict (gain, worse, unresolved,
+# within bound) from the metric's direction and bound. It exits non-zero
+# when a metric is worse beyond its bound or a run failed. Pairs append,
+# so a second run with the same AB_OUT adds to the first; delete AB_OUT
+# to start over.
+BASE        ?= HEAD
+PAIRS       ?= 10
+AB_WORKLOAD ?= fuzz
+AB_SEED     ?= 1
+AB_SECONDS  ?= 20
+AB_OUT      ?= ab.ndjson
+ab:
+	bash scripts/ab.sh '$(BASE)' $(PAIRS) $(AB_WORKLOAD) $(AB_SEED) $(AB_SECONDS) $(AB_OUT)
+	$(GO) run ./cmd/benchjson -ab BENCHMARK.json $(AB_OUT)
 
 # load runs the real-runtime evaluation matrix — every mechanism plus the
 # scalable semaphore variants × the canonical problem trio under Poisson
@@ -154,5 +178,5 @@ xcheck:
 clean:
 	rm -f load-raw.json load-fresh-raw.json load-fresh.json soak-stream.ndjson \
 		load-million-raw.json BENCH_load_million.json bench-fresh.json figure1-found.sched \
-		fuzz-summary.json
+		fuzz-summary.json ab.ndjson
 	rm -rf fuzz-artifacts

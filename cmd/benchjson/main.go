@@ -31,6 +31,9 @@
 // are skipped, not failed. CI runs this after the bench smoke so an
 // exploration-engine regression fails the build.
 //
+// With -ab it compares paired perfbench runs of two trees, as make ab
+// records them, on BENCHMARK.json's end-to-end metrics (see ab.go).
+//
 // Usage:
 //
 //	go test -run '^$' -bench 'BenchmarkE1|BenchmarkSimContextSwitch' -benchmem . ./internal/kernel | benchjson -o BENCH_explore.json
@@ -38,6 +41,7 @@
 //	syncload -soak -json | benchjson -load -o BENCH_load.json   # NDJSON: every snapshot validated, final archived
 //	benchjson -compare -tolerance 0.8 BENCH_explore.json fresh.json
 //	benchjson -load-compare -tolerance 0.7 BENCH_load.json fresh_load.json
+//	benchjson -ab BENCHMARK.json ab.ndjson
 //
 // Input lines it understands (everything else passes through untouched):
 //
@@ -88,7 +92,24 @@ func main() {
 	compareMode := flag.Bool("compare", false, "compare two reports (baseline.json fresh.json) on the gated metrics (schedules/sec, schedules-to-finding, explored-fraction, switches/sec); exit non-zero on regression")
 	loadCompareMode := flag.Bool("load-compare", false, "compare two syncload reports (baseline.json fresh.json) on throughput and p99 latency; exit non-zero on regression")
 	tolerance := flag.Float64("tolerance", 0.8, "with -compare/-load-compare, minimum acceptable goodness ratio (fresh/baseline, inverted for lower-is-better metrics)")
+	abMode := flag.Bool("ab", false, "compare paired perfbench runs (BENCHMARK.json runs.ndjson, as make ab writes them) per end-to-end metric: medians with quartiles, ratio, wins and a verdict; exit non-zero if a metric is worse beyond its bound or a run failed")
 	flag.Parse()
+
+	if *abMode {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "benchjson: -ab wants exactly two arguments: BENCHMARK.json runs.ndjson")
+			os.Exit(2)
+		}
+		ok, err := abReport(flag.Arg(0), flag.Arg(1), os.Stdout)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(2)
+		}
+		if !ok {
+			os.Exit(1)
+		}
+		return
+	}
 
 	if *compareMode || *loadCompareMode {
 		if flag.NArg() != 2 {

@@ -219,15 +219,9 @@ func buildWorkload(cfg *Config, s solutions.Suite, k kernel.Kernel, rec *trace.R
 // constraints couple the classes (slots, history) are issued in
 // balanced cycles. Judging uses the derived oracle in non-strict mode —
 // the same exclusion-and-safety-only discipline as the canonical
-// problems on real-kernel traces.
-//
-// Unlike runBody, the Enter/Exit emissions here are split across hook
-// closures by design: the synth adapter fires Enter inside the grant
-// decision and Exit before the release, under its own exclusion, so
-// the recorded interval is atomic with the gate's view (see
-// synth.Hooks). Resource.Do invokes each hook exactly once, in order.
-//
-//synclint:allow bracket: intervals open in the Enter hook and close in the Exit hook; pairing is the Resource.Do contract, not lexical structure
+// problems on real-kernel traces. Unlike runBody, the adapter records
+// the trace events itself, inside its own exclusion (see synth.Hooks);
+// the admission time is stamped through the hooks' OnEnter, at the grant.
 func buildSynthWorkload(seed int64, s solutions.Suite, k kernel.Kernel, rec *trace.Recorder, cfg *Config, yields int, now func() int64) (*workload, error) {
 	set := synth.Generate(seed)
 	if err := set.LoadSafe(); err != nil {
@@ -253,14 +247,7 @@ func buildSynthWorkload(seed int64, s solutions.Suite, k kernel.Kernel, rec *tra
 				ra = arg
 			}
 			var enter int64
-			h := synth.Hooks{Enter: func() { enter = now() }}
-			if rec != nil {
-				h = synth.Hooks{
-					Request: func() { rec.Request(p, sc.Name, ra) },
-					Enter:   func() { enter = now(); rec.Enter(p, sc.Name, ra) },
-					Exit:    func() { rec.Exit(p, sc.Name, ra) },
-				}
-			}
+			h := synth.Hooks{Rec: rec, Proc: p, Op: sc.Name, Arg: ra, OnEnter: func() { enter = now() }}
 			res.Do(p, ci, arg, has, h, func() { yieldWork(p, yields) })
 			end := now()
 			cl.wait.Record(uint64(seq), enter-at)

@@ -25,8 +25,11 @@ package synth
 // record and the mechanism.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 
 	"repro/internal/problems"
 	"repro/internal/trace"
@@ -59,6 +62,8 @@ func anyInWindow(seqs []int64, lo, hi int64) bool {
 
 // traceView is the StateView the trace shows strictly before sequence
 // point at, with one interval (the candidate under judgment) excluded.
+// A judgment keeps one and moves it from candidate to candidate by
+// setting at and skip.
 type traceView struct {
 	set  *Set
 	ivs  []trace.Interval
@@ -67,7 +72,7 @@ type traceView struct {
 	skip int
 }
 
-func (v traceView) Count(class int, kind CountKind) int {
+func (v *traceView) Count(class int, kind CountKind) int {
 	n := 0
 	for i := range v.ivs {
 		if i == v.skip || v.cls[i] != class {
@@ -98,7 +103,7 @@ func (v traceView) Count(class int, kind CountKind) int {
 	return n
 }
 
-func (v traceView) Slots() int {
+func (v *traceView) Slots() int {
 	s := 0
 	for i := range v.ivs {
 		if i == v.skip {
@@ -111,7 +116,7 @@ func (v traceView) Slots() int {
 	return s
 }
 
-func (v traceView) LastStarted() int {
+func (v *traceView) LastStarted() int {
 	best, bestSeq := -1, int64(0)
 	for i := range v.ivs {
 		if i == v.skip {
@@ -127,25 +132,77 @@ func (v traceView) LastStarted() int {
 
 // Check judges a trace against the set's constraints. strict
 // additionally checks priority rules and waiting-population conditions,
-// which are exact only on deterministic (SimKernel) traces.
+// which are exact only on deterministic (SimKernel) traces. It compiles
+// the set on every call; Program compiles once and judges each run with
+// the same code.
 func (s *Set) Check(tr trace.Trace, strict bool) []problems.Violation {
-	ivs, err := tr.Intervals()
+	return s.compile().check(tr, strict)
+}
+
+// judge is a Set compiled into its derived oracle: what judging needs
+// beyond the set itself, worked out once. A judge is never written after
+// compile, so the explorer's workers share it; each judgment borrows its
+// working memory from scratches.
+type judge struct {
+	set      *Set
+	xWaiting []bool // exclusion rule i consults the waiting population
+}
+
+func (s *Set) compile() *judge {
+	j := &judge{set: s, xWaiting: make([]bool, len(s.Excludes))}
+	for i, x := range s.Excludes {
+		j.xWaiting[i] = condUsesWaiting(x.Cond)
+	}
+	return j
+}
+
+// scratch is one judgment's working memory. Every judge draws from the
+// one package pool, so a worker's buffers serve whichever program it
+// judges next, and a warm judgment of a clean trace allocates nothing.
+type scratch struct {
+	ivs   []trace.Interval
+	cls   []int
+	exits []int64
+	view  traceView
+	// other is the disfavored candidate of a priority evaluation. Cond.Eval
+	// takes it by pointer through an interface, so a local would escape
+	// to the heap on every evaluation.
+	other Cand
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// classOf is the index of the class named op, or -1.
+func (s *Set) classOf(op string) int {
+	for i := range s.Classes {
+		if s.Classes[i].Name == op {
+			return i
+		}
+	}
+	return -1
+}
+
+func (j *judge) check(tr trace.Trace, strict bool) []problems.Violation {
+	s := j.set
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	ivs, err := tr.AppendIntervals(sc.ivs[:0])
 	if err != nil {
 		return []problems.Violation{{Rule: "instrumentation", Detail: err.Error()}}
 	}
-	classOf := map[string]int{}
-	for i, c := range s.Classes {
-		classOf[c.Name] = i
-	}
-	cls := make([]int, len(ivs))
-	for i, iv := range ivs {
-		ci, ok := classOf[iv.Op]
-		if !ok {
+	sc.ivs = ivs
+	cls := sc.cls[:0]
+	for i := range ivs {
+		ci := s.classOf(ivs[i].Op)
+		if ci < 0 {
 			return []problems.Violation{{Rule: "instrumentation",
-				Detail: fmt.Sprintf("operation %q is not a class of set %s", iv.Op, s.Name), Seq: iv.EnterSeq}}
+				Detail: fmt.Sprintf("operation %q is not a class of set %s", ivs[i].Op, s.Name), Seq: ivs[i].EnterSeq}}
 		}
-		cls[i] = ci
+		cls = append(cls, ci)
 	}
+	sc.cls = cls
+	v := &sc.view
+	*v = traceView{set: s, ivs: ivs, cls: cls}
 
 	var out []problems.Violation
 	for i := range ivs {
@@ -153,13 +210,13 @@ func (s *Set) Check(tr trace.Trace, strict bool) []problems.Violation {
 		if !iv.Started() {
 			continue
 		}
-		v := traceView{set: s, ivs: ivs, cls: cls, at: iv.EnterSeq, skip: i}
+		v.at, v.skip = iv.EnterSeq, i
 		self := Cand{Class: cls[i], Arg: iv.Arg, HasArg: iv.HasArg, Stamp: iv.RequestSeq}
 		for xi, x := range s.Excludes {
 			if x.Class != cls[i] {
 				continue
 			}
-			if !strict && condUsesWaiting(x.Cond) {
+			if !strict && j.xWaiting[xi] {
 				continue
 			}
 			if x.Cond.Eval(v, self, nil) {
@@ -173,7 +230,8 @@ func (s *Set) Check(tr trace.Trace, strict bool) []problems.Violation {
 	}
 
 	if strict {
-		exits := s.exitSeqs(tr)
+		sc.exits = s.appendExitSeqs(sc.exits[:0], tr)
+		exits := sc.exits
 		for pi, r := range s.Priorities {
 			for ai := range ivs {
 				a := &ivs[ai]
@@ -193,9 +251,9 @@ func (s *Set) Check(tr trace.Trace, strict bool) []problems.Violation {
 					if !anyInWindow(exits, a.RequestSeq, b.EnterSeq) {
 						continue
 					}
-					bc := Cand{Class: cls[bi], Arg: b.Arg, HasArg: b.HasArg, Stamp: b.RequestSeq}
-					v := traceView{set: s, ivs: ivs, cls: cls, at: b.EnterSeq, skip: bi}
-					if !r.Cond.Eval(v, ac, &bc) {
+					sc.other = Cand{Class: cls[bi], Arg: b.Arg, HasArg: b.HasArg, Stamp: b.RequestSeq}
+					v.at, v.skip = b.EnterSeq, bi
+					if !r.Cond.Eval(v, ac, &sc.other) {
 						continue
 					}
 					out = append(out, problems.Violation{
@@ -208,28 +266,25 @@ func (s *Set) Check(tr trace.Trace, strict bool) []problems.Violation {
 		}
 	}
 
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Seq != out[j].Seq {
-			return out[i].Seq < out[j].Seq
-		}
-		return out[i].Rule < out[j].Rule
-	})
+	if len(out) > 1 {
+		slices.SortStableFunc(out, func(a, b problems.Violation) int {
+			if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+				return c
+			}
+			return strings.Compare(a.Rule, b.Rule)
+		})
+	}
 	return out
 }
 
-// exitSeqs collects the ascending Exit sequence numbers of the set's
-// operations — the observable release points at which a mechanism makes
-// admission decisions.
-func (s *Set) exitSeqs(tr trace.Trace) []int64 {
-	names := map[string]bool{}
-	for _, c := range s.Classes {
-		names[c.Name] = true
-	}
-	var out []int64
-	for _, e := range tr {
-		if e.Kind == trace.KindExit && names[e.Op] {
-			out = append(out, e.Seq)
+// appendExitSeqs appends the ascending Exit sequence numbers of the
+// set's operations — the observable release points at which a mechanism
+// makes admission decisions.
+func (s *Set) appendExitSeqs(dst []int64, tr trace.Trace) []int64 {
+	for i := range tr {
+		if e := &tr[i]; e.Kind == trace.KindExit && s.classOf(e.Op) >= 0 {
+			dst = append(dst, e.Seq)
 		}
 	}
-	return out
+	return dst
 }

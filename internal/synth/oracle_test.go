@@ -2,6 +2,8 @@ package synth
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/kernel"
@@ -249,4 +251,51 @@ func TestDerivedOracleRejectsForeignOps(t *testing.T) {
 	if len(vs) != 1 || vs[0].Rule != "instrumentation" {
 		t.Fatalf("Check = %v, want one instrumentation violation", vs)
 	}
+}
+
+// TestOracleSharedAcrossWorkers judges corpus traces with compiled
+// oracles from several goroutines at once, as the explorer's workers
+// do, and requires the verdicts judged alone. Each trace is judged by
+// its own program's oracle (clean) and by another problem's (class
+// names repeat across the corpus, so that one mostly finds violations).
+func TestOracleSharedAcrossWorkers(t *testing.T) {
+	traces := corpusTraces(t, 20, false)
+	type judgment struct {
+		oracle func(trace.Trace) []problems.Violation
+		tr     trace.Trace
+		want   []problems.Violation
+	}
+	var cases []judgment
+	violating := 0
+	for i, c := range traces {
+		other := traces[(i+len(traces)/2)%len(traces)].oracle
+		for _, o := range []func(trace.Trace) []problems.Violation{c.oracle, other} {
+			j := judgment{oracle: o, tr: c.tr, want: o(c.tr)}
+			if len(j.want) > 0 {
+				violating++
+			}
+			cases = append(cases, j)
+		}
+	}
+	if violating == 0 {
+		t.Fatal("no judgment found a violation")
+	}
+	t.Logf("%d judgments, %d violating", len(cases), violating)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				for i := range cases {
+					c := &cases[(i+w*len(cases)/4)%len(cases)] // each worker starts elsewhere
+					if got := c.oracle(c.tr); !reflect.DeepEqual(got, c.want) {
+						t.Errorf("concurrent verdict %v, alone %v", got, c.want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -16,11 +16,13 @@ type Waiter struct {
 	// Aux carries the adapter's per-waiter payload (a condition
 	// variable, a private semaphore, a grant channel).
 	Aux any
-	// Enter, when set, is invoked by Grant — inside the adapter's
-	// critical section, so the recorded Enter event is atomic with the
-	// admission decision and the trace the oracle judges shows exactly
-	// the state the Gate decided on.
-	Enter   func()
+	// Hooks are the waiter's own record points. Grant fires their Enter
+	// inside the adapter's critical section, so the recorded Enter
+	// event is atomic with the admission decision and the trace the
+	// oracle judges shows exactly the state the Gate decided on. The
+	// event names the waiter's process even when another process (a
+	// releaser, the CSP server) makes the grant.
+	Hooks   Hooks
 	granted bool
 }
 
@@ -38,12 +40,13 @@ type Gate struct {
 	done     []int
 	slots    int
 	last     int
+	view     gateView // the one view Admissible and MayStart lend their conditions
 }
 
 // NewGate creates a Gate for the set.
 func NewGate(set *Set) *Gate {
 	n := len(set.Classes)
-	return &Gate{
+	g := &Gate{
 		set:      set,
 		waitingN: make([]int, n),
 		active:   make([]int, n),
@@ -51,6 +54,8 @@ func NewGate(set *Set) *Gate {
 		done:     make([]int, n),
 		last:     -1,
 	}
+	g.view.g = g
+	return g
 }
 
 // Count implements StateView.
@@ -77,21 +82,28 @@ func (g *Gate) LastStarted() int { return g.last }
 // gateView is the Gate as a candidate's condition sees it: the candidate
 // itself is excluded from the waiting population, matching the derived
 // oracle, which excludes the candidate's own interval from the state at
-// its admission point.
+// its admission point. The Gate keeps one and points it at each
+// candidate in turn, so judging a candidate allocates nothing.
 type gateView struct {
 	g    *Gate
 	self *Waiter
 }
 
-func (v gateView) Count(class int, kind CountKind) int {
+func (v *gateView) Count(class int, kind CountKind) int {
 	n := v.g.Count(class, kind)
 	if kind == CountWaiting && v.self != nil && v.self.Class == class {
 		n--
 	}
 	return n
 }
-func (v gateView) Slots() int       { return v.g.Slots() }
-func (v gateView) LastStarted() int { return v.g.LastStarted() }
+func (v *gateView) Slots() int       { return v.g.Slots() }
+func (v *gateView) LastStarted() int { return v.g.LastStarted() }
+
+// viewOf points the Gate's view at w.
+func (g *Gate) viewOf(w *Waiter) *gateView {
+	g.view.self = w
+	return &g.view
+}
 
 // Arrive registers a new candidate and returns its waiter.
 func (g *Gate) Arrive(class int, arg int64, hasArg bool) *Waiter {
@@ -104,7 +116,7 @@ func (g *Gate) Arrive(class int, arg int64, hasArg bool) *Waiter {
 
 // Admissible reports whether any exclusion rule currently bars w.
 func (g *Gate) Admissible(w *Waiter) bool {
-	v := gateView{g, w}
+	v := g.viewOf(w)
 	for _, x := range g.set.Excludes {
 		if x.Class == w.Class && x.Cond.Eval(v, w.Cand, nil) {
 			return false
@@ -122,7 +134,7 @@ func (g *Gate) MayStart(w *Waiter) bool {
 	if !g.Admissible(w) {
 		return false
 	}
-	v := gateView{g, w}
+	v := g.viewOf(w)
 	for _, r := range g.set.Priorities {
 		if r.B != w.Class {
 			continue
@@ -152,9 +164,7 @@ func (g *Gate) Grant(w *Waiter) {
 	g.started[w.Class]++
 	g.last = w.Class
 	w.granted = true
-	if w.Enter != nil {
-		w.Enter()
-	}
+	w.Hooks.enter()
 }
 
 // Release completes an operation of class: active → done, slot delta

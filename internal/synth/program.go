@@ -13,7 +13,8 @@ import (
 )
 
 // Program emits the set's workload under the mechanism as an
-// exploration program, paired with the set's strict derived oracle.
+// exploration program, paired with the set's strict derived oracle,
+// compiled once here and shared by every run the program is judged on.
 // The error is the mechanism's Supports verdict (pathexpr refusing an
 // inexpressible set).
 func Program(set *Set, mech string) (explore.Program, explore.Oracle, error) {
@@ -33,31 +34,19 @@ func Program(set *Set, mech string) (explore.Program, explore.Oracle, error) {
 					if c.Delay > 0 {
 						p.Sleep(c.Delay)
 					}
+					yields := c.Yields // captured alone, not as part of c, the body closure stays small
+					body := func() {
+						for y := 0; y < yields; y++ {
+							p.Yield()
+						}
+					}
 					for round := 0; round < c.Rounds; round++ {
 						arg, has := c.Arg(pi, round)
-						ra := arg
-						if !has {
-							ra = trace.NoArg
+						h := Hooks{Rec: rec, Proc: p, Op: c.Name, Arg: trace.NoArg}
+						if has {
+							h.Arg = arg
 						}
-						h := Hooks{
-							Request: func() { rec.Request(p, c.Name, ra) },
-							// The Enter/Exit pair is split across hook
-							// closures by design: the adapter fires Enter
-							// inside the grant decision and Exit before the
-							// release, under its own exclusion, so the
-							// recorded interval is atomic with the gate's
-							// view (see Hooks). Do invokes them exactly
-							// once each, in order, around body.
-							//synclint:allow bracket: intervals open in the Enter hook and close in the Exit hook; pairing is the Resource.Do contract, not lexical structure
-							Enter: func() { rec.Enter(p, c.Name, ra) },
-							//synclint:allow bracket: closes the interval opened by the Enter hook above
-							Exit: func() { rec.Exit(p, c.Name, ra) },
-						}
-						res.Do(p, ci, arg, has, h, func() {
-							for y := 0; y < c.Yields; y++ {
-								p.Yield()
-							}
-						})
+						res.Do(p, ci, arg, has, h, body)
 						for gap := 0; gap < c.Gap; gap++ {
 							p.Yield()
 						}
@@ -66,8 +55,9 @@ func Program(set *Set, mech string) (explore.Program, explore.Oracle, error) {
 			}
 		}
 	}
+	j := set.compile()
 	oracle := func(tr trace.Trace) []problems.Violation {
-		return set.Check(tr, true)
+		return j.check(tr, true)
 	}
 	return prog, oracle, nil
 }

@@ -14,8 +14,8 @@ package synth
 // flag scheduling windows (a waiter granted before a just-finished
 // operation's Exit lands in the trace) instead of policy bugs. Hooks
 // carries the three record points into the adapter, which fires each one
-// inside its own exclusion: Request at Arrive, Enter at Grant (via
-// Waiter.Enter), Exit immediately before Release.
+// inside its own exclusion: Request at Arrive, Enter at Grant (through
+// the Waiter's copy), Exit immediately before Release.
 
 import (
 	"fmt"
@@ -28,29 +28,52 @@ import (
 	"repro/internal/pathexpr"
 	"repro/internal/semaphore"
 	"repro/internal/serializer"
+	"repro/internal/trace"
 )
 
-// Hooks are the trace record points Do fires inside the mechanism's
-// exclusion. Any of the three may be nil.
+// Hooks are an operation's trace record points, which Do fires inside
+// the mechanism's exclusion: Request at Arrive, Enter at Grant, Exit
+// immediately before Release. They are a plain value, built each round
+// without allocating: the recorder (nil records nothing), the
+// operation's own process, its class name, and the round's trace
+// argument (trace.NoArg when the class carries none). The Waiter keeps
+// a copy, so Grant records the waiter's own process even when another
+// process makes the grant. The CSP adapter's messages carry a copy too:
+// its server can fire a round's Exit after the client has begun its
+// next round, so the hooks must be that round's snapshot.
 type Hooks struct {
-	Request func() // at Arrive — registration with the admission policy
-	Enter   func() // at Grant — the admission decision itself
-	Exit    func() // immediately before Release
+	Rec  *trace.Recorder
+	Proc *kernel.Proc
+	Op   string
+	Arg  int64
+	// OnEnter, when set, runs at the admission point just before the
+	// Enter record (a load run stamps its admission time there).
+	OnEnter func()
 }
 
 func (h Hooks) request() {
-	if h.Request != nil {
-		h.Request()
+	if h.Rec != nil {
+		h.Rec.Request(h.Proc, h.Op, h.Arg)
 	}
 }
+
+// enter records the admission; the interval it opens is closed by exit,
+// fired by the same adapter's release path.
+//
+//synclint:allow bracket: the interval opens here at the grant and closes in exit at the release; pairing is the Resource.Do contract, not lexical structure
 func (h Hooks) enter() {
-	if h.Enter != nil {
-		h.Enter()
+	if h.OnEnter != nil {
+		h.OnEnter()
+	}
+	if h.Rec != nil {
+		h.Rec.Enter(h.Proc, h.Op, h.Arg)
 	}
 }
+
+//synclint:allow bracket: closes the interval enter opened at the grant
 func (h Hooks) exit() {
-	if h.Exit != nil {
-		h.Exit()
+	if h.Rec != nil {
+		h.Rec.Exit(h.Proc, h.Op, h.Arg)
 	}
 }
 
@@ -136,7 +159,7 @@ func (r *monitorResource) Do(p *kernel.Proc, class int, arg int64, hasArg bool, 
 	r.m.Enter(p)
 	h.request()
 	w := r.g.Arrive(class, arg, hasArg)
-	w.Enter = h.Enter
+	w.Hooks = h
 	cond := r.m.NewCondition(fmt.Sprintf("grant-%d", w.Stamp))
 	w.Aux = cond
 	r.grantAll(p, w)
@@ -180,7 +203,7 @@ func (r *semResource) Do(p *kernel.Proc, class int, arg int64, hasArg bool, h Ho
 	r.mu.Lock(p)
 	h.request()
 	w := r.g.Arrive(class, arg, hasArg)
-	w.Enter = h.Enter
+	w.Hooks = h
 	w.Aux = semaphore.New(0)
 	wake := r.grantAll(w)
 	granted := w.Granted()
@@ -217,7 +240,7 @@ func (r *ccrResource) Do(p *kernel.Proc, class int, arg int64, hasArg bool, h Ho
 	r.region.Execute(p, ccr.True, func() {
 		h.request()
 		w = r.g.Arrive(class, arg, hasArg)
-		w.Enter = h.Enter
+		w.Hooks = h
 		if r.g.MayStart(w) {
 			r.g.Grant(w)
 		}
@@ -248,18 +271,20 @@ type cspResource struct {
 	rel *csp.Chan
 }
 
+// cspReq and cspRel carry the sending round's Hooks by value: the
+// server fires them after the client has moved on, possibly into its
+// next round.
 type cspReq struct {
-	class   int
-	arg     int64
-	hasArg  bool
-	grant   *csp.Chan
-	request func()
-	enter   func()
+	class  int
+	arg    int64
+	hasArg bool
+	grant  *csp.Chan
+	hooks  Hooks
 }
 
 type cspRel struct {
 	class int
-	exit  func()
+	hooks Hooks
 }
 
 func newCSPResource(set *Set, k kernel.Kernel) *cspResource {
@@ -272,17 +297,13 @@ func newCSPResource(set *Set, k kernel.Kernel) *cspResource {
 		apply := func(i int, v any) {
 			if i == 0 {
 				m := v.(cspReq)
-				if m.request != nil {
-					m.request()
-				}
+				m.hooks.request()
 				w := g.Arrive(m.class, m.arg, m.hasArg)
-				w.Enter = m.enter
+				w.Hooks = m.hooks
 				w.Aux = m.grant
 			} else {
 				m := v.(cspRel)
-				if m.exit != nil {
-					m.exit()
-				}
+				m.hooks.exit()
 				g.Release(m.class)
 			}
 		}
@@ -310,11 +331,10 @@ func newCSPResource(set *Set, k kernel.Kernel) *cspResource {
 
 func (r *cspResource) Do(p *kernel.Proc, class int, arg int64, hasArg bool, h Hooks, body func()) {
 	grant := r.net.NewChan(fmt.Sprintf("grant-%d", p.ID()))
-	r.req.Send(p, cspReq{class: class, arg: arg, hasArg: hasArg, grant: grant,
-		request: h.Request, enter: h.Enter})
+	r.req.Send(p, cspReq{class: class, arg: arg, hasArg: hasArg, grant: grant, hooks: h})
 	grant.Recv(p)
 	body()
-	r.rel.Send(p, cspRel{class: class, exit: h.Exit})
+	r.rel.Send(p, cspRel{class: class, hooks: h})
 }
 
 // --- serializer ------------------------------------------------------
@@ -365,7 +385,7 @@ func (r *serializerResource) Do(p *kernel.Proc, class int, arg int64, hasArg boo
 	r.mu.Lock()
 	h.request()
 	w := r.g.Arrive(class, arg, hasArg)
-	w.Enter = h.Enter
+	w.Hooks = h
 	r.mu.Unlock()
 	// Between the guarantee turning true (evaluated at a possession
 	// release) and this process resuming with possession, crowd members
@@ -467,7 +487,7 @@ func (r *naiveResource) Do(p *kernel.Proc, class int, arg int64, hasArg bool, h 
 	r.mu.Lock(p)
 	h.request()
 	w := r.g.Arrive(class, arg, hasArg)
-	w.Enter = h.Enter
+	w.Hooks = h
 	for !r.g.Admissible(w) {
 		r.parked[class]++
 		r.mu.Unlock(p)

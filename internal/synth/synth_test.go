@@ -121,6 +121,37 @@ func TestGateEnforcesExclusionAndPriority(t *testing.T) {
 	}
 }
 
+// TestGateViewsAllocateNothing pins that judging a candidate lends its
+// conditions the Gate's own view instead of boxing a new one per rule.
+func TestGateViewsAllocateNothing(t *testing.T) {
+	s := mustSet(t, &Set{
+		Name: "gate-allocs",
+		Classes: []Class{
+			{Name: "r", Procs: 2, Rounds: 1},
+			{Name: "w", Procs: 2, Rounds: 1},
+		},
+		Excludes: []ExcludeWhen{
+			{Cond: CountGE{Class: 1, Kind: CountActive, N: 1}, Class: 0},
+			{Cond: Or{CountGE{0, CountActive, 1}, CountGE{1, CountWaiting, 2}}, Class: 1},
+		},
+		Priorities: []PriorityWhen{{Cond: True{}, A: 0, B: 1}},
+	})
+	g := NewGate(s)
+	r := g.Arrive(0, 0, false)
+	w := g.Arrive(1, 0, false)
+	for name, f := range map[string]func(){
+		"Admissible": func() { g.Admissible(w); g.Admissible(r) },
+		"MayStart":   func() { g.MayStart(w); g.MayStart(r) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s allocates %v times, want 0", name, allocs)
+		}
+	}
+	if g.MayStart(w) {
+		t.Fatal("the writer must yield to the waiting reader")
+	}
+}
+
 func TestGateSlotAndHistoryState(t *testing.T) {
 	s := mustSet(t, &Set{
 		Name: "slots-test",

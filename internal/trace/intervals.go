@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // Interval is one operation execution — completed, still-open, or never
@@ -53,31 +55,94 @@ func (iv Interval) String() string {
 }
 
 // Intervals reconstructs operation executions from the trace. Matching is
-// per process: a Request is attached to the next Enter with the same
-// process and op; an Exit closes the most recent open Enter with the same
-// process and op (so properly nested executions are supported). Requests
-// that never reached an Enter — waiters still blocked at trace end — are
-// emitted as request-only intervals (EnterSeq == 0, Started() false), so
-// FCFS-style oracles can see overtaken processes that never got in. The
-// result is ordered by EnterSeq, with request-only intervals appended at
-// the end in RequestSeq order. An error is reported for unmatched Exit
-// events or mismatched nesting, which indicate an instrumentation bug in
-// a solution.
+// per (process, op): a Request is attached to the next Enter with the
+// same process and op, first in first out; an Exit closes the most
+// recent open Enter with the same process and op, last in first out, so
+// properly nested executions are supported. Executions of different ops
+// are never matched against each other, so crossed executions on one
+// process (Enter a, Enter b, Exit a, Exit b) pair without error.
+// Requests that never reached an Enter — waiters still blocked at trace
+// end — are emitted as request-only intervals (EnterSeq == 0, Started()
+// false), so FCFS-style oracles can see overtaken processes that never
+// got in. The result is ordered by Enter, with request-only intervals
+// appended at the end in RequestSeq order. An Exit with no open Enter of
+// the same process and op is an error: it indicates an instrumentation
+// bug in a solution.
 func (t Trace) Intervals() ([]Interval, error) {
-	type key struct {
-		proc int
-		op   string
+	ivs, err := t.AppendIntervals(nil)
+	if err != nil {
+		return nil, err
 	}
-	pendingReq := map[key][]Event{} // FIFO of requests awaiting their Enter
-	openStack := map[key][]int{}    // indices into out of open intervals
-	var out []Interval
+	return ivs, nil
+}
 
-	for _, e := range t {
-		k := key{e.ProcID, e.Op}
+// AppendIntervals is Intervals appending to dst, so a caller that judges
+// many traces can reuse one buffer. On error it returns dst unchanged.
+// The pairing state comes from a pool, so a call into a buffer that
+// already has room allocates nothing.
+func (t Trace) AppendIntervals(dst []Interval) ([]Interval, error) {
+	pr := pairers.Get().(*pairer)
+	dst, err := pr.pair(t, dst)
+	pr.reset()
+	pairers.Put(pr)
+	return dst, err
+}
+
+var pairers = sync.Pool{New: func() any { return new(pairer) }}
+
+// pairer holds the matching state of one AppendIntervals call. Each
+// (process, op) pair gets a key; a process's keys form a list found
+// through byProc, indexed by ProcID (both kernels number processes
+// densely from 1), or through far for ids outside byProc's range. A
+// key's pending requests are a queue linked through reqs and its open
+// executions a stack linked through below, so every event costs the
+// same however many operations are in flight.
+type pairer struct {
+	byProc []int       // ProcID -> 1 + index of the process's first key; 0: none
+	far    map[int]int // the same, for ProcIDs outside byProc
+	keys   []pairKey
+	reqs   []pendingReq // every Request event, in trace order
+	below  []int        // per appended interval: the open one beneath it on its key's stack
+}
+
+type pairKey struct {
+	proc       int
+	op         string
+	next       int // the process's next key, -1 at the end
+	head, tail int // pending requests, oldest first; -1 when none
+	top        int // innermost open interval (offset from the call's first), -1 when none
+}
+
+type pendingReq struct {
+	ev    int // index of the Request event in the trace
+	next  int // next pending request of the same key, -1 at the end
+	taken bool
+}
+
+func (pr *pairer) pair(t Trace, dst []Interval) ([]Interval, error) {
+	// Every process that records has at least one event; the headroom
+	// covers low ids taken by processes that record nothing.
+	if n := len(t) + 16; cap(pr.byProc) < n {
+		pr.byProc = make([]int, n)
+	} else {
+		pr.byProc = pr.byProc[:n] // zero: reset clears what it set
+	}
+	base := len(dst)
+	for i := range t {
+		e := &t[i]
 		switch e.Kind {
 		case KindRequest:
-			pendingReq[k] = append(pendingReq[k], e)
+			k := pr.key(e.ProcID, e.Op)
+			r := len(pr.reqs)
+			pr.reqs = append(pr.reqs, pendingReq{ev: i, next: -1})
+			if k.tail < 0 {
+				k.head = r
+			} else {
+				pr.reqs[k.tail].next = r
+			}
+			k.tail = r
 		case KindEnter:
+			k := pr.key(e.ProcID, e.Op)
 			iv := Interval{
 				ProcID:   e.ProcID,
 				Proc:     e.Proc,
@@ -86,47 +151,100 @@ func (t Trace) Intervals() ([]Interval, error) {
 				HasArg:   e.HasArg,
 				EnterSeq: e.Seq,
 			}
-			if reqs := pendingReq[k]; len(reqs) > 0 {
-				iv.RequestSeq = reqs[0].Seq
-				if !iv.HasArg && reqs[0].HasArg {
-					iv.Arg = reqs[0].Arg
+			if k.head >= 0 {
+				r := &pr.reqs[k.head]
+				r.taken = true
+				req := &t[r.ev]
+				iv.RequestSeq = req.Seq
+				if !iv.HasArg && req.HasArg {
+					iv.Arg = req.Arg
 					iv.HasArg = true
 				}
-				pendingReq[k] = reqs[1:]
+				k.head = r.next
+				if k.head < 0 {
+					k.tail = -1
+				}
 			}
-			out = append(out, iv)
-			openStack[k] = append(openStack[k], len(out)-1)
+			dst = append(dst, iv)
+			pr.below = append(pr.below, k.top)
+			k.top = len(dst) - 1 - base
 		case KindExit:
-			st := openStack[k]
-			if len(st) == 0 {
-				return nil, fmt.Errorf("trace: exit without enter: %s", e)
+			k := pr.key(e.ProcID, e.Op)
+			if k.top < 0 {
+				return dst[:base], fmt.Errorf("trace: exit without enter: %s", *e)
 			}
-			idx := st[len(st)-1]
-			openStack[k] = st[:len(st)-1]
-			out[idx].ExitSeq = e.Seq
+			dst[base+k.top].ExitSeq = e.Seq
+			k.top = pr.below[k.top]
 		case KindMark:
 			// annotations do not affect intervals
 		}
 	}
 	// Blocked-forever waiters: requests with no matching Enter become
 	// request-only intervals so they stay visible to priority oracles.
-	waiting := len(out)
-	for _, reqs := range pendingReq {
-		for _, e := range reqs {
-			out = append(out, Interval{
-				ProcID:     e.ProcID,
-				Proc:       e.Proc,
-				Op:         e.Op,
-				Arg:        e.Arg,
-				HasArg:     e.HasArg,
-				RequestSeq: e.Seq,
-			})
+	waiting := len(dst)
+	for _, r := range pr.reqs {
+		if r.taken {
+			continue
+		}
+		e := &t[r.ev]
+		dst = append(dst, Interval{
+			ProcID:     e.ProcID,
+			Proc:       e.Proc,
+			Op:         e.Op,
+			Arg:        e.Arg,
+			HasArg:     e.HasArg,
+			RequestSeq: e.Seq,
+		})
+	}
+	slices.SortStableFunc(dst[waiting:], func(a, b Interval) int {
+		return cmp.Compare(a.RequestSeq, b.RequestSeq)
+	})
+	return dst, nil
+}
+
+// key returns the (proc, op) key, adding it on first sight.
+func (pr *pairer) key(proc int, op string) *pairKey {
+	dense := uint(proc) < uint(len(pr.byProc))
+	var first int
+	if dense {
+		first = pr.byProc[proc]
+	} else {
+		first = pr.far[proc]
+	}
+	last := -1
+	for ki := first - 1; ki >= 0; ki = pr.keys[ki].next {
+		if pr.keys[ki].op == op {
+			return &pr.keys[ki]
+		}
+		last = ki
+	}
+	ki := len(pr.keys)
+	pr.keys = append(pr.keys, pairKey{proc: proc, op: op, next: -1, head: -1, tail: -1, top: -1})
+	switch {
+	case last >= 0:
+		pr.keys[last].next = ki
+	case dense:
+		pr.byProc[proc] = ki + 1
+	default:
+		if pr.far == nil {
+			pr.far = map[int]int{}
+		}
+		pr.far[proc] = ki + 1
+	}
+	return &pr.keys[ki]
+}
+
+// reset clears the state of one call, keeping every buffer.
+func (pr *pairer) reset() {
+	for i := range pr.keys {
+		if p := pr.keys[i].proc; uint(p) < uint(len(pr.byProc)) {
+			pr.byProc[p] = 0
 		}
 	}
-	sort.Slice(out[waiting:], func(i, j int) bool {
-		return out[waiting+i].RequestSeq < out[waiting+j].RequestSeq
-	})
-	return out, nil
+	clear(pr.far)
+	pr.keys = pr.keys[:0]
+	pr.reqs = pr.reqs[:0]
+	pr.below = pr.below[:0]
 }
 
 // MustIntervals is Intervals panicking on malformed traces; for use in
