@@ -31,7 +31,7 @@ lint:
 	$(GO) run ./cmd/synclint ./...
 
 # bench runs the E1 exploration benchmarks — throughput variants, the
-# checkpointed-DFS pooled/stream/checkpoint column, and the DPOR
+# checkpointed-DFS batch/stream rows, and the prune/DPOR
 # schedules-to-finding/-exhaustion hunts — plus the simulated kernel's
 # context-switch benchmark, the random policy's reseed-and-pick cost
 # (BenchmarkRandomPolicy), the schedule-space counter's
@@ -151,7 +151,7 @@ fuzz:
 # is the success check).
 hunt:
 	-$(GO) run ./cmd/simtrace -mech pathexpr -problem readers-priority \
-		-explore -shrink -pool -progress -save-sched figure1-found.sched -quiet
+		-explore -shrink -progress -save-sched figure1-found.sched -quiet
 	$(GO) run ./cmd/simtrace -replay figure1-found.sched
 
 # dpor-audit proves the partial-order reduction sound on this tree: the

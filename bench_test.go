@@ -109,26 +109,11 @@ func BenchmarkE1ExploreThroughput(b *testing.B) {
 	b.Run("dfs-seq", func(b *testing.B) {
 		benchExploreThroughput(b, explore.Options{RandomRuns: -1, DFSRuns: budget, Workers: 1})
 	})
-	// Run recycling (Options.Pool): same schedules, same Result, but
-	// kernels/recorders/buffers are reused across runs instead of
-	// reallocated. Compare each -pool line against its sibling above.
-	b.Run("random-pool", func(b *testing.B) {
-		benchExploreThroughput(b, explore.Options{RandomRuns: budget, DFSRuns: 0, Pool: true})
-	})
-	b.Run("random-seq-pool", func(b *testing.B) {
-		benchExploreThroughput(b, explore.Options{RandomRuns: budget, DFSRuns: 0, Workers: 1, Pool: true})
-	})
-	b.Run("dfs-pool", func(b *testing.B) {
-		benchExploreThroughput(b, explore.Options{RandomRuns: -1, DFSRuns: budget, Pool: true})
-	})
-	b.Run("dfs-seq-pool", func(b *testing.B) {
-		benchExploreThroughput(b, explore.Options{RandomRuns: -1, DFSRuns: budget, Workers: 1, Pool: true})
-	})
-	// Fingerprint pruning (Options.Prune) collapses the DFS frontier on
-	// top of pooling; schedules/sec also reflects that fewer (deduped)
-	// schedules need executing at all to cover the same space.
-	b.Run("dfs-seq-pool-prune", func(b *testing.B) {
-		benchExploreThroughput(b, explore.Options{RandomRuns: -1, DFSRuns: budget, Workers: 1, Pool: true, Prune: true})
+	// Fingerprint pruning (Options.Prune) collapses the DFS frontier;
+	// schedules/sec also reflects that fewer (deduped) schedules need
+	// executing at all to cover the same space.
+	b.Run("dfs-seq-prune", func(b *testing.B) {
+		benchExploreThroughput(b, explore.Options{RandomRuns: -1, DFSRuns: budget, Workers: 1, Prune: true})
 	})
 }
 
@@ -137,12 +122,11 @@ func BenchmarkE1ExploreThroughput(b *testing.B) {
 // 80 intervals, no artificial yields), whose runs produce long traces
 // relative to their scheduling steps. That trace density is what deep
 // hunts look like: the per-run cost is dominated by recording and
-// judging the operation history, exactly the work that replay-from-root
-// engines redo for the shared prefix of every sibling schedule. The
-// checkpointed engine forks from a snapshot at the branch point
-// instead: prefix events are served canned from the checkpoint and the
-// per-step scheduling pipeline is skipped, so only the suffix pays full
-// freight.
+// judging the operation history. The engine forks each sibling schedule
+// from a checkpoint at its branch point: prefix events are served canned
+// from the snapshot and the per-step scheduling pipeline is skipped, so
+// only the suffix pays full freight. The forks, saved and replayed
+// counters report how much of the prefix work the checkpoints served.
 func benchDeepDFS(b *testing.B, opts explore.Options) {
 	suite, _ := solutions.ByMechanism("monitor")
 	cfg := problems.RWConfig{Readers: 12, Writers: 8, Rounds: 4}
@@ -162,38 +146,28 @@ func benchDeepDFS(b *testing.B, opts explore.Options) {
 		last = res.Stats
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "schedules/sec")
-	if opts.Checkpoint {
-		b.ReportMetric(float64(last.CheckpointForks), "forks/hunt")
-		b.ReportMetric(float64(last.SavedSteps), "saved-steps/hunt")
-		b.ReportMetric(float64(last.ReplayedSteps), "replayed-steps/hunt")
-	}
+	b.ReportMetric(float64(last.CheckpointForks), "forks/hunt")
+	b.ReportMetric(float64(last.SavedSteps), "saved-steps/hunt")
+	b.ReportMetric(float64(last.ReplayedSteps), "replayed-steps/hunt")
 }
 
-// BenchmarkE1CheckpointDFS compares checkpointed DFS against the
-// replay-from-root engines it is byte-identical to (see
-// TestCheckpointMatchesReplay): `pooled` is the PR 3 baseline (run
-// recycling only), `pooled-stream` adds incremental judging, and
-// `checkpoint` adds prefix sharing on top of both. All three execute
-// the same schedule budget and return the same Result.
+// BenchmarkE1CheckpointDFS runs checkpointed DFS on the deep clean
+// scenario with the batch oracle (`batch`) and with incremental judging
+// (`stream`). Both execute the same schedule budget and return the same
+// Result.
 func BenchmarkE1CheckpointDFS(b *testing.B) {
 	const budget = 64
 	inc, ok := problems.IncrementalOracleFor(problems.NameReadersPriority)
 	if !ok {
 		b.Fatal("no incremental oracle for readers-priority")
 	}
-	base := explore.Options{RandomRuns: -1, DFSRuns: budget, DFSDepth: 48, Workers: 1, Pool: true}
-	b.Run("pooled", func(b *testing.B) {
+	base := explore.Options{RandomRuns: -1, DFSRuns: budget, DFSDepth: 48, Workers: 1}
+	b.Run("batch", func(b *testing.B) {
 		benchDeepDFS(b, base)
 	})
-	b.Run("pooled-stream", func(b *testing.B) {
+	b.Run("stream", func(b *testing.B) {
 		opts := base
 		opts.Stream = inc.New
-		benchDeepDFS(b, opts)
-	})
-	b.Run("checkpoint", func(b *testing.B) {
-		opts := base
-		opts.Stream = inc.New
-		opts.Checkpoint = true
 		benchDeepDFS(b, opts)
 	})
 }
@@ -264,32 +238,44 @@ func benchSchedulesToExhaustion(b *testing.B, opts explore.Options) {
 }
 
 // BenchmarkE1SchedulesToFinding compares how many schedules fingerprint
-// pruning alone versus pruning plus dynamic partial-order reduction
-// needs to reach the deep Figure-1 finding, and — on the clean scenario
-// — to prove the whole schedule space covered (the searches are
+// pruning, dynamic partial-order reduction, and both together need to
+// reach the deep Figure-1 finding, and — on the clean scenario — to
+// prove the whole schedule space covered (the searches are
 // deterministic, so the counts are exact, not sampled). The committed
-// baseline archives all four lines; `make bench-check` gates
+// baseline archives all six lines; `make bench-check` gates
 // schedules-to-finding and schedules-to-exhaustion downward and
 // explored-fraction upward.
 func BenchmarkE1SchedulesToFinding(b *testing.B) {
-	base := explore.Options{RandomRuns: -1, DFSRuns: 200000, DFSDepth: 48, Workers: 1, Pool: true, Prune: true}
-	b.Run("prune", func(b *testing.B) {
-		benchSchedulesToFinding(b, base)
-	})
-	b.Run("dpor-prune", func(b *testing.B) {
-		opts := base
-		opts.DPOR = true
-		benchSchedulesToFinding(b, opts)
-	})
-	exhaust := explore.Options{RandomRuns: -1, DFSRuns: 500000, Workers: 1, Pool: true, Prune: true}
-	b.Run("exhaust-prune", func(b *testing.B) {
-		benchSchedulesToExhaustion(b, exhaust)
-	})
-	b.Run("exhaust-dpor-prune", func(b *testing.B) {
-		opts := exhaust
-		opts.DPOR = true
-		benchSchedulesToExhaustion(b, opts)
-	})
+	base := explore.Options{RandomRuns: -1, DFSRuns: 200000, DFSDepth: 48, Workers: 1}
+	exhaust := explore.Options{RandomRuns: -1, DFSRuns: 500000, Workers: 1}
+	for _, r := range []struct {
+		name        string
+		prune, dpor bool
+	}{
+		{"prune", true, false},
+		{"dpor", false, true},
+		{"dpor-prune", true, true},
+	} {
+		b.Run(r.name, func(b *testing.B) {
+			opts := base
+			opts.Prune, opts.DPOR = r.prune, r.dpor
+			benchSchedulesToFinding(b, opts)
+		})
+	}
+	for _, r := range []struct {
+		name        string
+		prune, dpor bool
+	}{
+		{"exhaust-prune", true, false},
+		{"exhaust-dpor", false, true},
+		{"exhaust-dpor-prune", true, true},
+	} {
+		b.Run(r.name, func(b *testing.B) {
+			opts := exhaust
+			opts.Prune, opts.DPOR = r.prune, r.dpor
+			benchSchedulesToExhaustion(b, opts)
+		})
+	}
 }
 
 // ---- T1: expressive-power matrix ----
@@ -452,7 +438,7 @@ func TestBenchHarnessSmoke(t *testing.T) {
 	if !out.NaiveDeadlocks || !out.StructuredCompletes {
 		t.Fatalf("nested monitor experiment: %+v", out)
 	}
-	res := eval.RunFigure1()
+	res := eval.RunFigure1(explore.Options{})
 	if !res.AnomalyFound {
 		t.Fatalf("figure-1 anomaly not reproduced (%d runs)", res.Runs)
 	}

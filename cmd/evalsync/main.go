@@ -40,7 +40,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -55,29 +54,12 @@ import (
 func main() {
 	experiment := flag.String("experiment", "all", "experiment id (F1 F2 T1 T2 T3 T4 T5 T6 T7 E1 E2 B2) or all; T8 (DPOR coverage) and T9 (synth corpus power) run only when named explicitly")
 	detail := flag.Bool("detail", false, "include per-declaration similarity detail in T2")
-	workers := flag.Int("workers", 0, "goroutines per schedule exploration (0 = all cores; results are identical for any value)")
-	pool := flag.Bool("pool", false, "recycle kernels/recorders across exploration runs (throughput only; identical results)")
-	prune := flag.Bool("prune", false, "prune schedule exploration via state fingerprints (reaches findings in fewer runs, so reported run counts shrink)")
-	shrink := flag.Bool("shrink", false, "minimize every exploration finding by delta debugging (adds a shrunk-schedule line to F1)")
-	checkpoint := flag.Bool("checkpoint", false, "fork exploration DFS runs from kernel snapshots at their branch point (throughput only; identical results)")
-	dpor := flag.Bool("dpor", false, "reduce schedule exploration by dynamic partial-order reduction (fewer runs to the same findings; adds coverage stats)")
-	dporAudit := flag.Bool("dpor-audit", false, "run every exploration reduced and unreduced and fail on any missed violation rule (implies -dpor)")
-	progress := flag.Bool("progress", false, "print a one-line live exploration status to stderr")
 	saveSched := flag.String("save-sched", "", "write the F1 anomaly (shrunk when -shrink) to this path as a replayable .sched artifact")
+	var opts explore.Options
+	explore.BindFlags(flag.CommandLine, &opts)
 	flag.Parse()
-	eval.ExploreWorkers = *workers
-	eval.ExplorePool = *pool
-	eval.ExplorePrune = *prune
-	eval.ExploreShrink = *shrink
-	eval.ExploreCheckpoint = *checkpoint
-	eval.ExploreDPOR = *dpor
-	eval.ExploreDPORAudit = *dporAudit
-	if *progress {
-		eval.ExploreProgress = progressLine()
-	}
-	saveSchedPath = *saveSched
 
-	contradictions, err := writeReport(os.Stdout, strings.ToUpper(*experiment), *detail)
+	contradictions, err := writeReport(os.Stdout, strings.ToUpper(*experiment), *detail, opts, *saveSched)
 	if err != nil {
 		fatal(err)
 	}
@@ -92,8 +74,10 @@ func main() {
 
 // writeReport renders the selected experiments to w and returns a line
 // for every outcome that contradicts the paper's expectation. experiment
-// is an upper-case id or "ALL".
-func writeReport(w io.Writer, experiment string, detail bool) ([]string, error) {
+// is an upper-case id or "ALL". opts configures every schedule
+// exploration; saveSched, when set, makes F1 write its anomaly there as a
+// replayable schedule artifact.
+func writeReport(w io.Writer, experiment string, detail bool, opts explore.Options, saveSched string) ([]string, error) {
 	run := func(id string) bool {
 		return experiment == "ALL" || experiment == id
 	}
@@ -220,7 +204,7 @@ func writeReport(w io.Writer, experiment string, detail bool) ([]string, error) 
 	if run("T7") {
 		ran = true
 		fmt.Fprintln(w)
-		rows, err := eval.RunCrossCheck()
+		rows, err := eval.RunCrossCheck(opts)
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +232,7 @@ func writeReport(w io.Writer, experiment string, detail bool) ([]string, error) 
 	if experiment == "T8" {
 		ran = true
 		fmt.Fprintln(w)
-		rows, err := eval.RunDPORCoverage()
+		rows, err := eval.RunDPORCoverage(opts)
 		if err != nil {
 			return nil, err
 		}
@@ -268,7 +252,7 @@ func writeReport(w io.Writer, experiment string, detail bool) ([]string, error) 
 		// The window is chosen so the fixed smoke budget has teeth: it
 		// contains corpus seeds the naive-gate control loses races on.
 		const n, seed = 12, 18
-		rows, err := eval.RunSynthPower(n, seed)
+		rows, err := eval.RunSynthPower(n, seed, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -345,22 +329,22 @@ func writeReport(w io.Writer, experiment string, detail bool) ([]string, error) 
 	if run("F1") {
 		ran = true
 		fmt.Fprintln(w)
-		res := eval.RunFigure1()
+		res := eval.RunFigure1(opts)
 		fmt.Fprint(w, eval.RenderFigure1(res))
 		if !res.AnomalyFound {
 			contradict("F1: the footnote-3 anomaly was not found in %d runs", res.Runs)
-		} else if saveSchedPath != "" {
-			if err := eval.SaveFigure1Sched(res, saveSchedPath); err != nil {
+		} else if saveSched != "" {
+			if err := eval.SaveFigure1Sched(res, saveSched); err != nil {
 				return nil, err
 			}
 			fmt.Fprintf(w, "\n  saved schedule artifact: %s (replay with: simtrace -replay %s)\n",
-				saveSchedPath, saveSchedPath)
+				saveSched, saveSched)
 		}
 	}
 	if run("F2") {
 		ran = true
 		fmt.Fprintln(w)
-		res := eval.RunFigure2()
+		res := eval.RunFigure2(opts)
 		fmt.Fprint(w, eval.RenderFigure2(res))
 		if !res.WritersPriorityHolds {
 			contradict("F2: a writers-priority violation was found in the Figure-2 solution")
@@ -448,28 +432,6 @@ func renderT6() (string, []string) {
 	b.WriteString(strings.Join(cells, " "))
 	b.WriteString("\n")
 	return b.String(), failures
-}
-
-// saveSchedPath, when set via -save-sched, makes the F1 experiment write
-// its anomaly as a replayable schedule artifact.
-var saveSchedPath string
-
-// progressLine renders exploration Stats snapshots as a single
-// overwritten stderr line, throttled to keep rendering cheap.
-func progressLine() func(explore.Stats) {
-	var last time.Time
-	return func(s explore.Stats) {
-		if s.Phase != "done" && time.Since(last) < 100*time.Millisecond {
-			return
-		}
-		last = time.Now()
-		fmt.Fprintf(os.Stderr,
-			"\rexplore: phase=%-8s runs=%-7d %6.0f/s pruned=%-6d frontier=%-4d shrink=%d(len %d)   ",
-			s.Phase, s.Runs, s.RunsPerSec, s.Pruned, s.Frontier, s.ShrinkRuns, s.ShrinkLen)
-		if s.Phase == "done" {
-			fmt.Fprintln(os.Stderr)
-		}
-	}
 }
 
 func fatal(err error) {

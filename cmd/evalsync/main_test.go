@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/explore"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden report")
@@ -18,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite the golden report")
 func TestReportGolden(t *testing.T) {
 	var buf bytes.Buffer
 	for _, id := range []string{"T1", "T2", "T3", "T4", "T5", "T6", "T7"} {
-		contradictions, err := writeReport(&buf, id, false)
+		contradictions, err := writeReport(&buf, id, false, explore.Options{}, "")
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -47,7 +49,7 @@ func TestReportGolden(t *testing.T) {
 // TestUnknownExperiment pins the error path.
 func TestUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := writeReport(&buf, "T99", false); err == nil {
+	if _, err := writeReport(&buf, "T99", false, explore.Options{}, ""); err == nil {
 		t.Fatal("want error for unknown experiment id")
 	}
 }

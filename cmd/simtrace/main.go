@@ -14,13 +14,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/eval"
 	"repro/internal/explore"
@@ -32,85 +33,85 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	mech := flag.String("mech", "monitor", "mechanism: semaphore ccr pathexpr monitor serializer csp")
-	problem := flag.String("problem", problems.NameReadersPriority, "problem name")
-	kernelFlag := flag.String("kernel", "sim", "kernel: sim (deterministic scheduler) or real (goroutines, wall clock)")
-	policy := flag.String("policy", "fifo", "schedule policy: fifo, lifo, random (sim kernel only)")
-	seed := flag.Int64("seed", 1, "seed for -policy random")
-	exploreFlag := flag.Bool("explore", false, "hunt schedules for a violation (readers/writers-priority problems)")
-	workers := flag.Int("workers", 0, "goroutines for -explore (0 = all cores; results are identical for any value)")
-	prune := flag.Bool("prune", false, "prune the -explore DFS via state fingerprints (fewer schedules to a finding)")
-	pool := flag.Bool("pool", false, "recycle kernels and recorders across -explore runs (higher throughput)")
-	checkpoint := flag.Bool("checkpoint", false, "fork -explore DFS runs from kernel snapshots at their branch point instead of replaying the prefix from the root")
-	dpor := flag.Bool("dpor", false, "reduce the -explore DFS by dynamic partial-order reduction (backtrack only where happens-before analysis demands; reports schedule-space coverage)")
-	dporAudit := flag.Bool("dpor-audit", false, "run the -explore search reduced and unreduced and fail if the reduction missed a violation rule (implies -dpor)")
-	shrink := flag.Bool("shrink", false, "minimize the -explore finding by delta debugging (1-minimal schedule)")
-	progress := flag.Bool("progress", false, "print a one-line live exploration status to stderr")
-	saveSched := flag.String("save-sched", "", "write the -explore finding to this path as a replayable .sched artifact")
-	replayFile := flag.String("replay", "", "replay a saved .sched artifact with drift detection; exits 0 iff it reproduces")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) during -explore")
-	list := flag.Bool("list", false, "list mechanisms and problems")
-	quiet := flag.Bool("quiet", false, "suppress the trace, print only the verdict")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the report to stdout
+// and diagnostics to stderr, and returns the exit status — 0 when the
+// run is clean or a replay reproduces, 1 on a violation or an error, 2
+// on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("simtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	mech := fs.String("mech", "monitor", "mechanism: semaphore ccr pathexpr monitor serializer csp")
+	problem := fs.String("problem", problems.NameReadersPriority, "problem name")
+	kernelFlag := fs.String("kernel", "sim", "kernel: sim (deterministic scheduler) or real (goroutines, wall clock)")
+	policy := fs.String("policy", "fifo", "schedule policy: fifo, lifo, random (sim kernel only)")
+	seed := fs.Int64("seed", 1, "seed for -policy random")
+	exploreFlag := fs.Bool("explore", false, "hunt schedules for a violation (readers/writers-priority problems)")
+	opts := explore.Options{RandomRuns: 300, DFSRuns: 600}
+	explore.BindFlags(fs, &opts)
+	saveSched := fs.String("save-sched", "", "write the -explore finding to this path as a replayable .sched artifact")
+	replayFile := fs.String("replay", "", "replay a saved .sched artifact with drift detection; exits 0 iff it reproduces")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) during -explore")
+	list := fs.Bool("list", false, "list mechanisms and problems")
+	quiet := fs.Bool("quiet", false, "suppress the trace, print only the verdict")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "simtrace:", err)
+		return 1
+	}
 
 	if *list {
 		var mechs []string
 		for _, s := range solutions.All() {
 			mechs = append(mechs, s.Mechanism)
 		}
-		fmt.Println("mechanisms:", strings.Join(mechs, ", "))
-		fmt.Println("problems:  ", strings.Join(problems.AllProblems(), ", "))
-		return
+		fmt.Fprintln(stdout, "mechanisms:", strings.Join(mechs, ", "))
+		fmt.Fprintln(stdout, "problems:  ", strings.Join(problems.AllProblems(), ", "))
+		return 0
 	}
 
 	if *pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "simtrace: pprof:", err)
+				fmt.Fprintln(stderr, "simtrace: pprof:", err)
 			}
 		}()
 	}
 
 	if *replayFile != "" {
-		runReplay(*replayFile, *quiet)
-		return
+		return runReplay(*replayFile, *quiet, stdout, fail)
 	}
 
 	suite, ok := solutions.ByMechanism(*mech)
 	if !ok {
-		fatal(fmt.Errorf("unknown mechanism %q", *mech))
+		return fail(fmt.Errorf("unknown mechanism %q", *mech))
 	}
 
 	switch *kernelFlag {
 	case "sim":
 	case "real":
 		if *exploreFlag {
-			fatal(fmt.Errorf("-explore needs the deterministic kernel (drop -kernel=real)"))
+			return fail(fmt.Errorf("-explore needs the deterministic kernel (drop -kernel=real)"))
 		}
-		if *dpor || *dporAudit {
-			fatal(fmt.Errorf("-dpor needs the deterministic kernel's dependency trace (drop -kernel=real)"))
+		if opts.DPOR {
+			return fail(fmt.Errorf("-dpor needs the deterministic kernel's dependency trace (drop -kernel=real)"))
 		}
 		if *policy != "fifo" {
-			fatal(fmt.Errorf("-policy has no effect on the real kernel (goroutines schedule themselves)"))
+			return fail(fmt.Errorf("-policy has no effect on the real kernel (goroutines schedule themselves)"))
 		}
-		runReal(suite, *problem, *quiet)
-		return
+		return runReal(suite, *problem, *quiet, stdout, fail)
 	default:
-		fatal(fmt.Errorf("unknown kernel %q (want sim or real)", *kernelFlag))
+		return fail(fmt.Errorf("unknown kernel %q (want sim or real)", *kernelFlag))
 	}
 
 	if *exploreFlag {
-		opts := explore.Options{
-			RandomRuns: 300, DFSRuns: 600,
-			Workers: *workers, Prune: *prune, Pool: *pool, Shrink: *shrink,
-			Checkpoint: *checkpoint, DPOR: *dpor, DPORAudit: *dporAudit,
-		}
-		if *progress {
-			opts.Progress = progressLine()
-		}
-		runExplore(suite, *problem, *quiet, *saveSched, opts)
-		return
+		return runExplore(suite, *problem, *quiet, *saveSched, opts, stdout, fail)
 	}
 
 	var pol kernel.Policy
@@ -122,31 +123,37 @@ func main() {
 	case "random":
 		pol = kernel.Random(*seed)
 	default:
-		fatal(fmt.Errorf("unknown policy %q", *policy))
+		return fail(fmt.Errorf("unknown policy %q", *policy))
 	}
 
 	k := kernel.NewSim(kernel.WithPolicy(pol))
 	strict := *policy == "fifo"
 	tr, vs, err := solutions.RunStandard(k, suite, *problem, strict)
 	if !*quiet {
-		fmt.Print(tr)
+		fmt.Fprint(stdout, tr)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("%d events, %d scheduling steps, strict=%v\n", len(tr), k.Steps(), strict)
+	fmt.Fprintf(stdout, "%d events, %d scheduling steps, strict=%v\n", len(tr), k.Steps(), strict)
+	return renderVerdict(stdout, tr, vs)
+}
+
+// renderVerdict prints tr's statistics and the oracle verdict, returning
+// the exit status: 0 when the trace is admissible, 1 otherwise.
+func renderVerdict(stdout io.Writer, tr trace.Trace, vs []problems.Violation) int {
 	if stats, serr := tr.Stats(); serr == nil {
-		fmt.Print(trace.RenderStats(stats))
+		fmt.Fprint(stdout, trace.RenderStats(stats))
 	}
 	if len(vs) == 0 {
-		fmt.Println("oracle: trace admissible")
-		return
+		fmt.Fprintln(stdout, "oracle: trace admissible")
+		return 0
 	}
-	fmt.Printf("oracle: %d violation(s):\n", len(vs))
+	fmt.Fprintf(stdout, "oracle: %d violation(s):\n", len(vs))
 	for _, v := range vs {
-		fmt.Println("  " + v.String())
+		fmt.Fprintln(stdout, "  "+v.String())
 	}
-	os.Exit(1)
+	return 1
 }
 
 // runReal runs the standard workload once on the real kernel: genuine
@@ -156,29 +163,18 @@ func main() {
 // deterministic traces (that remains the sim kernel's job; see
 // DESIGN.md §8). Steps are not reported: the real kernel makes no
 // scheduling decisions of its own.
-func runReal(suite solutions.Suite, problem string, quiet bool) {
+func runReal(suite solutions.Suite, problem string, quiet bool, stdout io.Writer, fail func(error) int) int {
 	k := kernel.NewReal()
 	defer k.Close()
 	tr, vs, err := solutions.RunStandard(k, suite, problem, false)
 	if !quiet {
-		fmt.Print(tr)
+		fmt.Fprint(stdout, tr)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("%d events on the real kernel (non-deterministic), strict=false\n", len(tr))
-	if stats, serr := tr.Stats(); serr == nil {
-		fmt.Print(trace.RenderStats(stats))
-	}
-	if len(vs) == 0 {
-		fmt.Println("oracle: trace admissible")
-		return
-	}
-	fmt.Printf("oracle: %d violation(s):\n", len(vs))
-	for _, v := range vs {
-		fmt.Println("  " + v.String())
-	}
-	os.Exit(1)
+	fmt.Fprintf(stdout, "%d events on the real kernel (non-deterministic), strict=false\n", len(tr))
+	return renderVerdict(stdout, tr, vs)
 }
 
 // figureProgram rebuilds the figure-scenario exploration program and
@@ -234,93 +230,78 @@ func schedProgram(f *explore.SchedFile) (explore.Program, explore.Oracle, error)
 }
 
 // runReplay replays a saved schedule artifact with full drift detection
-// and exits 0 iff it reproduces the recorded finding.
-func runReplay(path string, quiet bool) {
+// and returns 0 iff it reproduces the recorded finding.
+func runReplay(path string, quiet bool, stdout io.Writer, fail func(error) int) int {
 	f, err := explore.ReadSchedFile(path)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	prog, oracle, err := schedProgram(f)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	tr, vs, err := f.Verify(prog, oracle)
 	if !quiet && len(tr) > 0 {
-		fmt.Print(tr)
+		fmt.Fprint(stdout, tr)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("replay ok: %s/%s/%s, %d choices, fingerprint %s\n",
+	fmt.Fprintf(stdout, "replay ok: %s/%s/%s, %d choices, fingerprint %s\n",
 		f.Mechanism, f.Problem, f.Scenario, len(f.Choices), f.Fingerprint)
 	if f.KernelError != "" {
-		fmt.Printf("reproduced kernel error class: %s\n", f.KernelError)
-		return
+		fmt.Fprintf(stdout, "reproduced kernel error class: %s\n", f.KernelError)
+		return 0
 	}
 	for _, v := range vs {
-		fmt.Println("reproduced violation: " + v.String())
+		fmt.Fprintln(stdout, "reproduced violation: "+v.String())
 	}
+	return 0
 }
 
-// progressLine renders Stats snapshots as a single overwritten stderr
-// line, throttled so rendering never slows the hunt.
-func progressLine() func(explore.Stats) {
-	var last time.Time
-	return func(s explore.Stats) {
-		if s.Phase != "done" && time.Since(last) < 100*time.Millisecond {
-			return
-		}
-		last = time.Now()
-		fmt.Fprintf(os.Stderr,
-			"\rexplore: phase=%-8s runs=%-7d %6.0f/s pruned=%-6d frontier=%-4d shrink=%d(len %d) pool=%d/%d   ",
-			s.Phase, s.Runs, s.RunsPerSec, s.Pruned, s.Frontier,
-			s.ShrinkRuns, s.ShrinkLen, s.PoolReuses, s.PoolSlots)
-		if s.Phase == "done" {
-			fmt.Fprintln(os.Stderr)
-		}
-	}
-}
-
-// runExplore hunts for priority violations on the figure scenario.
-func runExplore(suite solutions.Suite, problem string, quiet bool, saveSched string, opts explore.Options) {
+// runExplore hunts for priority violations on the figure scenario,
+// judging runs with the problem's streaming oracle when it has one. It
+// returns 1 when it finds a violation.
+func runExplore(suite solutions.Suite, problem string, quiet bool, saveSched string, opts explore.Options,
+	stdout io.Writer, fail func(error) int) int {
 	prog, oracle, err := figureProgram(suite, problem)
 	if err != nil {
-		fatal(fmt.Errorf("-explore: %w", err))
+		return fail(fmt.Errorf("-explore: %w", err))
 	}
-	if inc, ok := problems.IncrementalOracleFor(problem); ok && opts.Pool {
+	if inc, ok := problems.IncrementalOracleFor(problem); ok {
 		opts.Stream = inc.New
 	}
 	res := explore.Run(prog, oracle, opts)
 	if res.Pruned > 0 {
-		fmt.Printf("explored %d schedules (pruned %d)\n", res.Runs, res.Pruned)
+		fmt.Fprintf(stdout, "explored %d schedules (pruned %d)\n", res.Runs, res.Pruned)
 	} else {
-		fmt.Printf("explored %d schedules\n", res.Runs)
+		fmt.Fprintf(stdout, "explored %d schedules\n", res.Runs)
 	}
-	if opts.DPOR || opts.DPORAudit {
+	if opts.DPOR {
 		approx := "exactly "
 		if !res.Stats.ScheduleSpaceExact {
 			approx = "at most "
 		}
-		fmt.Printf("schedule space: %s2^%.1f interleavings; explored %.3g (backtracks %d, commuting siblings skipped %d)\n",
+		fmt.Fprintf(stdout, "schedule space: %s2^%.1f interleavings; explored %.3g (backtracks %d, commuting siblings skipped %d)\n",
 			approx, res.Stats.ScheduleSpaceLog2, res.Stats.ExploredFraction,
 			res.Stats.BacktrackPoints, res.Stats.DPORBlocked)
 	}
 	if !res.Found {
-		fmt.Println("no violation found")
-		return
+		fmt.Fprintln(stdout, "no violation found")
+		return 0
 	}
 	if res.Err != nil {
-		fmt.Printf("kernel error under some schedule: %v\n", res.Err)
+		fmt.Fprintf(stdout, "kernel error under some schedule: %v\n", res.Err)
 	}
 	if !quiet {
-		fmt.Println("violating trace:")
-		fmt.Print(res.Trace)
+		fmt.Fprintln(stdout, "violating trace:")
+		fmt.Fprint(stdout, res.Trace)
 	}
 	for _, v := range res.Violations {
-		fmt.Println("violation: " + v.String())
+		fmt.Fprintln(stdout, "violation: "+v.String())
 	}
 	if res.MinSchedule != nil {
-		fmt.Printf("shrunk schedule: %d choices (from %d, %d shrink replays): %v\n",
+		fmt.Fprintf(stdout, "shrunk schedule: %d choices (from %d, %d shrink replays): %v\n",
 			len(res.MinSchedule), len(res.Schedule), res.ShrinkRuns, res.MinSchedule)
 	}
 	if saveSched != "" {
@@ -331,17 +312,12 @@ func runExplore(suite solutions.Suite, problem string, quiet bool, saveSched str
 		f := explore.NewSchedFile(suite.Mechanism, problem, "figure", schedule)
 		f.Note = "found by simtrace -explore"
 		if err := f.Seal(prog, oracle); err != nil {
-			fatal(fmt.Errorf("sealing %s: %w", saveSched, err))
+			return fail(fmt.Errorf("sealing %s: %w", saveSched, err))
 		}
 		if err := f.WriteFile(saveSched); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("saved schedule artifact: %s (replay with: simtrace -replay %s)\n", saveSched, saveSched)
+		fmt.Fprintf(stdout, "saved schedule artifact: %s (replay with: simtrace -replay %s)\n", saveSched, saveSched)
 	}
-	os.Exit(1)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "simtrace:", err)
-	os.Exit(1)
+	return 1
 }

@@ -112,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mech := fs.String("mech", "all", "mechanism, comma list, or \"all\" (includes the naive-gate control)")
 	runs := fs.Int("runs", 150, "random schedules per problem and mechanism")
 	dfs := fs.Int("dfs", 100, "systematic (DFS) schedules per problem and mechanism")
-	steps := fs.Int64("steps", 0, "per-run kernel step bound (0: engine default)")
+	steps := fs.Int64("steps", 0, "per-run kernel step bound (0: engine default, 100000)")
 	workers := fs.Int("workers", 0, "exploration workers (0: GOMAXPROCS; results are identical at any value)")
 	outDir := fs.String("o", "", "seal findings as .sched artifacts in this directory")
 	sumPath := fs.String("summary", "", "write the repro-fuzz/v1 JSON summary here (\"-\": stdout)")
@@ -131,6 +131,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *n < 1 {
 		fmt.Fprintln(stderr, "syncfuzz: -n must be at least 1")
+		return 2
+	}
+	if *steps < 0 {
+		fmt.Fprintln(stderr, "syncfuzz: -steps must not be negative")
 		return 2
 	}
 	mechs, err := expandMechs(*mech)
@@ -268,8 +272,6 @@ func fuzzOne(o options, pseed int64, set *synth.Set, mech string) (mechResult, e
 		Workers:    o.workers,
 		Prune:      true,
 		DPOR:       true,
-		Checkpoint: true,
-		Pool:       true,
 		Shrink:     true,
 	})
 	mr := mechResult{Runs: res.Runs}

@@ -105,6 +105,7 @@ func TestSealAndReplayRoundTrip(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-n", "0"},
+		{"-steps", "-1"},
 		{"-mech", "quantum"},
 		{"-bogus-flag"},
 	} {

@@ -45,7 +45,7 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("The pathexpr row is the paper's Figure 1; its violating history:")
-	f1 := eval.RunFigure1()
+	f1 := eval.RunFigure1(explore.Options{})
 	if f1.AnomalyFound {
 		for _, e := range f1.Trace {
 			fmt.Println("   " + e.String())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/explore"
 	"repro/internal/synclint/xcheck"
 )
 
@@ -21,16 +22,16 @@ const (
 
 // RunCrossCheck executes the T7 cross-validation gate: every
 // lockorder/lostwakeup finding on the embedded solution sources (and
-// the seeded cyclic-wait fixture) seeds a Prune+Checkpoint+Shrink hunt
-// that tries to realize the hazard on its standard workload. Honors
-// the ExploreWorkers/ExploreProgress knobs; the results are identical
-// for any worker count.
-func RunCrossCheck() ([]xcheck.Row, error) {
+// the seeded cyclic-wait fixture) seeds a Prune+Shrink hunt that tries
+// to realize the hazard on its standard workload. Of opts it honors
+// Workers and Progress only, since xcheck fixes the rest; the results
+// are identical for any worker count.
+func RunCrossCheck(opts explore.Options) ([]xcheck.Row, error) {
 	return xcheck.Run(xcheck.Options{
 		RandomRuns: CrossCheckRandomRuns,
 		DFSRuns:    CrossCheckDFSRuns,
-		Workers:    ExploreWorkers,
-		Progress:   ExploreProgress,
+		Workers:    opts.Workers,
+		Progress:   opts.Progress,
 	})
 }
 

@@ -27,17 +27,16 @@ type DPORCoverageRow struct {
 	Found           bool    // a violation was found (expected for none)
 }
 
-// dporCoverageBudget is the per-scenario exploration budget of the T8
-// table: deep enough that the reduction has races to act on, small
-// enough that the 36-cell sweep stays interactive.
-var dporCoverageBudget = explore.Options{RandomRuns: -1, DFSRuns: 400, DFSDepth: 12}
-
 // RunDPORCoverage measures schedule-space coverage for every T4
 // mechanism × problem pairing: each standard scenario is explored with
-// DPOR (plus the package-level knobs) and its deterministic coverage
-// stats are tabulated. The per-run budget is fixed, so rows are
+// DPOR on top of opts and its deterministic coverage stats are
+// tabulated. The per-scenario budget is fixed — DFS only, 400 runs to
+// depth 12: deep enough that the reduction has races to act on, small
+// enough that the 36-cell sweep stays interactive — so rows are
 // comparable across mechanisms.
-func RunDPORCoverage() ([]DPORCoverageRow, error) {
+func RunDPORCoverage(opts explore.Options) ([]DPORCoverageRow, error) {
+	opts.RandomRuns, opts.DFSRuns, opts.DFSDepth = -1, 400, 12
+	opts.DPOR = true
 	var rows []DPORCoverageRow
 	for _, suite := range solutions.All() {
 		for _, problem := range problems.AllProblems() {
@@ -46,9 +45,6 @@ func RunDPORCoverage() ([]DPORCoverageRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("T8 %s/%s: %w", suite.Mechanism, problem, err)
 			}
-			opts := exploreOpts(dporCoverageBudget)
-			opts.DPOR = true
-			opts.Pool = true
 			res := explore.Run(explore.Program(prog), check, opts)
 			rows = append(rows, DPORCoverageRow{
 				Mechanism:       suite.Mechanism,

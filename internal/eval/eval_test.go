@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/explore"
 	"repro/internal/problems"
 	"repro/internal/solutions/monitorsol"
 	"repro/internal/solutions/serializersol"
@@ -231,7 +232,7 @@ func TestModularityTableComplete(t *testing.T) {
 // ---- F1 / F2 ----
 
 func TestFigure1AnomalyReproduced(t *testing.T) {
-	res := RunFigure1()
+	res := RunFigure1(explore.Options{})
 	if !res.AnomalyFound {
 		t.Fatalf("footnote-3 anomaly not reproduced in %d runs", res.Runs)
 	}
@@ -246,7 +247,7 @@ func TestFigure1AnomalyReproduced(t *testing.T) {
 }
 
 func TestFigure2WritersPriorityHolds(t *testing.T) {
-	res := RunFigure2()
+	res := RunFigure2(explore.Options{})
 	if !res.WritersPriorityHolds {
 		t.Fatal("Figure 2 violated writers-priority")
 	}
@@ -260,12 +261,12 @@ func TestFigure2WritersPriorityHolds(t *testing.T) {
 func TestFigureScenarioCleanOnMonitorAndSerializer(t *testing.T) {
 	if anomaly, runs := MechanismFigureCheck(func() problems.RWStore {
 		return monitorsol.NewReadersPriority()
-	}); anomaly {
+	}, explore.Options{}); anomaly {
 		t.Errorf("monitor solution showed the anomaly (%d runs)", runs)
 	}
 	if anomaly, runs := MechanismFigureCheck(func() problems.RWStore {
 		return serializersol.NewReadersPriority()
-	}); anomaly {
+	}, explore.Options{}); anomaly {
 		t.Errorf("serializer solution showed the anomaly (%d runs)", runs)
 	}
 }

@@ -20,71 +20,12 @@ import (
 // Experiment F2: Figure 2, the writers-priority counterpart, which under
 // the same arrival pattern must admit the second writer before the reader
 // — the behavior that is *wrong* for F1 is *required* for F2.
-
-// ExploreWorkers is the worker count handed to every anomaly search in
-// this package (explore.Options.Workers): 0 uses all cores. Exploration
-// results are identical for every value — workers only run random-phase
-// seeds the driver judges in seed order — so this is purely a throughput
-// knob, settable from the evalsync -workers flag.
-var ExploreWorkers int
-
-// ExplorePool recycles kernels and recorders across exploration runs
-// (explore.Options.Pool). Like ExploreWorkers it is a pure throughput
-// knob — results are identical either way — settable from the evalsync
-// -pool flag.
-var ExplorePool bool
-
-// ExplorePrune enables fingerprint pruning in every anomaly search
-// (explore.Options.Prune), settable from the evalsync -prune flag.
-// Pruning reaches findings in fewer runs, so reported run counts shrink;
-// the default report (and its golden pin) keeps it off.
-var ExplorePrune bool
-
-// ExploreShrink minimizes every finding's schedule by delta debugging
-// (explore.Options.Shrink), settable from the evalsync -shrink flag.
-// Shrinking changes nothing about how findings are reached — only
-// MinSchedule/ShrinkRuns are added to the outcome.
-var ExploreShrink bool
-
-// ExploreCheckpoint enables checkpointed DFS in every anomaly search
-// (explore.Options.Checkpoint): sibling schedules fork from kernel
-// snapshots at their branch point instead of replaying the shared
-// prefix from the root. Settable from the evalsync -checkpoint flag.
-// Results are byte-identical either way, apart from the checkpoint
-// counters in Result.Stats.
-var ExploreCheckpoint bool
-
-// ExploreDPOR enables dynamic partial-order reduction in every anomaly
-// search (explore.Options.DPOR): the DFS backtracks only where the
-// happens-before analysis of completed runs demands it, and Result.Stats
-// gains the schedule-space coverage fields. Settable from the evalsync
-// -dpor flag. Like pruning it changes reported run counts, so the
-// default report keeps it off.
-var ExploreDPOR bool
-
-// ExploreDPORAudit runs every anomaly search twice — reduced and fully
-// unreduced at the same budget — and fails the search if the reduction
-// missed any violation rule (explore.Options.DPORAudit; implies
-// ExploreDPOR). Settable from the evalsync -dpor-audit flag.
-var ExploreDPORAudit bool
-
-// ExploreProgress, when non-nil, receives live progress snapshots from
-// every anomaly search (explore.Options.Progress), settable from the
-// evalsync -progress flag. Observes only; results are unchanged.
-var ExploreProgress func(explore.Stats)
-
-// exploreOpts applies the package-level exploration knobs to base.
-func exploreOpts(base explore.Options) explore.Options {
-	base.Workers = ExploreWorkers
-	base.Pool = ExplorePool
-	base.Prune = ExplorePrune
-	base.Shrink = ExploreShrink
-	base.Checkpoint = ExploreCheckpoint
-	base.DPOR = ExploreDPOR
-	base.DPORAudit = ExploreDPORAudit
-	base.Progress = ExploreProgress
-	return base
-}
+//
+// Every search in this package takes the caller's explore.Options (the
+// evalsync flags: workers, reductions, audit, shrinking, progress) and
+// sets its own budgets on the copy, plus the reductions T8 and T9 are
+// defined by. Workers never changes a result; the reductions change run
+// counts, so the default report keeps them off.
 
 // FigureScenario spawns the footnote-3 arrival pattern against db: a
 // first writer holds the resource while one reader and then a second
@@ -135,8 +76,8 @@ type Figure1Result struct {
 	// Violations are the oracle findings.
 	Violations []problems.Violation
 	Runs       int
-	// MinSchedule is the shrunk anomaly schedule (ExploreShrink); nil when
-	// shrinking was off.
+	// MinSchedule is the shrunk anomaly schedule (Options.Shrink); nil
+	// when shrinking was off.
 	MinSchedule []kernel.Choice
 	// ShrinkRuns counts the shrinker's replays (not included in Runs).
 	ShrinkRuns int
@@ -144,12 +85,12 @@ type Figure1Result struct {
 
 // RunFigure1 searches for the footnote-3 anomaly in the Figure-1
 // solution.
-func RunFigure1() Figure1Result {
+func RunFigure1(opts explore.Options) Figure1Result {
 	prog := explore.Program(func(k kernel.Kernel, r *trace.Recorder) {
 		FigureScenario(pathexprsol.NewReadersPriority())(k, r)
 	})
-	res := explore.Run(prog, problems.CheckReadersPriority,
-		exploreOpts(explore.Options{RandomRuns: 300, DFSRuns: 600}))
+	opts.RandomRuns, opts.DFSRuns = 300, 600
+	res := explore.Run(prog, problems.CheckReadersPriority, opts)
 	return Figure1Result{
 		AnomalyFound: res.Found && res.Err == nil,
 		Schedule:     res.Schedule,
@@ -193,14 +134,13 @@ type Figure2Result struct {
 }
 
 // RunFigure2 checks the Figure-2 solution both ways.
-func RunFigure2() Figure2Result {
+func RunFigure2(opts explore.Options) Figure2Result {
 	prog := explore.Program(func(k kernel.Kernel, r *trace.Recorder) {
 		FigureScenario(pathexprsol.NewWritersPriority())(k, r)
 	})
-	hold := explore.Run(prog, problems.CheckWritersPriority,
-		exploreOpts(explore.Options{RandomRuns: 200, DFSRuns: 400}))
-	inverse := explore.Run(prog, problems.CheckReadersPriority,
-		exploreOpts(explore.Options{RandomRuns: 200, DFSRuns: 400}))
+	opts.RandomRuns, opts.DFSRuns = 200, 400
+	hold := explore.Run(prog, problems.CheckWritersPriority, opts)
+	inverse := explore.Run(prog, problems.CheckReadersPriority, opts)
 	return Figure2Result{
 		WritersPriorityHolds:    !hold.Found,
 		ReadersPriorityViolated: inverse.Found && inverse.Err == nil,
@@ -211,11 +151,11 @@ func RunFigure2() Figure2Result {
 // MechanismFigureCheck runs the F1 scenario against another mechanism's
 // readers-priority solution and reports whether the anomaly exists there
 // (for the paper's monitor/serializer contrast, it must not).
-func MechanismFigureCheck(db func() problems.RWStore) (anomaly bool, runs int) {
+func MechanismFigureCheck(db func() problems.RWStore, opts explore.Options) (anomaly bool, runs int) {
 	prog := explore.Program(func(k kernel.Kernel, r *trace.Recorder) {
 		FigureScenario(db())(k, r)
 	})
-	res := explore.Run(prog, problems.CheckReadersPriority,
-		exploreOpts(explore.Options{RandomRuns: 200, DFSRuns: 400}))
+	opts.RandomRuns, opts.DFSRuns = 200, 400
+	res := explore.Run(prog, problems.CheckReadersPriority, opts)
 	return res.Found, res.Runs
 }

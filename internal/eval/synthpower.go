@@ -27,18 +27,18 @@ type SynthPowerRow struct {
 	Inexpressible int
 }
 
-// synthPowerBudget is the per-problem exploration budget of the T9
-// sweep: the same window the syncfuzz smoke job uses — enough schedules
-// that the naive-gate control loses races it can lose, small enough
-// that N problems × mechanisms stays interactive.
-var synthPowerBudget = explore.Options{RandomRuns: 100, DFSRuns: 60}
-
 // RunSynthPower fuzzes n generated problems (corpus seeds seed..seed+n-1)
 // through every synth adapter — the real mechanisms plus the naive-gate
 // control — and tabulates verdicts by mechanism and constraint shape.
-// Everything downstream of the seed is deterministic, so the table is a
-// reproducible figure, not a flaky sample.
-func RunSynthPower(n int, seed int64) ([]SynthPowerRow, error) {
+// Each problem is explored with Prune and DPOR on top of opts, at the
+// syncfuzz smoke window's budget: 100 random and 60 DFS schedules, enough
+// that the naive-gate control loses races it can lose, small enough that
+// N problems × mechanisms stays interactive. Everything downstream of the
+// seed is deterministic, so the table is a reproducible figure, not a
+// flaky sample.
+func RunSynthPower(n int, seed int64, opts explore.Options) ([]SynthPowerRow, error) {
+	opts.RandomRuns, opts.DFSRuns = 100, 60
+	opts.Prune, opts.DPOR = true, true
 	cells := map[string]*SynthPowerRow{}
 	touch := func(mech, shape string) *SynthPowerRow {
 		key := mech + "\x00" + shape
@@ -61,11 +61,6 @@ func RunSynthPower(n int, seed int64) ([]SynthPowerRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("T9 %s/%s: %w", mech, set.Name, err)
 			}
-			opts := exploreOpts(synthPowerBudget)
-			opts.Prune = true
-			opts.DPOR = true
-			opts.Pool = true
-			opts.Checkpoint = true
 			res := explore.Run(prog, oracle, opts)
 			switch {
 			case !res.Found:

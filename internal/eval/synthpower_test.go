@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/explore"
 	"repro/internal/synth"
 )
 
@@ -12,7 +13,7 @@ import (
 // sweep: every adapter gets a row, the control fails, the correct
 // mechanisms do not, and the rendering carries the verdict columns.
 func TestSynthPowerSingleSeed(t *testing.T) {
-	rows, err := RunSynthPower(1, 21)
+	rows, err := RunSynthPower(1, 21, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

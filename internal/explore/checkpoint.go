@@ -1,6 +1,8 @@
-// Checkpoint-tree DFS (Options.Checkpoint): sibling schedules share
-// their common prefix through kernel snapshots instead of replaying it
-// from the root.
+// Checkpoint-tree DFS: sibling schedules share their common prefix
+// through kernel snapshots instead of replaying it from the root. This is
+// how the DFS phase always runs; a node whose checkpoint was never
+// registered or was evicted replays from the root, the same path with a
+// registry miss.
 //
 // Every DFS child node branches at the last choice of its prefix, so the
 // deepest snapshot that can serve it sits exactly at that branch point —
@@ -19,8 +21,9 @@
 // CheckpointForks/SavedSteps/ReplayedSteps counters — are independent of
 // the worker count, and every DFS run that finds a live checkpoint forks.
 // Restore-and-re-drive is observationally identical to replay by
-// determinism (pinned by TestCheckpointMatchesReplay), so checkpointing
-// never changes what is judged, only what it costs.
+// determinism (pinned by TestCheckpointMatchesReplay, which compares
+// against a registry that keeps nothing), so checkpointing never changes
+// what is judged, only what it costs.
 package explore
 
 import (
@@ -46,6 +49,13 @@ type ckptEntry struct {
 // full replay (which then registers its own deepest branch points).
 const ckptGroupsPerRun = 3
 
+// ckptBudget bounds the live checkpoints of one DFS scan. Each holds
+// copies of its prefix's schedule, per-step artifacts, and trace events.
+// Over budget, the least valuable checkpoint is evicted: fewest pending
+// sibling schedules first — LRU weighted by remaining subtree size — with
+// ties broken least-recently-forked.
+const ckptBudget = 256
+
 // ckptRegistry is the driver-side checkpoint store for one DFS scan.
 type ckptRegistry struct {
 	budget int
@@ -55,11 +65,10 @@ type ckptRegistry struct {
 	keyBuf []byte       // scratch for key encoding, reused across runs
 }
 
+// newCkptRegistry returns a registry holding at most budget checkpoints;
+// with a budget below 1 it keeps none, and every take misses.
 func newCkptRegistry(budget int) *ckptRegistry {
-	if budget < 1 {
-		budget = 1
-	}
-	return &ckptRegistry{budget: budget, byKey: make(map[string]*ckptEntry, budget)}
+	return &ckptRegistry{budget: budget, byKey: make(map[string]*ckptEntry, max(budget, 0))}
 }
 
 // take consumes one pending sibling of the checkpoint covering
@@ -94,6 +103,9 @@ func (g *ckptRegistry) take(branchKey []byte) *ckptEntry {
 // (Options.Stream stops violating runs mid-flight), so its trace is not
 // a sound prefix to resume from.
 func (g *ckptRegistry) registerRun(out runOut, children [][]kernel.Choice) {
+	if g.budget < 1 {
+		return
+	}
 	// Collect the deepest groups, scanning from the tail.
 	var depths, pendings [ckptGroupsPerRun]int
 	n := 0

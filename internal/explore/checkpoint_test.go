@@ -100,8 +100,8 @@ func TestSnapshotRestoreTracesIdentical(t *testing.T) {
 }
 
 // zeroCkptCounters clears the counters that legitimately differ between
-// the checkpointed and replay-from-root engines, leaving everything else
-// for the byte-identity comparison.
+// checkpointed DFS and replay from the root, leaving everything else for
+// the byte-identity comparison.
 func zeroCkptCounters(res Result) Result {
 	res.Stats.CheckpointForks = 0
 	res.Stats.SavedSteps = 0
@@ -110,10 +110,11 @@ func zeroCkptCounters(res Result) Result {
 }
 
 // The determinism contract of checkpointed DFS: apart from the three
-// checkpoint counters, the Result is byte-identical to the
-// replay-from-root engine at Workers 1, 4, and max — across findings,
-// clean exhaustion, pruning, streaming, shrinking, and a starved
-// checkpoint budget.
+// checkpoint counters, the Result is byte-identical to a search whose
+// registry keeps no checkpoints, so every DFS run replays its prefix from
+// the root, at Workers 1, 4, and max — across findings, clean
+// exhaustion, pruning, partial-order reduction with and without pruning,
+// streaming, shrinking, and a starved checkpoint budget.
 func TestCheckpointMatchesReplay(t *testing.T) {
 	figure1 := Program(func(k kernel.Kernel, r *trace.Recorder) {
 		rwScenario(pathexprsol.NewReadersPriority())(k, r)
@@ -136,13 +137,20 @@ func TestCheckpointMatchesReplay(t *testing.T) {
 		{"clean-exhaustion", monitor, problems.CheckReadersPriority,
 			Options{RandomRuns: -1, DFSRuns: 400, DFSDepth: 24}},
 		{"pruned-pooled", monitor, problems.CheckReadersPriority,
-			Options{RandomRuns: -1, DFSRuns: 400, DFSDepth: 24, Prune: true, Pool: true}},
+			Options{RandomRuns: -1, DFSRuns: 400, DFSDepth: 24, Prune: true}},
 		{"streamed-shrunk", figure1, problems.CheckReadersPriority,
-			Options{RandomRuns: -1, DFSRuns: 2000, DFSDepth: 24, Pool: true,
+			Options{RandomRuns: -1, DFSRuns: 2000, DFSDepth: 24,
 				Stream: inc.New, Shrink: true}},
 		{"starved-budget", monitor, problems.CheckReadersPriority,
-			Options{RandomRuns: -1, DFSRuns: 400, DFSDepth: 24, Pool: true,
-				CheckpointBudget: 2}},
+			Options{RandomRuns: -1, DFSRuns: 400, DFSDepth: 24, ckptLimit: 2}},
+		{"dpor", figure1, problems.CheckReadersPriority,
+			Options{RandomRuns: -1, DFSRuns: 2000, DFSDepth: 24, DPOR: true}},
+		{"dpor-prune", figure1, problems.CheckReadersPriority,
+			Options{RandomRuns: -1, DFSRuns: 2000, DFSDepth: 24, DPOR: true, Prune: true}},
+		{"dpor-clean", monitor, problems.CheckReadersPriority,
+			Options{RandomRuns: -1, DFSRuns: 400, DFSDepth: 24, DPOR: true}},
+		{"dpor-prune-clean", monitor, problems.CheckReadersPriority,
+			Options{RandomRuns: -1, DFSRuns: 400, DFSDepth: 24, DPOR: true, Prune: true}},
 	}
 	workers := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, tc := range cases {
@@ -151,10 +159,13 @@ func TestCheckpointMatchesReplay(t *testing.T) {
 			t.Parallel()
 			baseOpts := tc.opts
 			baseOpts.Workers = 1
+			baseOpts.ckptLimit = -1
 			base := Run(tc.prog, tc.oracle, baseOpts)
+			if base.Stats.CheckpointForks != 0 {
+				t.Fatalf("reference forked %d runs from checkpoints, want none", base.Stats.CheckpointForks)
+			}
 			for _, w := range workers {
 				ckptOpts := tc.opts
-				ckptOpts.Checkpoint = true
 				ckptOpts.Workers = w
 				ckpt := Run(tc.prog, tc.oracle, ckptOpts)
 				if (base.Err == nil) != (ckpt.Err == nil) {
@@ -179,8 +190,7 @@ func TestCheckpointSavesSteps(t *testing.T) {
 		rwScenario(monitorsol.NewReadersPriority())(k, r)
 	})
 	res := Run(prog, problems.CheckReadersPriority,
-		Options{RandomRuns: -1, DFSRuns: 400, DFSDepth: 24, Pool: true,
-			Checkpoint: true, Workers: 1})
+		Options{RandomRuns: -1, DFSRuns: 400, DFSDepth: 24, Workers: 1})
 	if res.Found {
 		t.Fatalf("unexpected finding: %+v", res)
 	}
@@ -200,8 +210,7 @@ func TestResultStatsBytesIdentical(t *testing.T) {
 	prog := Program(func(k kernel.Kernel, r *trace.Recorder) {
 		rwScenario(monitorsol.NewReadersPriority())(k, r)
 	})
-	opts := Options{RandomRuns: 20, DFSRuns: 100, Prune: true, Pool: true,
-		Checkpoint: true, Shrink: true, DPOR: true}
+	opts := Options{RandomRuns: 20, DFSRuns: 100, Prune: true, Shrink: true, DPOR: true}
 	a := Run(prog, problems.CheckReadersPriority, opts)
 	b := Run(prog, problems.CheckReadersPriority, opts)
 	if a.Stats != b.Stats {

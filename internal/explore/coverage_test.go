@@ -149,9 +149,14 @@ func wholeOrderLog2(order [][][]pred) (log2 float64, ok bool) {
 }
 
 // baselineRun is the search's baseline phase: prog once under FIFO,
-// dependencies recorded.
+// dependencies recorded. The executor's kernels recycle their process
+// coroutines, so it is closed before returning, or every call would
+// strand one suspended goroutine per process; the run's views stay
+// readable after Close.
 func baselineRun(prog Program) runOut {
-	return newExecutor(Options{DPOR: true}.withDefaults()).run(prog, kernel.FIFO())
+	e := newExecutor(Options{DPOR: true}.withDefaults())
+	defer e.close()
+	return e.run(prog, kernel.FIFO())
 }
 
 // The per-component count agrees with the whole-order DP to 1e-12

@@ -31,8 +31,8 @@
 // Everything here runs on the driver, over completed runs, in canonical
 // LIFO order, so the reduced search is byte-deterministic at every
 // Workers count. The dependency relation itself is deliberately
-// conservative but heuristic (see kernel/deps.go); Options.DPORAudit is
-// the correctness gate, mirroring PruneAudit.
+// conservative but heuristic (see kernel/deps.go); Options.Audit is the
+// correctness gate, the same cross-check that keeps Prune honest.
 package explore
 
 import (

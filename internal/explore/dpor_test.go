@@ -1,10 +1,10 @@
 package explore
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/kernel"
@@ -32,7 +32,7 @@ func deepFigure1Program() Program {
 // than fingerprint pruning alone on the deep scenario (the acceptance
 // bar for this optimization), and the reduced finding must still replay.
 func TestDPORReachesFindingFaster(t *testing.T) {
-	opts := Options{RandomRuns: -1, DFSRuns: 200000, DFSDepth: 48, Prune: true, Pool: true}
+	opts := Options{RandomRuns: -1, DFSRuns: 200000, DFSDepth: 48, Prune: true}
 	pruneOnly := Run(deepFigure1Program(), problems.CheckReadersPriority, opts)
 	if !pruneOnly.Found {
 		t.Fatalf("pruned DFS found nothing in %d runs", pruneOnly.Runs)
@@ -96,16 +96,16 @@ func TestDPORMatchesFull(t *testing.T) {
 					RandomRuns: -1,
 					DFSRuns:    400,
 					DFSDepth:   12,
-					DPORAudit:  true,
+					DPOR:       true,
 					Prune:      true,
-					Pool:       true,
+					Audit:      true,
 				}
 				var ref Result
 				for i, w := range workerCounts {
 					opts := base
 					opts.Workers = w
 					res := Run(Program(prog), check, opts)
-					if res.Err != nil && strings.Contains(res.Err.Error(), "dpor audit") {
+					if errors.Is(res.Err, ErrAuditFailed) {
 						t.Fatalf("workers=%d: %v", w, res.Err)
 					}
 					if res.Stats.ExploredFraction <= 0 || res.Stats.ExploredFraction > 1 {
@@ -125,7 +125,7 @@ func TestDPORMatchesFull(t *testing.T) {
 				// tree is a subtree of the full one, so reduced never
 				// needs more runs.
 				plain := base
-				plain.DPORAudit, plain.DPOR, plain.Prune = false, false, false
+				plain.Audit, plain.DPOR, plain.Prune = false, false, false
 				plain.Workers = 1
 				pres := Run(Program(prog), check, plain)
 				if ref.Runs > pres.Runs {
@@ -277,15 +277,14 @@ func TestDPORAuditFullComposition(t *testing.T) {
 		RandomRuns: 20,
 		DFSRuns:    200,
 		DFSDepth:   16,
-		DPORAudit:  true,
+		DPOR:       true,
+		Audit:      true,
 		Prune:      true,
-		Pool:       true,
-		Checkpoint: true,
 		Stream:     inc.New,
 		Shrink:     true,
 	}
 	res := Run(figure1Program(), problems.CheckReadersPriority, opts)
-	if res.Err != nil && strings.Contains(res.Err.Error(), "dpor audit") {
+	if errors.Is(res.Err, ErrAuditFailed) {
 		t.Fatalf("audit failed under full composition: %v", res.Err)
 	}
 	if !res.Found {

@@ -17,6 +17,13 @@
 // are not ordered by happens-before, and coverage.go reports how much of
 // the schedule space the reduced search provably covered.
 //
+// There is one engine. Every run executes on a recycled kernel slot, and
+// every DFS run forks from a checkpoint of the run that pushed it when
+// one is live (checkpoint.go) instead of replaying its prefix from the
+// root. Neither changes what is judged, only what it costs. The
+// reductions (Prune, DPOR) do change which schedules run; Options.Audit
+// checks them against the unreduced search.
+//
 // # Parallelism and determinism
 //
 // Run judges every outcome on one driver goroutine, in the canonical
@@ -32,6 +39,7 @@
 package explore
 
 import (
+	"errors"
 	"runtime"
 
 	"repro/internal/kernel"
@@ -86,16 +94,25 @@ type Result struct {
 	// snapshot, byte-identical across Workers settings like the rest of
 	// the Result. The live observability fields (wall clock, throughput,
 	// pool occupancy) exist only in the Stats snapshots delivered to
-	// Options.Progress. With Options.Checkpoint the CheckpointForks,
-	// SavedSteps, and ReplayedSteps counters quantify prefix sharing;
-	// they are the one part of a Result that legitimately differs
-	// between the checkpointed and replay-from-root engines.
+	// Options.Progress. The CheckpointForks, SavedSteps, and
+	// ReplayedSteps counters measure how much prefix work the DFS phase's
+	// checkpoints saved (checkpoint.go).
 	Stats StatsCore
 	// Err is set when the finding is a kernel error (deadlock, livelock)
-	// rather than an oracle violation, or when a PruneAudit cross-check
-	// failed.
+	// rather than an oracle violation, or when the Options.Audit
+	// cross-check failed; errors.Is(Err, ErrAuditFailed) tells the two
+	// apart.
 	Err error
 }
+
+// ErrAuditFailed marks a Result.Err from Options.Audit: the unreduced DFS
+// pass surfaced a violation rule or kernel-error class the reduced pass
+// missed.
+var ErrAuditFailed = errors.New("explore: audit failed")
+
+// defaultMaxSteps is the per-run kernel step bound when Options.MaxSteps,
+// Replay's maxSteps or SchedFile.MaxSteps is not positive.
+const defaultMaxSteps = 100000
 
 // Options bounds the exploration.
 type Options struct {
@@ -108,12 +125,10 @@ type Options struct {
 	// DFSDepth bounds the length of the choice prefix the DFS branches
 	// on; beyond it, runs continue FIFO. Default 40.
 	DFSDepth int
-	// MaxSteps is the per-run kernel step bound. Default 100000.
+	// MaxSteps is the per-run kernel step bound. Zero or negative means
+	// the default, 100000. A run that exceeds it ends with a kernel error,
+	// which is a finding (Violations nil, Err set).
 	MaxSteps int64
-	// IgnoreKernelErrors skips runs that deadlock or hit the step limit
-	// instead of counting them as findings. By default a kernel error is
-	// a finding (with Violations nil and Err set).
-	IgnoreKernelErrors bool
 	// Workers is the number of goroutines executing random-phase
 	// schedules, the driver included; the DFS phase always runs on the
 	// driver alone. 0 means runtime.GOMAXPROCS(0). The Result is the same
@@ -124,25 +139,8 @@ type Options struct {
 	// not branched again, and alternatives at invisible (pure-yield) steps
 	// are skipped. Pruning typically reaches the first violation in far
 	// fewer runs; it is heuristic (the fingerprint cannot see user data
-	// state), so PruneAudit exists as a cross-check.
+	// state), so Audit exists as a cross-check.
 	Prune bool
-	// PruneAudit runs the DFS budget twice — pruned and unpruned, both to
-	// completion — and reports an error finding if the unpruned frontier
-	// surfaced any violation rule the pruned search missed. It implies
-	// Prune for the reported Result. Meant for test suites, not hunting.
-	PruneAudit bool
-	// Pool recycles kernels, recorders, and their internal buffers across
-	// runs (kernel.SimKernel.Reset) instead of allocating fresh ones, and
-	// hands findings out as copies. Purely a throughput knob: the Result
-	// is identical with and without it.
-	Pool bool
-	// Stream, when non-nil, constructs a per-run streaming checker
-	// mirroring the batch oracle (problems.IncrementalOracleFor). Runs
-	// are judged by the stream — violating runs are cut short at the
-	// first violation via kernel.SimKernel.Stop, and completed runs skip
-	// the batch oracle entirely. The checker must agree with the oracle
-	// on complete traces.
-	Stream func() problems.StreamChecker
 	// DPOR enables dynamic partial-order reduction in the DFS phase: the
 	// kernel records which shared objects every scheduling step accessed
 	// (kernel.WithDepTrace), and instead of branching at every visible
@@ -152,53 +150,58 @@ type Options struct {
 	// branch group only (persistent sets). A sleep-set memory suppresses
 	// re-proposing a process already scheduled from the same branch
 	// group. The reduction composes with Prune (proposal points are
-	// fingerprint-deduped), Pool, Stream, Shrink, and Checkpoint
-	// (backtrack points register against checkpoint branch groups), and
-	// all decisions are made on the driver in canonical order, so the
-	// Result stays byte-identical at every Workers count. Like Prune the
-	// dependency relation is a conservative heuristic; DPORAudit is the
+	// fingerprint-deduped), Stream, Shrink, and checkpointing (backtrack
+	// points register against checkpoint branch groups), and all
+	// decisions are made on the driver in canonical order, so the Result
+	// stays byte-identical at every Workers count. Like Prune the
+	// dependency relation is a conservative heuristic; Audit is the
 	// cross-check. Result.Stats reports BacktrackPoints, DPORBlocked,
 	// and the analytic ExploredFraction (see coverage.go).
 	DPOR bool
-	// DPORAudit runs the DFS budget twice — reduced and fully unreduced,
-	// both to completion — and reports an error finding if the unreduced
-	// frontier surfaced any violation rule the reduced search missed. It
-	// implies DPOR for the reported Result. Meant for test suites and CI,
-	// not hunting.
-	DPORAudit bool
-	// Checkpoint enables prefix-sharing DFS: after each clean run the
-	// engine captures a kernel snapshot at every decision point it
-	// branched from (kernel.SnapshotAt), and sibling schedules fork from
-	// the checkpoint (kernel.WithRestore) instead of replaying their
-	// whole prefix from the root — the re-driven prefix skips the
-	// scheduler's per-step pipeline and the recorder serves prefix
-	// events from the snapshot. Composes with Prune, Pool, Stream, and
-	// Shrink. The Result is byte-identical to the replay-from-root
-	// engine at every Workers count, apart from the
-	// CheckpointForks/SavedSteps/ReplayedSteps counters in Result.Stats
-	// that quantify the sharing.
-	Checkpoint bool
-	// CheckpointBudget bounds the number of live checkpoints (each holds
-	// copies of its prefix's schedule, per-step artifacts, and trace
-	// events). Over budget, the least valuable checkpoint is evicted:
-	// fewest pending sibling schedules first — LRU weighted by remaining
-	// subtree size — with ties broken least-recently-forked. Default 256.
-	CheckpointBudget int
+	// Audit cross-checks the reductions. It runs the DFS budget twice,
+	// both passes to completion: once with the reductions turned on
+	// (Prune, DPOR or both), once with none. If the unreduced pass
+	// surfaced a violation rule or kernel-error class the reduced pass
+	// missed, Result.Err wraps ErrAuditFailed. Otherwise the Result is
+	// exactly what the reduced search alone reports. Audit turns no
+	// reduction on by itself; with neither on it does nothing. Meant for
+	// test suites and CI, not hunting.
+	Audit bool
+	// Stream, when non-nil, constructs a per-run streaming checker
+	// mirroring the batch oracle (problems.IncrementalOracleFor). Runs
+	// are judged by the stream — violating runs are cut short at the
+	// first violation via kernel.SimKernel.Stop, and completed runs skip
+	// the batch oracle entirely. The checker must agree with the oracle
+	// on complete traces.
+	Stream func() problems.StreamChecker
 	// Shrink minimizes the finding's schedule by delta debugging before
 	// Run returns: chunks of choices are removed and remaining choices
 	// substituted with the FIFO default, re-running each candidate under
 	// replay and re-judging it with the same oracle, until the schedule is
 	// 1-minimal. The result lands in Result.MinSchedule; the replays are
 	// counted in Result.ShrinkRuns, not Runs. Shrinking runs on the driver
-	// and reuses the executor's (possibly pooled) kernels, so it is cheap
-	// and Workers-independent.
+	// and reuses the executor's recycled kernels, so it is cheap and
+	// Workers-independent.
 	Shrink bool
 	// Progress, when non-nil, receives Stats snapshots from the driver as
 	// the search advances — per phase transition and per judged run.
 	// Called on the driver goroutine; keep it cheap (renderers should
-	// throttle themselves). Progress observes the search but must not
-	// influence it.
+	// throttle themselves, as ProgressLine does). Progress observes the
+	// search but must not influence it.
 	Progress func(Stats)
+
+	// Deprecated: every run recycles its kernel slot; Pool is read
+	// nowhere and will be removed.
+	Pool bool
+	// Deprecated: the DFS phase always forks from checkpoints; Checkpoint
+	// is read nowhere and will be removed.
+	Checkpoint bool
+
+	// ckptLimit overrides the checkpoint budget (ckptBudget) for tests:
+	// 0 keeps it, a small value starves the registry, and a negative
+	// value keeps no checkpoints, so every DFS run replays its prefix
+	// from the root.
+	ckptLimit int
 }
 
 func (o Options) withDefaults() Options {
@@ -211,8 +214,8 @@ func (o Options) withDefaults() Options {
 	if o.DFSDepth == 0 {
 		o.DFSDepth = 40
 	}
-	if o.MaxSteps == 0 {
-		o.MaxSteps = 100000
+	if o.MaxSteps <= 0 {
+		o.MaxSteps = defaultMaxSteps
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -220,26 +223,17 @@ func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
-	if o.PruneAudit {
-		o.Prune = true
-	}
-	if o.DPORAudit {
-		o.DPOR = true
-	}
-	if o.CheckpointBudget == 0 {
-		o.CheckpointBudget = 256
+	if o.ckptLimit == 0 {
+		o.ckptLimit = ckptBudget
 	}
 	return o
 }
 
 // judge converts one run into a Result if it is a finding. Findings are
-// handed out as copies: runOut's slices are views into (possibly pooled)
-// executor state, and a Result outlives the run that produced it.
-func judge(out runOut, oracle Oracle, opts Options, runs int) (Result, bool) {
+// handed out as copies: runOut's slices are views into recycled executor
+// state, and a Result outlives the run that produced it.
+func judge(out runOut, oracle Oracle, runs int) (Result, bool) {
 	if out.err != nil {
-		if opts.IgnoreKernelErrors {
-			return Result{}, false
-		}
 		return finding(out, nil, out.err, runs), true
 	}
 	if out.streamed {
@@ -279,7 +273,7 @@ func Run(prog Program, oracle Oracle, opts Options) Result {
 	res := runPhases(e, prog, oracle, opts, t)
 	if opts.Shrink && res.Found {
 		t.phase("shrink")
-		shrinkResult(e, prog, oracle, opts, &res, t)
+		shrinkResult(e, prog, oracle, &res, t)
 	}
 	res.Stats = t.deterministic(&res)
 	t.st.StatsCore = res.Stats
@@ -301,7 +295,7 @@ func runPhases(e *executor, prog Program, oracle Oracle, opts Options, t *tracke
 		t.noteCoverage(log2, exact)
 	}
 	t.ran()
-	if res, found := judge(out, oracle, opts, t.st.Runs); found {
+	if res, found := judge(out, oracle, t.st.Runs); found {
 		return res
 	}
 	e.release(out)
@@ -318,12 +312,16 @@ func runPhases(e *executor, prog Program, oracle Oracle, opts Options, t *tracke
 }
 
 // Replay re-executes prog under the given schedule and returns its trace
-// and kernel error — used to double-check and to render findings.
+// and kernel error — used to double-check and to render findings. It runs
+// one fresh kernel, which keeps no coroutines once Run returns; maxSteps
+// not positive means the default bound.
 func Replay(prog Program, schedule []kernel.Choice, maxSteps int64) (trace.Trace, error) {
-	if maxSteps == 0 {
-		maxSteps = 100000
+	if maxSteps <= 0 {
+		maxSteps = defaultMaxSteps
 	}
-	e := newExecutor(Options{MaxSteps: maxSteps})
-	out := e.run(prog, kernel.Replay(schedule))
-	return append(trace.Trace(nil), out.tr...), out.err
+	k := kernel.NewSim(kernel.WithMaxSteps(maxSteps), kernel.WithPolicy(kernel.Replay(schedule)))
+	r := trace.NewRecorder(k)
+	prog(k, r)
+	err := k.Run()
+	return r.Events(), err
 }

@@ -106,19 +106,6 @@ func TestDeadlockIsAFinding(t *testing.T) {
 	}
 }
 
-// With TreatKernelErrorAsViolation off, deadlocks are skipped.
-func TestKernelErrorSuppressed(t *testing.T) {
-	perRun := Program(func(k kernel.Kernel, r *trace.Recorder) {
-		k.Spawn("stuck", func(p *kernel.Proc) { p.Park() })
-	})
-	opts := Options{RandomRuns: 3, DFSRuns: 0}
-	opts.IgnoreKernelErrors = true
-	res := Run(perRun, func(trace.Trace) []problems.Violation { return nil }, opts)
-	if res.Found {
-		t.Fatalf("res = %+v", res)
-	}
-}
-
 // A trivially clean program exhausts its budget without findings, and the
 // run counter accounts for FIFO + random + DFS phases.
 func TestCleanProgramExhaustsBudget(t *testing.T) {
@@ -204,7 +191,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Fatal("no incremental oracle for readers-priority")
 	}
 	syncfuzz := Options{RandomRuns: 150, DFSRuns: 100, Prune: true, DPOR: true,
-		Checkpoint: true, Pool: true, Stream: inc.New, Shrink: true}
+		Stream: inc.New, Shrink: true}
 	cases := []struct {
 		name   string
 		prog   Program
@@ -250,6 +237,81 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// Pool and Checkpoint are deprecated and read nowhere: all four
+// combinations return the same Result, Stats included, on a finding the
+// DFS phase reaches and on a clean scenario it explores to its budget.
+func TestRetiredKnobsChangeNothing(t *testing.T) {
+	figure1 := Program(func(k kernel.Kernel, r *trace.Recorder) {
+		rwScenario(pathexprsol.NewReadersPriority())(k, r)
+	})
+	monitor := Program(func(k kernel.Kernel, r *trace.Recorder) {
+		rwScenario(monitorsol.NewReadersPriority())(k, r)
+	})
+	for _, tc := range []struct {
+		name string
+		prog Program
+		opts Options
+	}{
+		{"finding", figure1, Options{RandomRuns: -1, DFSRuns: 2000, DFSDepth: 24, Shrink: true, Workers: 1}},
+		{"clean", monitor, Options{RandomRuns: -1, DFSRuns: 400, DFSDepth: 24, Workers: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := Run(tc.prog, problems.CheckReadersPriority, tc.opts)
+			for _, pool := range []bool{false, true} {
+				for _, ckpt := range []bool{false, true} {
+					opts := tc.opts
+					opts.Pool, opts.Checkpoint = pool, ckpt
+					if got := Run(tc.prog, problems.CheckReadersPriority, opts); !reflect.DeepEqual(ref, got) {
+						t.Fatalf("Pool=%v Checkpoint=%v changed the Result:\n  ref: %+v\n  got: %+v",
+							pool, ckpt, ref.Stats, got.Stats)
+					}
+				}
+			}
+		})
+	}
+}
+
+// The audit must be able to fail. The program's processes change shared
+// Go state in steps that record no trace event, which the pruner's
+// invisible-step rule treats as commuting. Only the unreduced pass
+// reaches the order the oracle rejects, so Audit reports ErrAuditFailed.
+func TestAuditCatchesPruneMiss(t *testing.T) {
+	prog := Program(func(k kernel.Kernel, r *trace.Recorder) {
+		last := ""
+		for _, name := range []string{"a", "b"} {
+			k.Spawn(name, func(p *kernel.Proc) {
+				last = name
+				p.Yield()
+			})
+		}
+		k.Spawn("observer", func(p *kernel.Proc) {
+			p.Yield()
+			p.Yield()
+			r.Request(p, last, trace.NoArg)
+		})
+	})
+	lastIsA := func(tr trace.Trace) []problems.Violation {
+		for _, ev := range tr {
+			if ev.Op == "a" {
+				return []problems.Violation{{Rule: "last-writer-a"}}
+			}
+		}
+		return nil
+	}
+	opts := Options{RandomRuns: -1, DFSRuns: 1000, DFSDepth: 24, Workers: 1}
+	if res := Run(prog, lastIsA, opts); !res.Found || res.Err != nil {
+		t.Fatalf("unreduced DFS: found=%v err=%v, want the violation", res.Found, res.Err)
+	}
+	opts.Prune = true
+	if res := Run(prog, lastIsA, opts); res.Found {
+		t.Fatalf("pruned DFS found the violation (%v); the scenario no longer exercises a miss", res.Violations)
+	}
+	opts.Audit = true
+	if res := Run(prog, lastIsA, opts); !errors.Is(res.Err, ErrAuditFailed) {
+		t.Fatalf("audited pruned DFS: err = %v, want ErrAuditFailed", res.Err)
+	}
+}
+
 // A random phase holds O(Workers) pooled slots, not O(RandomRuns). Each
 // seed claimed but not yet judged holds one slot, and claims run at most
 // randomLead×Workers seeds ahead of judging. A slow batch oracle keeps
@@ -266,7 +328,7 @@ func TestRandomPhasePoolBounded(t *testing.T) {
 	}
 	const workers = 4
 	peak := 0
-	res := Run(monitor, slow, Options{RandomRuns: 200, Workers: workers, Pool: true,
+	res := Run(monitor, slow, Options{RandomRuns: 200, Workers: workers,
 		Progress: func(s Stats) { peak = max(peak, s.PoolSlots) }})
 	if res.Found {
 		t.Fatalf("unexpected finding: %v err=%v", res.Violations, res.Err)
@@ -278,8 +340,10 @@ func TestRandomPhasePoolBounded(t *testing.T) {
 }
 
 // A thousand deadlocking explorations must not strand goroutines: the
-// kernel's shutdown path unwinds processes abandoned on deadlock, and the
-// exploration engine waits for its helpers before returning.
+// kernel's shutdown path unwinds processes abandoned on deadlock, the
+// exploration engine waits for its helpers before returning, and Run
+// releases the coroutines its recycled kernels keep between runs
+// (executor.close -> SimKernel.Close).
 func TestExplorationNoGoroutineLeak(t *testing.T) {
 	perRun := Program(func(k kernel.Kernel, r *trace.Recorder) {
 		k.Spawn("stuck1", func(p *kernel.Proc) { p.Park() })

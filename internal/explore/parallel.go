@@ -61,9 +61,9 @@ type runOut struct {
 }
 
 // runSlot bundles the per-run machinery — a kernel, its recorder, and
-// optionally a streaming checker wired to cut violating runs short. With
-// pooling, slots are recycled through Reset instead of reallocated, so
-// the steady-state cost of a run is the run itself, not its setup.
+// optionally a streaming checker wired to cut violating runs short. Slots
+// are recycled through Reset instead of reallocated, so the steady-state
+// cost of a run is the run itself, not its setup.
 type runSlot struct {
 	k      *kernel.SimKernel
 	r      *trace.Recorder
@@ -71,15 +71,13 @@ type runSlot struct {
 	vs     []problems.Violation
 }
 
-// executor runs schedules, optionally recycling slots (Options.Pool) and
-// optionally attaching a streaming checker (Options.Stream). It is safe
-// for concurrent use; each run executes on a private slot.
+// executor runs schedules on recycled slots, attaching a streaming
+// checker when Options.Stream is set. It is safe for concurrent use; each
+// run executes on a private slot.
 type executor struct {
-	maxSteps   int64
-	newStream  func() problems.StreamChecker
-	pooled     bool
-	checkpoint bool
-	dpor       bool
+	maxSteps  int64
+	newStream func() problems.StreamChecker
+	dpor      bool
 
 	// slots counts runSlots ever created; reuses counts runs served by a
 	// recycled slot. Atomics because random-phase workers acquire
@@ -94,13 +92,7 @@ type executor struct {
 }
 
 func newExecutor(opts Options) *executor {
-	return &executor{
-		maxSteps:   opts.MaxSteps,
-		newStream:  opts.Stream,
-		pooled:     opts.Pool,
-		checkpoint: opts.Checkpoint,
-		dpor:       opts.DPOR,
-	}
+	return &executor{maxSteps: opts.MaxSteps, newStream: opts.Stream, dpor: opts.DPOR}
 }
 
 // poolStats reports (slots created, runs served by a recycled slot) for
@@ -110,38 +102,29 @@ func (e *executor) poolStats() (int, int) {
 }
 
 func (e *executor) acquire() *runSlot {
-	if e.pooled {
-		e.mu.Lock()
-		if n := len(e.free); n > 0 {
-			s := e.free[n-1]
-			e.free[n-1] = nil
-			e.free = e.free[:n-1]
-			e.mu.Unlock()
-			e.reuses.Add(1)
-			return s
-		}
+	e.mu.Lock()
+	if n := len(e.free); n > 0 {
+		s := e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
 		e.mu.Unlock()
+		e.reuses.Add(1)
+		return s
 	}
+	e.mu.Unlock()
 	e.slots.Add(1)
-	kopts := []kernel.SimOption{kernel.WithMaxSteps(e.maxSteps)}
-	if e.pooled {
-		kopts = append(kopts, kernel.WithRecycle())
-	}
+	kopts := []kernel.SimOption{kernel.WithMaxSteps(e.maxSteps), kernel.WithRecycle()}
 	if e.dpor {
 		kopts = append(kopts, kernel.WithDepTrace())
 	}
 	s := &runSlot{k: kernel.NewSim(kopts...)}
 	s.r = trace.NewRecorder(s.k)
-	if e.checkpoint {
-		// Sample the recorder position at every decision point so the
-		// driver can capture snapshots from this slot (kernel.SnapshotAt).
-		s.k.SetDecisionMark(s.r.LenCooperative)
-	}
-	if e.pooled {
-		e.mu.Lock()
-		e.all = append(e.all, s)
-		e.mu.Unlock()
-	}
+	// Sample the recorder position at every decision point so the driver
+	// can capture checkpoints from this slot (kernel.SnapshotAt).
+	s.k.SetDecisionMark(s.r.LenCooperative)
+	e.mu.Lock()
+	e.all = append(e.all, s)
+	e.mu.Unlock()
 	if e.newStream != nil {
 		s.stream = e.newStream()
 		s.r.SetObserver(func(ev trace.Event) {
@@ -158,9 +141,6 @@ func (e *executor) acquire() *runSlot {
 // in out (schedule, trace, fingerprints, visibility) has been consumed or
 // copied; a released slot's next run overwrites them all.
 func (e *executor) release(out runOut) {
-	if !e.pooled || out.slot == nil {
-		return
-	}
 	e.mu.Lock()
 	e.free = append(e.free, out.slot)
 	e.mu.Unlock()
@@ -244,7 +224,7 @@ func (e *executor) runFrom(prog Program, snap *kernel.Snapshot, prefix trace.Tra
 }
 
 // randomLead is how many seeds per worker the random phase's claims may
-// run ahead of judging. A claimed seed holds a pooled slot until it is
+// run ahead of judging. A claimed seed holds a slot until it is
 // judged, so the lead bounds both the slots a phase holds and the runs
 // wasted past a finding at randomLead×Workers.
 const randomLead = 4
@@ -384,7 +364,7 @@ func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *trac
 		}
 		out := r.slots[next%r.lead].out
 		t.ran()
-		if res, found := judge(out, oracle, opts, t.st.Runs); found {
+		if res, found := judge(out, oracle, t.st.Runs); found {
 			return res, true
 		}
 		e.release(out)
@@ -394,16 +374,12 @@ func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *trac
 	return Result{}, false
 }
 
-// auditSet summarizes what a DFS pass found, for the PruneAudit
-// cross-check: the distinct violation rules plus canonical tokens for
-// kernel errors.
+// auditSet summarizes what a DFS pass found, for the Audit cross-check:
+// the distinct violation rules plus canonical tokens for kernel errors.
 type auditSet map[string]bool
 
-func (s auditSet) addRun(out runOut, oracle Oracle, opts Options) {
+func (s auditSet) addRun(out runOut, oracle Oracle) {
 	if out.err != nil {
-		if opts.IgnoreKernelErrors {
-			return
-		}
 		if errors.Is(out.err, kernel.ErrDeadlock) {
 			s["kernel-error:deadlock"] = true
 		} else {
@@ -423,11 +399,11 @@ func (s auditSet) addRun(out runOut, oracle Oracle, opts Options) {
 }
 
 // dfsPhase enumerates choice prefixes in LIFO frontier order with an
-// explicit DFS-run budget, dispatching to the audit harness when
-// requested.
+// explicit DFS-run budget, dispatching to the audit harness when a
+// reduction is on and Options.Audit asks for the cross-check.
 func dfsPhase(e *executor, prog Program, oracle Oracle, opts Options, t *tracker) Result {
 	t.phase("dfs")
-	if opts.PruneAudit || opts.DPORAudit {
+	if opts.Audit && (opts.Prune || opts.DPOR) {
 		return dfsAudit(e, prog, oracle, opts, t)
 	}
 	res, _ := dfsScan(e, prog, oracle, opts, t, opts.Prune, opts.DPOR, false)
@@ -436,10 +412,11 @@ func dfsPhase(e *executor, prog Program, oracle Oracle, opts Options, t *tracker
 
 // dfsAudit cross-checks reduction: it runs the DFS budget twice in
 // collect mode — once with the configured reductions (Prune and/or
-// DPOR), once fully unreduced — and fails if the unreduced frontier
-// surfaced any violation rule the reduced search missed. On success the
-// result is exactly what a plain reduced DFS would have reported
-// (collect mode behaves identically up to the first finding).
+// DPOR), once fully unreduced — and fails with ErrAuditFailed if the
+// unreduced frontier surfaced any violation rule the reduced search
+// missed. On success the result is exactly what a plain reduced DFS
+// would have reported (collect mode behaves identically up to the first
+// finding).
 func dfsAudit(e *executor, prog Program, oracle Oracle, opts Options, t *tracker) Result {
 	// The reference pass uses a silent tracker: its runs are not part of
 	// the canonical counter stream the Result (and Progress) reports.
@@ -455,13 +432,7 @@ func dfsAudit(e *executor, prog Program, oracle Oracle, opts Options, t *tracker
 	if len(missing) > 0 {
 		sort.Strings(missing)
 		res.Found = true
-		if opts.DPORAudit {
-			res.Err = fmt.Errorf("explore: dpor audit failed: reduced search missed %s",
-				strings.Join(missing, ", "))
-		} else {
-			res.Err = fmt.Errorf("explore: prune audit failed: pruned search missed %s",
-				strings.Join(missing, ", "))
-		}
+		res.Err = fmt.Errorf("%w: reduced search missed %s", ErrAuditFailed, strings.Join(missing, ", "))
 	}
 	return res
 }
@@ -490,19 +461,14 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 	if prune {
 		expanded = map[uint64]bool{}
 	}
-	// The DPOR state (sleep-set memory and analysis scratch) is per-scan
-	// like the pruner's maps, so the audit's reference pass shares nothing
-	// with the reduced pass.
+	// The DPOR state (sleep-set memory and analysis scratch) and the
+	// checkpoint registry are per-scan like the pruner's maps, so the
+	// audit's reference pass shares nothing with the reduced pass.
 	var dp *dporState
 	if dpor {
 		dp = newDPORState()
 	}
-	// The checkpoint registry (Options.Checkpoint) is per-scan, so the
-	// audit's reference pass shares nothing with the pruned pass.
-	var reg *ckptRegistry
-	if opts.Checkpoint {
-		reg = newCkptRegistry(opts.CheckpointBudget)
-	}
+	reg := newCkptRegistry(opts.ckptLimit)
 	pruned := 0
 	var keyBuf []byte
 	var first Result
@@ -527,7 +493,7 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 		// duplicate prefixes were counted as pending siblings when their
 		// parent registered, so every pop pays one slot either way.
 		var ent *ckptEntry
-		if reg != nil && n > 0 {
+		if n > 0 {
 			ent = reg.take(keyBuf[:branchEnd])
 		}
 		if seen[string(keyBuf)] {
@@ -542,22 +508,20 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 			out = e.run(prog, kernel.Replay(prefix))
 		}
 		dfsRuns++
-		if reg != nil {
-			if ent != nil {
-				t.forked(ent.depth, n-ent.depth)
-			} else {
-				t.replayed(n)
-			}
+		if ent != nil {
+			t.forked(ent.depth, n-ent.depth)
+		} else {
+			t.replayed(n)
 		}
 		t.st.Pruned = pruned
 		t.ran()
-		res, isFinding := judge(out, oracle, opts, t.st.Runs)
+		res, isFinding := judge(out, oracle, t.st.Runs)
 		if isFinding {
 			if !collect {
 				res.Pruned = pruned
 				return res, found
 			}
-			found.addRun(out, oracle, opts)
+			found.addRun(out, oracle)
 			if !first.Found {
 				first = res
 				first.Pruned = pruned
@@ -577,7 +541,7 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 		} else {
 			children = expandDFS(prefix, out, opts.DFSDepth, expanded, &pruned)
 		}
-		if reg != nil && !isFinding && out.err == nil {
+		if !isFinding && out.err == nil {
 			reg.registerRun(out, children)
 		}
 		e.release(out)
@@ -616,7 +580,7 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 //
 // Skipped sibling counts accumulate into *pruned for reporting. The
 // fingerprint is a heuristic abstraction (see kernel.Fingerprint);
-// Options.PruneAudit cross-checks that pruning lost no violation.
+// Options.Audit cross-checks that pruning lost no violation.
 func expandDFS(prefix []kernel.Choice, out runOut, depth int, expanded map[uint64]bool, pruned *int) [][]kernel.Choice {
 	schedule := out.schedule
 	limit := len(schedule)

@@ -94,7 +94,7 @@ func (f *SchedFile) maxSteps() int64 {
 	if f.MaxSteps > 0 {
 		return f.MaxSteps
 	}
-	return 100000
+	return defaultMaxSteps
 }
 
 // validate checks the structural invariants a reader relies on.

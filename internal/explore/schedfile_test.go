@@ -84,7 +84,7 @@ func TestSchedFileGolden(t *testing.T) {
 
 	if *updateSched {
 		res := Run(prog, oracle, Options{
-			RandomRuns: 300, DFSRuns: 600, Shrink: true, Pool: true,
+			RandomRuns: 300, DFSRuns: 600, Shrink: true,
 		})
 		if !res.Found || res.Err != nil || res.MinSchedule == nil {
 			t.Fatalf("cannot regenerate golden: found=%v err=%v min=%v",

@@ -19,7 +19,7 @@
 // under kernel.ExactReplay and can be saved as a schedule artifact.
 //
 // Shrinking runs on the driver goroutine and replays through the same
-// executor as the search, reusing pooled kernels; with Options.Pool the
+// executor as the search, reusing its recycled kernels, so the
 // steady-state cost of a shrink step is one short replay. Candidate
 // generation is a pure function of the original schedule, so MinSchedule
 // and ShrinkRuns are identical for every Options.Workers setting.
@@ -43,7 +43,7 @@ type shrinkTarget struct {
 
 // targetOf derives the preservation target from a finding. The second
 // result is false when the finding is not shrinkable: no schedule, or an
-// engine-level error (a PruneAudit failure) rather than a property of one
+// engine-level error (an Audit failure) rather than a property of one
 // run.
 func targetOf(res *Result) (shrinkTarget, bool) {
 	if len(res.Schedule) == 0 {
@@ -71,9 +71,9 @@ func targetOf(res *Result) (shrinkTarget, bool) {
 }
 
 // matches judges one candidate replay against the target.
-func (tgt shrinkTarget) matches(out runOut, oracle Oracle, opts Options) bool {
+func (tgt shrinkTarget) matches(out runOut, oracle Oracle) bool {
 	if out.err != nil {
-		if !tgt.wantErr || opts.IgnoreKernelErrors {
+		if !tgt.wantErr {
 			return false
 		}
 		if tgt.wantDeadlock {
@@ -104,7 +104,6 @@ type shrinker struct {
 	e      *executor
 	prog   Program
 	oracle Oracle
-	opts   Options
 	tgt    shrinkTarget
 	t      *tracker
 	res    *Result
@@ -114,12 +113,12 @@ type shrinker struct {
 // only MinSchedule and ShrinkRuns; the finding itself (Schedule, Trace,
 // Violations, Runs) is untouched, so shrinking never changes what was
 // found, only how it is presented.
-func shrinkResult(e *executor, prog Program, oracle Oracle, opts Options, res *Result, t *tracker) {
+func shrinkResult(e *executor, prog Program, oracle Oracle, res *Result, t *tracker) {
 	tgt, ok := targetOf(res)
 	if !ok {
 		return
 	}
-	s := &shrinker{e: e, prog: prog, oracle: oracle, opts: opts, tgt: tgt, t: t, res: res}
+	s := &shrinker{e: e, prog: prog, oracle: oracle, tgt: tgt, t: t, res: res}
 	best, ok := s.attempt(res.Schedule)
 	if !ok {
 		// The finding does not reproduce under plain replay. That means
@@ -141,7 +140,7 @@ func shrinkResult(e *executor, prog Program, oracle Oracle, opts Options, res *R
 // values, which ExactReplay and the schedule-file fingerprint need.
 func (s *shrinker) attempt(cand []kernel.Choice) ([]kernel.Choice, bool) {
 	out := s.e.run(s.prog, kernel.Replay(cand))
-	ok := s.tgt.matches(out, s.oracle, s.opts)
+	ok := s.tgt.matches(out, s.oracle)
 	var canon []kernel.Choice
 	if ok {
 		rec := out.schedule

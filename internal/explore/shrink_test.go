@@ -45,7 +45,7 @@ func TestShrinkPreservesViolation(t *testing.T) {
 	prog := figure1Program()
 	oracle := Oracle(problems.CheckReadersPriority)
 	res := Run(prog, oracle, Options{
-		RandomRuns: 300, DFSRuns: 600, Shrink: true, Pool: true,
+		RandomRuns: 300, DFSRuns: 600, Shrink: true,
 	})
 	if !res.Found || res.Err != nil {
 		t.Fatalf("no oracle finding: found=%v err=%v runs=%d", res.Found, res.Err, res.Runs)
@@ -115,8 +115,8 @@ func TestShrinkWorkersDeterministic(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"random-finding", Options{RandomRuns: 300, DFSRuns: 600, Shrink: true, Pool: true}},
-		{"dfs-finding", Options{RandomRuns: -1, DFSRuns: 2000, DFSDepth: 24, Shrink: true, Pool: true}},
+		{"random-finding", Options{RandomRuns: 300, DFSRuns: 600, Shrink: true}},
+		{"dfs-finding", Options{RandomRuns: -1, DFSRuns: 2000, DFSDepth: 24, Shrink: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,7 +140,7 @@ func TestShrinkWorkersDeterministic(t *testing.T) {
 // the rest of the Result; the wall-clock and pool fields are zeroed.
 func TestResultStatsDeterministic(t *testing.T) {
 	res := Run(figure1Program(), problems.CheckReadersPriority,
-		Options{RandomRuns: 300, DFSRuns: 600, Shrink: true, Pool: true})
+		Options{RandomRuns: 300, DFSRuns: 600, Shrink: true})
 	want := StatsCore{
 		Phase:      "done",
 		Runs:       res.Runs,
@@ -157,7 +157,7 @@ func TestResultStatsDeterministic(t *testing.T) {
 // observing them does not change the Result.
 func TestProgressCallback(t *testing.T) {
 	var snaps []Stats
-	opts := Options{RandomRuns: 300, DFSRuns: 600, Shrink: true, Pool: true, Workers: 1}
+	opts := Options{RandomRuns: 300, DFSRuns: 600, Shrink: true, Workers: 1}
 	opts.Progress = func(s Stats) { snaps = append(snaps, s) }
 	res := Run(figure1Program(), problems.CheckReadersPriority, opts)
 	if !res.Found {

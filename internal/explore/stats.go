@@ -27,8 +27,8 @@ type StatsCore struct {
 	ShrinkLen int
 	// CheckpointForks is the number of DFS runs that forked from a
 	// checkpoint instead of replaying their prefix from the root
-	// (Options.Checkpoint). The driver runs every DFS schedule itself, so
-	// it is Workers-independent.
+	// (checkpoint.go). The driver runs every DFS schedule itself, so it is
+	// Workers-independent.
 	CheckpointForks int
 	// SavedSteps counts prefix steps served from a checkpoint across all
 	// forked runs: steps the scheduler re-drove with the per-step
@@ -39,8 +39,7 @@ type StatsCore struct {
 	// pipeline: the whole prefix of DFS runs that found no usable
 	// checkpoint, plus the post-checkpoint suffix of the prefix of
 	// forked runs. Dense checkpoint hits show up as SavedSteps >>
-	// ReplayedSteps. Zero (like CheckpointForks and SavedSteps) unless
-	// Options.Checkpoint.
+	// ReplayedSteps.
 	ReplayedSteps int64
 	// BacktrackPoints counts the backtrack nodes partial-order reduction
 	// pushed onto the DFS frontier: the persistent-set branches the
@@ -118,7 +117,7 @@ func newTracker(e *executor, opts Options) *tracker {
 }
 
 // silent returns a tracker sharing e but emitting no progress — for
-// reference passes (PruneAudit) whose runs are not part of the canonical
+// reference passes (Audit) whose runs are not part of the canonical
 // counter stream.
 func (t *tracker) silent() *tracker {
 	return &tracker{e: t.e, st: t.st}

@@ -3,10 +3,7 @@ package explore
 import (
 	"errors"
 	"reflect"
-	"runtime"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/problems"
@@ -83,10 +80,10 @@ func TestPruneAuditT4Suite(t *testing.T) {
 					RandomRuns: -1,
 					DFSRuns:    150,
 					DFSDepth:   16,
-					PruneAudit: true,
-					Pool:       true,
+					Prune:      true,
+					Audit:      true,
 				})
-				if res.Err != nil && strings.Contains(res.Err.Error(), "prune audit") {
+				if errors.Is(res.Err, ErrAuditFailed) {
 					t.Fatalf("prune audit failed: %v", res.Err)
 				}
 			})
@@ -94,32 +91,17 @@ func TestPruneAuditT4Suite(t *testing.T) {
 	}
 }
 
-// Pool and Prune are throughput knobs, not semantics knobs: pooled
-// exploration returns exactly the unpooled Result, and pruned exploration
-// is identical across worker counts (its pruning decisions are driver-side
-// and canonical-order).
+// Pruned exploration is identical across worker counts (its pruning
+// decisions are driver-side and canonical-order), and stream judging
+// reaches the batch oracle's finding. That recycled kernels match fresh
+// ones is TestResetReusedTracesIdentical's job.
 func TestPoolAndPruneDeterminism(t *testing.T) {
 	oracle := Oracle(problems.CheckReadersPriority)
 	base := Options{RandomRuns: 100, DFSRuns: 400, DFSDepth: 24}
 
-	t.Run("pool-matches-unpooled", func(t *testing.T) {
-		plain := Run(figure1Program(), oracle, base)
-		pooled := base
-		pooled.Pool = true
-		got := Run(figure1Program(), oracle, pooled)
-		if plain.Found != got.Found || plain.Runs != got.Runs ||
-			!reflect.DeepEqual(plain.Schedule, got.Schedule) ||
-			!reflect.DeepEqual(plain.Trace, got.Trace) ||
-			!reflect.DeepEqual(plain.Violations, got.Violations) {
-			t.Fatalf("pooled result diverged:\n  plain:  found=%v runs=%d sched=%v\n  pooled: found=%v runs=%d sched=%v",
-				plain.Found, plain.Runs, plain.Schedule, got.Found, got.Runs, got.Schedule)
-		}
-	})
-
 	t.Run("prune-workers-independent", func(t *testing.T) {
 		opts := base
 		opts.Prune = true
-		opts.Pool = true
 		opts.Workers = 1
 		seq := Run(figure1Program(), oracle, opts)
 		opts.Workers = 8
@@ -141,7 +123,6 @@ func TestPoolAndPruneDeterminism(t *testing.T) {
 		}
 		batch := Run(figure1Program(), inc.Check, base)
 		streamed := base
-		streamed.Pool = true
 		streamed.Stream = inc.New
 		got := Run(figure1Program(), inc.Check, streamed)
 		// A streaming checker agrees with the batch oracle on complete
@@ -213,36 +194,6 @@ func TestStreamMatchesBatch(t *testing.T) {
 				t.Fatalf("%s seed %d: batch %v, stream %v\n%s", problem, seed, want, got, tr)
 			}
 		}
-	}
-}
-
-// Pooled exploration keeps process coroutines between runs; Run must
-// release them on exit (executor.close -> SimKernel.Close), so repeated
-// pooled explorations cannot accumulate goroutines.
-func TestPoolNoGoroutineLeak(t *testing.T) {
-	perRun := Program(func(k kernel.Kernel, r *trace.Recorder) {
-		k.Spawn("stuck1", func(p *kernel.Proc) { p.Park() })
-		k.Spawn("stuck2", func(p *kernel.Proc) { p.Yield(); p.Park() })
-	})
-	base := runtime.NumGoroutine()
-	for i := 0; i < 500; i++ {
-		res := Run(perRun, func(trace.Trace) []problems.Violation { return nil },
-			Options{RandomRuns: 2, DFSRuns: 2, Workers: 4, Pool: true})
-		if !res.Found || !errors.Is(res.Err, kernel.ErrDeadlock) {
-			t.Fatalf("run %d: res = %+v", i, res)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= base+8 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: started with %d, still %d after 500 pooled runs",
-				base, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

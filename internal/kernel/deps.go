@@ -13,8 +13,8 @@ package kernel
 // relative order of *different* event kinds — a reader's Request vs a
 // writer's Enter — so any two recording steps conflict unless already
 // ordered). Every access is treated as a write; the relation is
-// deliberately conservative, and Options.DPORAudit in package explore
-// is the correctness gate for it.
+// deliberately conservative, and Options.Audit in package explore is
+// the correctness gate for it.
 type DepAccess struct {
 	Step int32  // scheduling step performing the access; -1 before the first decision
 	Obj  uint64 // accessed object identity

@@ -20,7 +20,7 @@ package kernel
 // kernel operations depends only on state the kernel can see. Solution
 // code whose branching manifests as kernel operations (park or not park,
 // unpark or not) satisfies this; purely internal data divergence is
-// invisible, which is why exploration offers a PruneAudit cross-check
+// invisible, which is why exploration offers an Audit cross-check
 // rather than claiming the hash is a sound state abstraction.
 
 // fpMix is a splitmix64-style finalizer: a bijective mix whose output

@@ -249,10 +249,17 @@ func WithPolicy(p Policy) SimOption {
 	return func(k *SimKernel) { k.policy = p }
 }
 
+// defaultMaxSteps is the scheduling-step bound of a kernel built without
+// WithMaxSteps, or with a bound that is not positive.
+const defaultMaxSteps = 10_000_000
+
 // WithMaxSteps bounds the number of scheduling steps Run will take before
-// giving up with an error; it guards tests against livelocks. Zero (the
-// default) means ten million steps.
+// giving up with an error; it guards tests against livelocks. A bound
+// that is not positive means the default, ten million steps.
 func WithMaxSteps(n int64) SimOption {
+	if n <= 0 {
+		n = defaultMaxSteps
+	}
 	return func(k *SimKernel) { k.maxSteps = n }
 }
 
@@ -271,7 +278,7 @@ func WithRecycle() SimOption {
 func NewSim(opts ...SimOption) *SimKernel {
 	k := &SimKernel{
 		policy:   FIFO(),
-		maxSteps: 10_000_000,
+		maxSteps: defaultMaxSteps,
 		choices:  make([]Choice, 0, 64),
 	}
 	for _, o := range opts {

@@ -334,6 +334,22 @@ func TestSimStepLimit(t *testing.T) {
 	}
 }
 
+// A bound that is not positive keeps the default instead of failing the
+// first step.
+func TestSimStepLimitNonPositiveKeepsDefault(t *testing.T) {
+	for _, n := range []int64{0, -1} {
+		k := NewSim(WithMaxSteps(n))
+		k.Spawn("p", func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				p.Yield()
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatalf("WithMaxSteps(%d): Run = %v, want completion", n, err)
+		}
+	}
+}
+
 func TestSimRunTwiceFails(t *testing.T) {
 	k := NewSim()
 	k.Spawn("p", func(p *Proc) {})

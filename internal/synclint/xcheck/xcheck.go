@@ -4,7 +4,7 @@
 // Forward (Run): every lockorder/lostwakeup finding on the embedded
 // solution sources — with allow-annotations deliberately ignored, so
 // reasoned suppressions are re-litigated rather than trusted — seeds a
-// targeted explore hunt (Prune+Checkpoint+Shrink) that tries to realize
+// targeted explore hunt (Prune+Shrink) that tries to realize
 // the hazard on the standard workload. A finding the hunt confirms
 // seals a replayable .sched artifact next to it; a finding the hunt
 // cannot realize is evidence (not proof) for its allow reason.
@@ -149,9 +149,7 @@ func Run(opts Options) ([]Row, error) {
 					DFSRuns:    opts.DFSRuns,
 					Workers:    opts.Workers,
 					Prune:      true,
-					Checkpoint: true,
 					Shrink:     true,
-					Pool:       true,
 					Progress:   opts.Progress,
 				})
 				res = &r
