@@ -134,7 +134,7 @@ load-million:
 # seed, every mechanism plus the naive-gate control, explored under -race
 # with a small budget. Findings are shrunk and sealed into fuzz-artifacts/
 # and the deterministic repro-fuzz/v1 summary lands in fuzz-summary.json;
-# the replay step then re-verifies every sealed artifact in the same
+# simtrace -replay then re-verifies every sealed artifact in the same
 # invocation, so a sealed schedule that no longer reproduces fails the
 # target. The sweep itself exits 0 — findings on the control are the
 # point, not a failure.
@@ -143,7 +143,7 @@ FUZZ_SEED ?= 26
 fuzz:
 	$(GO) run -race ./cmd/syncfuzz -n $(FUZZ_N) -seed $(FUZZ_SEED) \
 		-o fuzz-artifacts -summary fuzz-summary.json
-	$(GO) run -race ./cmd/syncfuzz -replay fuzz-artifacts
+	$(GO) run -race ./cmd/simtrace -replay fuzz-artifacts -quiet
 
 # hunt runs the Figure-1 anomaly search with live progress, shrinks the
 # finding to a 1-minimal schedule, and saves it as a replayable artifact

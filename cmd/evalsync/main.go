@@ -54,12 +54,11 @@ import (
 func main() {
 	experiment := flag.String("experiment", "all", "experiment id (F1 F2 T1 T2 T3 T4 T5 T6 T7 E1 E2 B2) or all; T8 (DPOR coverage) and T9 (synth corpus power) run only when named explicitly")
 	detail := flag.Bool("detail", false, "include per-declaration similarity detail in T2")
-	saveSched := flag.String("save-sched", "", "write the F1 anomaly (shrunk when -shrink) to this path as a replayable .sched artifact")
 	var opts explore.Options
 	explore.BindFlags(flag.CommandLine, &opts)
 	flag.Parse()
 
-	contradictions, err := writeReport(os.Stdout, strings.ToUpper(*experiment), *detail, opts, *saveSched)
+	contradictions, err := writeReport(os.Stdout, strings.ToUpper(*experiment), *detail, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -75,9 +74,8 @@ func main() {
 // writeReport renders the selected experiments to w and returns a line
 // for every outcome that contradicts the paper's expectation. experiment
 // is an upper-case id or "ALL". opts configures every schedule
-// exploration; saveSched, when set, makes F1 write its anomaly there as a
-// replayable schedule artifact.
-func writeReport(w io.Writer, experiment string, detail bool, opts explore.Options, saveSched string) ([]string, error) {
+// exploration.
+func writeReport(w io.Writer, experiment string, detail bool, opts explore.Options) ([]string, error) {
 	run := func(id string) bool {
 		return experiment == "ALL" || experiment == id
 	}
@@ -333,12 +331,6 @@ func writeReport(w io.Writer, experiment string, detail bool, opts explore.Optio
 		fmt.Fprint(w, eval.RenderFigure1(res))
 		if !res.AnomalyFound {
 			contradict("F1: the footnote-3 anomaly was not found in %d runs", res.Runs)
-		} else if saveSched != "" {
-			if err := eval.SaveFigure1Sched(res, saveSched); err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(w, "\n  saved schedule artifact: %s (replay with: simtrace -replay %s)\n",
-				saveSched, saveSched)
 		}
 	}
 	if run("F2") {

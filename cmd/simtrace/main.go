@@ -9,6 +9,7 @@
 //	simtrace -mech pathexpr -problem readers-priority -explore
 //	simtrace -mech pathexpr -problem readers-priority -explore -shrink -save-sched f1.sched
 //	simtrace -replay f1.sched
+//	simtrace -replay fuzz-artifacts -quiet    # every .sched in a directory
 //	simtrace -mech csp -problem disk-scheduler -policy random -seed 9
 //	simtrace -list
 package main
@@ -21,6 +22,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/eval"
@@ -28,8 +30,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/problems"
 	"repro/internal/solutions"
-	"repro/internal/synclint/xcheck"
-	"repro/internal/synclint/xcheck/cyclicfix"
 	"repro/internal/trace"
 )
 
@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := explore.Options{RandomRuns: 300, DFSRuns: 600}
 	explore.BindFlags(fs, &opts)
 	saveSched := fs.String("save-sched", "", "write the -explore finding to this path as a replayable .sched artifact")
-	replayFile := fs.String("replay", "", "replay a saved .sched artifact with drift detection; exits 0 iff it reproduces")
+	replayPath := fs.String("replay", "", "replay a saved .sched artifact, or every .sched in a directory, with drift detection; exits 0 iff all reproduce")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) during -explore")
 	list := fs.Bool("list", false, "list mechanisms and problems")
 	quiet := fs.Bool("quiet", false, "suppress the trace, print only the verdict")
@@ -84,8 +84,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *replayFile != "" {
-		return runReplay(*replayFile, *quiet, stdout, fail)
+	if *replayPath != "" {
+		return runReplay(*replayPath, *quiet, stdout, stderr)
 	}
 
 	suite, ok := solutions.ByMechanism(*mech)
@@ -177,86 +177,72 @@ func runReal(suite solutions.Suite, problem string, quiet bool, stdout io.Writer
 	return renderVerdict(stdout, tr, vs)
 }
 
-// figureProgram rebuilds the figure-scenario exploration program and
-// oracle for a (mechanism, priority-problem) pair — shared by -explore,
-// -save-sched sealing, and -replay verification, which must all agree.
-func figureProgram(suite solutions.Suite, problem string) (explore.Program, explore.Oracle, error) {
-	var oracle explore.Oracle
-	switch problem {
-	case problems.NameReadersPriority:
-		oracle = problems.CheckReadersPriority
-	case problems.NameWritersPriority:
-		oracle = problems.CheckWritersPriority
-	default:
-		return nil, nil, fmt.Errorf("figure scenario supports readers-priority and writers-priority, not %q", problem)
-	}
-	prog := explore.Program(func(k kernel.Kernel, r *trace.Recorder) {
-		var store problems.RWStore
-		switch problem {
-		case problems.NameReadersPriority:
-			store = suite.NewReadersPriority(k)
-		default:
-			store = suite.NewWritersPriority(k)
-		}
-		eval.FigureScenario(store)(k, r)
-	})
-	return prog, oracle, nil
-}
-
-// schedProgram rebuilds the program and oracle a schedule file was saved
-// against, from its mechanism/problem/scenario fields.
-func schedProgram(f *explore.SchedFile) (explore.Program, explore.Oracle, error) {
-	if f.Scenario == xcheck.FixtureScenario {
-		// The synclint cross-validation fixture is its own program; no
-		// mechanism suite to resolve.
-		return cyclicfix.Program, func(trace.Trace) []problems.Violation { return nil }, nil
-	}
-	suite, ok := solutions.ByMechanism(f.Mechanism)
-	if !ok {
-		return nil, nil, fmt.Errorf("schedule file names unknown mechanism %q", f.Mechanism)
-	}
-	switch f.Scenario {
-	case "figure":
-		return figureProgram(suite, f.Problem)
-	case "standard":
-		prog, check, err := solutions.StandardProgram(suite, f.Problem, false)
+// runReplay replays a saved schedule artifact, or every .sched file in a
+// directory in name order, with full drift detection, and returns 0 iff
+// every artifact reproduces its recorded finding.
+func runReplay(path string, quiet bool, stdout, stderr io.Writer) int {
+	files := []string{path}
+	if info, err := os.Stat(path); err == nil && info.IsDir() {
+		ents, err := os.ReadDir(path) // sorted by name
 		if err != nil {
-			return nil, nil, err
+			fmt.Fprintln(stderr, "simtrace:", err)
+			return 1
 		}
-		return explore.Program(prog), check, nil
-	default:
-		return nil, nil, fmt.Errorf("schedule file names unknown scenario %q", f.Scenario)
+		files = nil
+		for _, e := range ents {
+			if !e.IsDir() && strings.HasSuffix(e.Name(), ".sched") {
+				files = append(files, filepath.Join(path, e.Name()))
+			}
+		}
+		if len(files) == 0 {
+			fmt.Fprintf(stderr, "simtrace: no .sched files in %s\n", path)
+			return 1
+		}
 	}
+	bad := 0
+	for _, file := range files {
+		if err := replayOne(file, quiet, stdout); err != nil {
+			fmt.Fprintf(stderr, "simtrace: %s: %v\n", file, err)
+			bad++
+		}
+	}
+	if bad == 0 {
+		return 0
+	}
+	if len(files) > 1 {
+		fmt.Fprintf(stderr, "simtrace: %d of %d artifacts failed to verify\n", bad, len(files))
+	}
+	return 1
 }
 
-// runReplay replays a saved schedule artifact with full drift detection
-// and returns 0 iff it reproduces the recorded finding.
-func runReplay(path string, quiet bool, stdout io.Writer, fail func(error) int) int {
+// replayOne verifies one artifact against the program its
+// (mechanism, problem, scenario) names and reports what it reproduced.
+func replayOne(path string, quiet bool, stdout io.Writer) error {
 	f, err := explore.ReadSchedFile(path)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	prog, oracle, err := schedProgram(f)
+	prog, oracle, err := eval.ScenarioProgram(f.Mechanism, f.Problem, f.Scenario)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	tr, vs, err := f.Verify(prog, oracle)
 	if !quiet && len(tr) > 0 {
 		fmt.Fprint(stdout, tr)
 	}
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	fmt.Fprintf(stdout, "replay ok: %s/%s/%s, %d choices, fingerprint %s\n",
 		f.Mechanism, f.Problem, f.Scenario, len(f.Choices), f.Fingerprint)
 	if f.KernelError != "" {
 		fmt.Fprintf(stdout, "reproduced kernel error class: %s\n", f.KernelError)
-		return 0
+		return nil
 	}
 	for _, v := range vs {
 		fmt.Fprintln(stdout, "reproduced violation: "+v.String())
 	}
-	return 0
+	return nil
 }
 
 // runExplore hunts for priority violations on the figure scenario,
@@ -264,7 +250,7 @@ func runReplay(path string, quiet bool, stdout io.Writer, fail func(error) int) 
 // returns 1 when it finds a violation.
 func runExplore(suite solutions.Suite, problem string, quiet bool, saveSched string, opts explore.Options,
 	stdout io.Writer, fail func(error) int) int {
-	prog, oracle, err := figureProgram(suite, problem)
+	prog, oracle, err := eval.ScenarioProgram(suite.Mechanism, problem, explore.ScenarioFigure)
 	if err != nil {
 		return fail(fmt.Errorf("-explore: %w", err))
 	}
@@ -309,7 +295,7 @@ func runExplore(suite solutions.Suite, problem string, quiet bool, saveSched str
 		if res.MinSchedule != nil {
 			schedule = res.MinSchedule
 		}
-		f := explore.NewSchedFile(suite.Mechanism, problem, "figure", schedule)
+		f := explore.NewSchedFile(suite.Mechanism, problem, explore.ScenarioFigure, schedule)
 		f.Note = "found by simtrace -explore"
 		if err := f.Seal(prog, oracle); err != nil {
 			return fail(fmt.Errorf("sealing %s: %w", saveSched, err))

@@ -10,32 +10,29 @@
 //	syncfuzz                                  # 20 problems, all mechanisms
 //	syncfuzz -n 200 -seed 7 -mech semaphore,csp
 //	syncfuzz -n 50 -o fuzz-artifacts -summary fuzz-summary.json
-//	syncfuzz -replay fuzz-artifacts           # re-verify sealed findings
 //
+// The sweep itself is synth.Sweep, which evalsync's T9 table runs too.
 // Every finding is shrunk to a 1-minimal schedule and sealed as a
-// replayable .sched artifact (with -o). The JSON summary (-summary) is
+// replayable .sched artifact (with -o); simtrace -replay fuzz-artifacts
+// re-verifies them. The JSON summary (-summary) is
 // versioned repro-fuzz/v1 and deterministic: same seed and budgets give
 // byte-identical output at any -workers count.
 //
 // Exit status is 0 when the sweep completed (mechanism failures are
 // results, not errors), 1 on infrastructure errors (a finding that will
-// not seal, a replay that will not verify), 2 on usage errors.
+// not seal), 2 on usage errors.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/explore"
-	"repro/internal/kernel"
 	"repro/internal/synth"
 )
 
@@ -46,9 +43,7 @@ const summarySchema = "repro-fuzz/v1"
 
 // mechResult is one mechanism's outcome on one generated problem.
 type mechResult struct {
-	// Status: "pass", "fail" (oracle violation), "deadlock", "error"
-	// (other kernel error), or "inexpressible" (the mechanism's verdict
-	// that it cannot encode the constraints — pathexpr).
+	// Status is one of the synth.Status* verdicts.
 	Status string `json:"status"`
 	// Reason carries the inexpressibility verdict.
 	Reason string `json:"reason,omitempty"`
@@ -71,24 +66,13 @@ type problemResult struct {
 	Mechanisms map[string]mechResult `json:"mechanisms"`
 }
 
-// tableRow aggregates one mechanism × constraint shape cell.
-type tableRow struct {
-	Mechanism     string `json:"mechanism"`
-	Shape         string `json:"shape"`
-	Pass          int    `json:"pass"`
-	Fail          int    `json:"fail"`
-	Deadlock      int    `json:"deadlock"`
-	Error         int    `json:"error,omitempty"`
-	Inexpressible int    `json:"inexpressible,omitempty"`
-}
-
 type summary struct {
 	Schema     string          `json:"schema"`
 	Seed       int64           `json:"seed"`
 	N          int             `json:"n"`
 	Mechanisms []string        `json:"mechanisms"`
 	Problems   []problemResult `json:"problems"`
-	Table      []tableRow      `json:"table"`
+	Table      []synth.Row     `json:"table"`
 }
 
 type options struct {
@@ -117,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	outDir := fs.String("o", "", "seal findings as .sched artifacts in this directory")
 	sumPath := fs.String("summary", "", "write the repro-fuzz/v1 JSON summary here (\"-\": stdout)")
 	quiet := fs.Bool("quiet", false, "suppress per-problem progress lines")
-	replay := fs.String("replay", "", "verify sealed artifacts (.sched file or directory) instead of fuzzing")
 	list := fs.Bool("list", false, "list mechanisms")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -125,9 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *list {
 		fmt.Fprintln(stdout, strings.Join(synth.Mechanisms(), "\n"))
 		return 0
-	}
-	if *replay != "" {
-		return runReplay(*replay, stdout, stderr)
 	}
 	if *n < 1 {
 		fmt.Fprintln(stderr, "syncfuzz: -n must be at least 1")
@@ -183,57 +163,41 @@ func runFuzz(o options, stdout, stderr io.Writer) int {
 		}
 	}
 	sum := summary{Schema: summarySchema, Seed: o.seed, N: o.n, Mechanisms: o.mechs}
-	cells := map[string]*tableRow{}
-	for i := 0; i < o.n; i++ {
-		pseed := o.seed + int64(i)
-		set := synth.Generate(pseed)
+	opts := explore.Options{
+		RandomRuns: o.runs,
+		DFSRuns:    o.dfs,
+		MaxSteps:   o.steps,
+		Workers:    o.workers,
+		Prune:      true,
+		DPOR:       true,
+		Shrink:     true,
+	}
+	table, err := synth.Sweep(o.seed, o.n, o.mechs, opts, func(set *synth.Set, verdicts []synth.Verdict) error {
 		pr := problemResult{
-			Seed:       pseed,
+			Seed:       set.Seed,
 			Name:       set.Name,
 			Shape:      set.Shape(),
 			Classes:    len(set.Classes),
 			Mechanisms: map[string]mechResult{},
 		}
-		for _, mech := range o.mechs {
-			mr, err := fuzzOne(o, pseed, set, mech)
+		for _, v := range verdicts {
+			mr, err := o.record(set.Seed, v)
 			if err != nil {
-				fmt.Fprintf(stderr, "syncfuzz: %s on %s: %v\n", mech, set.Name, err)
-				return 1
+				return fmt.Errorf("%s on %s: %w", v.Mechanism, set.Name, err)
 			}
-			pr.Mechanisms[mech] = mr
-			key := mech + "\x00" + pr.Shape
-			cell := cells[key]
-			if cell == nil {
-				cell = &tableRow{Mechanism: mech, Shape: pr.Shape}
-				cells[key] = cell
-			}
-			switch mr.Status {
-			case "pass":
-				cell.Pass++
-			case "fail":
-				cell.Fail++
-			case "deadlock":
-				cell.Deadlock++
-			case "error":
-				cell.Error++
-			case "inexpressible":
-				cell.Inexpressible++
-			}
+			pr.Mechanisms[v.Mechanism] = mr
 		}
 		sum.Problems = append(sum.Problems, pr)
 		if !o.quiet {
-			fmt.Fprintf(stdout, "%-12s %-40s %s\n", set.Name, pr.Shape, renderRow(pr, o.mechs))
+			fmt.Fprintf(stdout, "%-12s %-40s %s\n", pr.Name, pr.Shape, renderRow(pr, o.mechs))
 		}
-	}
-	for _, cell := range cells {
-		sum.Table = append(sum.Table, *cell)
-	}
-	sort.Slice(sum.Table, func(i, j int) bool {
-		if sum.Table[i].Mechanism != sum.Table[j].Mechanism {
-			return sum.Table[i].Mechanism < sum.Table[j].Mechanism
-		}
-		return sum.Table[i].Shape < sum.Table[j].Shape
+		return nil
 	})
+	if err != nil {
+		fmt.Fprintf(stderr, "syncfuzz: %v\n", err)
+		return 1
+	}
+	sum.Table = table
 	if !o.quiet {
 		renderTable(stdout, sum.Table)
 	}
@@ -254,40 +218,18 @@ func runFuzz(o options, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// fuzzOne explores one generated problem under one mechanism and seals
-// any finding. The returned error is infrastructural (seal failure);
+// record turns one verdict into its summary entry and seals a finding
+// into o.outDir. The returned error is infrastructural (seal failure);
 // mechanism failures land in the result.
-func fuzzOne(o options, pseed int64, set *synth.Set, mech string) (mechResult, error) {
-	if err := synth.Supports(mech, set); err != nil {
-		return mechResult{Status: "inexpressible", Reason: err.Error()}, nil
-	}
-	prog, oracle, err := synth.Program(set, mech)
-	if err != nil {
-		return mechResult{}, err
-	}
-	res := explore.Run(prog, oracle, explore.Options{
-		RandomRuns: o.runs,
-		DFSRuns:    o.dfs,
-		MaxSteps:   o.steps,
-		Workers:    o.workers,
-		Prune:      true,
-		DPOR:       true,
-		Shrink:     true,
-	})
-	mr := mechResult{Runs: res.Runs}
+func (o options) record(pseed int64, v synth.Verdict) (mechResult, error) {
+	res := v.Result
+	mr := mechResult{Status: v.Status, Reason: v.Reason, Runs: res.Runs}
 	if !res.Found {
-		mr.Status = "pass"
 		return mr, nil
 	}
-	switch {
-	case res.Err != nil && errors.Is(res.Err, kernel.ErrDeadlock):
-		mr.Status = "deadlock"
-	case res.Err != nil:
-		mr.Status = "error"
-	default:
-		mr.Status = "fail"
-		for _, v := range res.Violations {
-			mr.Rules = append(mr.Rules, v.Rule)
+	if v.Status == synth.StatusFail {
+		for _, viol := range res.Violations {
+			mr.Rules = append(mr.Rules, viol.Rule)
 		}
 	}
 	sched := res.MinSchedule
@@ -296,12 +238,12 @@ func fuzzOne(o options, pseed int64, set *synth.Set, mech string) (mechResult, e
 	}
 	mr.MinChoices = len(sched)
 	if o.outDir != "" {
-		f := explore.NewSchedFile(mech, fmt.Sprintf("synth/%d", pseed), "synth", sched)
+		f := explore.NewSchedFile(v.Mechanism, fmt.Sprintf("synth/%d", pseed), explore.ScenarioSynth, sched)
 		f.MaxSteps = o.steps
-		if err := f.Seal(prog, oracle); err != nil {
+		if err := f.Seal(v.Program, v.Oracle); err != nil {
 			return mr, fmt.Errorf("sealing finding: %w", err)
 		}
-		name := fmt.Sprintf("synth-%d-%s.sched", pseed, mech)
+		name := fmt.Sprintf("synth-%d-%s.sched", pseed, v.Mechanism)
 		if err := f.WriteFile(filepath.Join(o.outDir, name)); err != nil {
 			return mr, err
 		}
@@ -312,8 +254,8 @@ func fuzzOne(o options, pseed int64, set *synth.Set, mech string) (mechResult, e
 
 func renderRow(pr problemResult, mechs []string) string {
 	short := map[string]string{
-		"pass": "ok", "fail": "FAIL", "deadlock": "DEAD",
-		"error": "ERR", "inexpressible": "n/e",
+		synth.StatusPass: "ok", synth.StatusFail: "FAIL", synth.StatusDeadlock: "DEAD",
+		synth.StatusError: "ERR", synth.StatusInexpressible: "n/e",
 	}
 	parts := make([]string, 0, len(mechs))
 	for _, m := range mechs {
@@ -322,78 +264,11 @@ func renderRow(pr problemResult, mechs []string) string {
 	return strings.Join(parts, " ")
 }
 
-func renderTable(w io.Writer, rows []tableRow) {
+func renderTable(w io.Writer, rows []synth.Row) {
 	fmt.Fprintf(w, "\n%-12s %-40s %5s %5s %5s %5s %5s\n",
 		"mechanism", "shape", "pass", "fail", "dead", "err", "n/e")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-12s %-40s %5d %5d %5d %5d %5d\n",
 			r.Mechanism, r.Shape, r.Pass, r.Fail, r.Deadlock, r.Error, r.Inexpressible)
 	}
-}
-
-// runReplay verifies sealed artifacts: each file's problem seed is
-// parsed back out, the generator reproduces the set, and SchedFile.Verify
-// replays the schedule with full drift detection.
-func runReplay(path string, stdout, stderr io.Writer) int {
-	info, err := os.Stat(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "syncfuzz: %v\n", err)
-		return 1
-	}
-	var files []string
-	if info.IsDir() {
-		ents, err := os.ReadDir(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "syncfuzz: %v\n", err)
-			return 1
-		}
-		for _, e := range ents {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".sched") {
-				files = append(files, filepath.Join(path, e.Name()))
-			}
-		}
-		sort.Strings(files)
-		if len(files) == 0 {
-			fmt.Fprintf(stderr, "syncfuzz: no .sched files in %s\n", path)
-			return 1
-		}
-	} else {
-		files = []string{path}
-	}
-	bad := 0
-	for _, file := range files {
-		if err := replayOne(file); err != nil {
-			fmt.Fprintf(stderr, "syncfuzz: %s: %v\n", filepath.Base(file), err)
-			bad++
-			continue
-		}
-		fmt.Fprintf(stdout, "%s: verified\n", filepath.Base(file))
-	}
-	if bad > 0 {
-		fmt.Fprintf(stderr, "syncfuzz: %d of %d artifacts failed to verify\n", bad, len(files))
-		return 1
-	}
-	return 0
-}
-
-func replayOne(path string) error {
-	f, err := explore.ReadSchedFile(path)
-	if err != nil {
-		return err
-	}
-	seedStr, ok := strings.CutPrefix(f.Problem, "synth/")
-	if !ok {
-		return fmt.Errorf("not a syncfuzz artifact (problem %q)", f.Problem)
-	}
-	pseed, err := strconv.ParseInt(seedStr, 10, 64)
-	if err != nil {
-		return fmt.Errorf("bad problem seed %q: %v", seedStr, err)
-	}
-	set := synth.Generate(pseed)
-	prog, oracle, err := synth.Program(set, f.Mechanism)
-	if err != nil {
-		return err
-	}
-	_, _, err = f.Verify(prog, oracle)
-	return err
 }

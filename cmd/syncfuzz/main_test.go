@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/eval"
+	"repro/internal/explore"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden summary")
@@ -75,7 +78,8 @@ func TestSummaryIsWorkersInvariant(t *testing.T) {
 
 // TestSealAndReplayRoundTrip fuzzes a corpus window known to produce
 // findings (the naive-gate control is always in the sweep), seals them,
-// and verifies every artifact through the -replay path.
+// and verifies every artifact against the program the shared resolver
+// (eval.ScenarioProgram, which simtrace -replay uses) rebuilds for it.
 func TestSealAndReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	art := filepath.Join(dir, "artifacts")
@@ -87,17 +91,23 @@ func TestSealAndReplayRoundTrip(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("fuzz: exit %d, stderr: %s", code, errb.String())
 	}
-	ents, err := os.ReadDir(art)
-	if err != nil || len(ents) == 0 {
+	files, err := filepath.Glob(filepath.Join(art, "*.sched"))
+	if err != nil || len(files) == 0 {
 		t.Fatalf("no sealed artifacts produced (err %v) — corpus window no longer yields findings?", err)
 	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-replay", art}, &out, &errb); code != 0 {
-		t.Fatalf("replay: exit %d, stderr: %s", code, errb.String())
-	}
-	if got := strings.Count(out.String(), "verified"); got != len(ents) {
-		t.Fatalf("replay verified %d of %d artifacts:\n%s", got, len(ents), out.String())
+	for _, path := range files {
+		f, err := explore.ReadSchedFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, oracle, err := eval.ScenarioProgram(f.Mechanism, f.Problem, f.Scenario)
+		if err != nil {
+			t.Errorf("%s: %v", filepath.Base(path), err)
+			continue
+		}
+		if _, _, err := f.Verify(prog, oracle); err != nil {
+			t.Errorf("%s does not verify: %v", filepath.Base(path), err)
+		}
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/explore"
 	"repro/internal/synclint"
 	"repro/internal/synclint/xcheck"
 )
@@ -60,7 +61,7 @@ func main() {
 		return
 	}
 	if *hunt {
-		runHunt(xcheck.Options{RandomRuns: *huntRandom, DFSRuns: *huntDFS, SchedDir: *schedDir})
+		runHunt(explore.Options{RandomRuns: *huntRandom, DFSRuns: *huntDFS}, *schedDir)
 		return
 	}
 
@@ -128,8 +129,8 @@ func printFindings(w io.Writer, all []synclint.Finding, jsonOut bool) error {
 
 // runHunt executes the cross-validation gate and prints one row per
 // static finding with the hunt's verdict.
-func runHunt(opts xcheck.Options) {
-	rows, err := xcheck.Run(opts)
+func runHunt(opts explore.Options, schedDir string) {
+	rows, err := xcheck.Run(opts, schedDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "synclint:", err)
 		os.Exit(2)

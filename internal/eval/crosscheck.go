@@ -23,16 +23,12 @@ const (
 // RunCrossCheck executes the T7 cross-validation gate: every
 // lockorder/lostwakeup finding on the embedded solution sources (and
 // the seeded cyclic-wait fixture) seeds a Prune+Shrink hunt that tries
-// to realize the hazard on its standard workload. Of opts it honors
-// Workers and Progress only, since xcheck fixes the rest; the results
-// are identical for any worker count.
+// to realize the hazard on its standard workload. It sets T7's budgets on
+// its copy of opts and keeps the rest (workers, DPOR, audit, progress);
+// the results are identical for any worker count.
 func RunCrossCheck(opts explore.Options) ([]xcheck.Row, error) {
-	return xcheck.Run(xcheck.Options{
-		RandomRuns: CrossCheckRandomRuns,
-		DFSRuns:    CrossCheckDFSRuns,
-		Workers:    opts.Workers,
-		Progress:   opts.Progress,
-	})
+	opts.RandomRuns, opts.DFSRuns = CrossCheckRandomRuns, CrossCheckDFSRuns
+	return xcheck.Run(opts, "")
 }
 
 // RenderCrossCheck renders the T7 table.

@@ -7,8 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/problems"
-	"repro/internal/solutions/monitorsol"
-	"repro/internal/solutions/serializersol"
+	"repro/internal/solutions"
 )
 
 // ---- T2: structural analysis ----
@@ -37,8 +36,8 @@ func declKeys(s *SolutionDecls) []string {
 }
 
 func TestLoadSolutionAllPairs(t *testing.T) {
-	for mech := range pkgDirs {
-		for problem := range solutionTypes {
+	for mech := range solutions.SourceDirs {
+		for problem := range solutions.SolutionTypes {
 			if _, err := LoadSolution(mech, problem); err != nil {
 				t.Errorf("%s/%s: %v", mech, problem, err)
 			}
@@ -259,15 +258,14 @@ func TestFigure2WritersPriorityHolds(t *testing.T) {
 // The paper's contrast: the same scenario finds no anomaly in the monitor
 // and serializer readers-priority solutions.
 func TestFigureScenarioCleanOnMonitorAndSerializer(t *testing.T) {
-	if anomaly, runs := MechanismFigureCheck(func() problems.RWStore {
-		return monitorsol.NewReadersPriority()
-	}, explore.Options{}); anomaly {
-		t.Errorf("monitor solution showed the anomaly (%d runs)", runs)
-	}
-	if anomaly, runs := MechanismFigureCheck(func() problems.RWStore {
-		return serializersol.NewReadersPriority()
-	}, explore.Options{}); anomaly {
-		t.Errorf("serializer solution showed the anomaly (%d runs)", runs)
+	for _, mech := range []string{"monitor", "serializer"} {
+		prog, oracle, err := ScenarioProgram(mech, problems.NameReadersPriority, explore.ScenarioFigure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := explore.Run(prog, oracle, explore.Options{RandomRuns: 200, DFSRuns: 400}); res.Found {
+			t.Errorf("%s solution showed the anomaly (%d runs)", mech, res.Runs)
+		}
 	}
 }
 

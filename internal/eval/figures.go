@@ -64,6 +64,11 @@ func FigureScenario(db problems.RWStore) explore.Program {
 	}
 }
 
+// figureProgram runs FigureScenario on a fresh store from newDB each run.
+func figureProgram(newDB func(kernel.Kernel) problems.RWStore) explore.Program {
+	return func(k kernel.Kernel, r *trace.Recorder) { FigureScenario(newDB(k))(k, r) }
+}
+
 // Figure1Result is the F1 experiment outcome.
 type Figure1Result struct {
 	// AnomalyFound: schedule exploration exhibited a readers-priority
@@ -86,9 +91,7 @@ type Figure1Result struct {
 // RunFigure1 searches for the footnote-3 anomaly in the Figure-1
 // solution.
 func RunFigure1(opts explore.Options) Figure1Result {
-	prog := explore.Program(func(k kernel.Kernel, r *trace.Recorder) {
-		FigureScenario(pathexprsol.NewReadersPriority())(k, r)
-	})
+	prog := figureProgram(func(kernel.Kernel) problems.RWStore { return pathexprsol.NewReadersPriority() })
 	opts.RandomRuns, opts.DFSRuns = 300, 600
 	res := explore.Run(prog, problems.CheckReadersPriority, opts)
 	return Figure1Result{
@@ -100,24 +103,6 @@ func RunFigure1(opts explore.Options) Figure1Result {
 		MinSchedule:  res.MinSchedule,
 		ShrinkRuns:   res.ShrinkRuns,
 	}
-}
-
-// SaveFigure1Sched seals the F1 finding as a replayable schedule artifact
-// and writes it to path. The shrunk schedule is preferred when available.
-func SaveFigure1Sched(res Figure1Result, path string) error {
-	schedule := res.Schedule
-	if res.MinSchedule != nil {
-		schedule = res.MinSchedule
-	}
-	prog := explore.Program(func(k kernel.Kernel, r *trace.Recorder) {
-		FigureScenario(pathexprsol.NewReadersPriority())(k, r)
-	})
-	f := explore.NewSchedFile("pathexpr", problems.NameReadersPriority, "figure", schedule)
-	f.Note = "footnote-3 readers-priority anomaly found by evalsync F1"
-	if err := f.Seal(prog, problems.CheckReadersPriority); err != nil {
-		return err
-	}
-	return f.WriteFile(path)
 }
 
 // Figure2Result is the F2 experiment outcome.
@@ -135,9 +120,7 @@ type Figure2Result struct {
 
 // RunFigure2 checks the Figure-2 solution both ways.
 func RunFigure2(opts explore.Options) Figure2Result {
-	prog := explore.Program(func(k kernel.Kernel, r *trace.Recorder) {
-		FigureScenario(pathexprsol.NewWritersPriority())(k, r)
-	})
+	prog := figureProgram(func(kernel.Kernel) problems.RWStore { return pathexprsol.NewWritersPriority() })
 	opts.RandomRuns, opts.DFSRuns = 200, 400
 	hold := explore.Run(prog, problems.CheckWritersPriority, opts)
 	inverse := explore.Run(prog, problems.CheckReadersPriority, opts)
@@ -146,16 +129,4 @@ func RunFigure2(opts explore.Options) Figure2Result {
 		ReadersPriorityViolated: inverse.Found && inverse.Err == nil,
 		Runs:                    hold.Runs + inverse.Runs,
 	}
-}
-
-// MechanismFigureCheck runs the F1 scenario against another mechanism's
-// readers-priority solution and reports whether the anomaly exists there
-// (for the paper's monitor/serializer contrast, it must not).
-func MechanismFigureCheck(db func() problems.RWStore, opts explore.Options) (anomaly bool, runs int) {
-	prog := explore.Program(func(k kernel.Kernel, r *trace.Recorder) {
-		FigureScenario(db())(k, r)
-	})
-	opts.RandomRuns, opts.DFSRuns = 200, 400
-	res := explore.Run(prog, problems.CheckReadersPriority, opts)
-	return res.Found, res.Runs
 }

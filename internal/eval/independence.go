@@ -31,31 +31,6 @@ import (
 // similarity means the change rewrote the shared exclusion constraint too
 // — the paper's verdict on path expressions.
 
-// solutionTypes maps problem names to the solution type implementing them
-// in every mechanism package (a deliberate cross-package naming
-// convention, asserted by tests).
-var solutionTypes = map[string]string{
-	problems.NameBoundedBuffer:   "BoundedBuffer",
-	problems.NameFCFS:            "FCFS",
-	problems.NameReadersPriority: "ReadersPriority",
-	problems.NameWritersPriority: "WritersPriority",
-	problems.NameFCFSRW:          "FCFSRW",
-	problems.NameDisk:            "Disk",
-	problems.NameAlarmClock:      "AlarmClock",
-	problems.NameOneSlot:         "OneSlot",
-}
-
-// pkgDirs maps mechanism keys to their solution package directories in
-// the embedded source tree.
-var pkgDirs = map[string]string{
-	"semaphore":  "semsol",
-	"ccr":        "ccrsol",
-	"pathexpr":   "pathexprsol",
-	"monitor":    "monitorsol",
-	"serializer": "serializersol",
-	"csp":        "cspsol",
-}
-
 // SolutionDecls is the extracted source of one solution: its type
 // declaration, constructor, and methods, canonically printed.
 type SolutionDecls struct {
@@ -80,7 +55,7 @@ func (s *SolutionDecls) TotalTokens() int {
 // LoadSolution extracts the declarations implementing problem in the
 // given mechanism's package from the embedded sources.
 func LoadSolution(mechanism, problem string) (*SolutionDecls, error) {
-	typeName, ok := solutionTypes[problem]
+	typeName, ok := solutions.SolutionTypes[problem]
 	if !ok {
 		return nil, fmt.Errorf("eval: unknown problem %q", problem)
 	}
@@ -96,7 +71,7 @@ func LoadSolution(mechanism, problem string) (*SolutionDecls, error) {
 // type in the mechanism's package (used by E1 for the extended-dialect
 // solutions, which have no problem-registry entry).
 func LoadNamedSolution(mechanism, typeName string) (*SolutionDecls, error) {
-	dir, ok := pkgDirs[mechanism]
+	dir, ok := solutions.SourceDirs[mechanism]
 	if !ok {
 		return nil, fmt.Errorf("eval: unknown mechanism %q", mechanism)
 	}

@@ -32,7 +32,7 @@ func StaticModularityTable() []StaticModularity {
 	var out []StaticModularity
 	for _, r := range ModularityTable() {
 		sm := StaticModularity{Mechanism: r.Mechanism}
-		pkg, err := synclint.LoadFS(solutions.Sources, pkgDirs[r.Mechanism])
+		pkg, err := synclint.LoadFS(solutions.Sources, solutions.SourceDirs[r.Mechanism])
 		if err != nil {
 			sm.Err = err
 		} else {

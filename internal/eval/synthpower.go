@@ -1,94 +1,33 @@
 package eval
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/explore"
-	"repro/internal/kernel"
 	"repro/internal/synth"
 )
 
-// SynthPowerRow aggregates one mechanism's verdicts over the generated
-// corpus, split by constraint shape: the discriminating power of the
-// synthesized problems. A correct mechanism passes everything it can
-// express; the naive-gate control exists to fail; path expressions
-// refuse the shapes outside their vocabulary.
-type SynthPowerRow struct {
-	Mechanism string
-	Shape     string
-
-	Pass          int
-	Fail          int
-	Deadlock      int
-	Error         int
-	Inexpressible int
-}
-
-// RunSynthPower fuzzes n generated problems (corpus seeds seed..seed+n-1)
-// through every synth adapter — the real mechanisms plus the naive-gate
-// control — and tabulates verdicts by mechanism and constraint shape.
-// Each problem is explored with Prune and DPOR on top of opts, at the
-// syncfuzz smoke window's budget: 100 random and 60 DFS schedules, enough
-// that the naive-gate control loses races it can lose, small enough that
-// N problems × mechanisms stays interactive. Everything downstream of the
-// seed is deterministic, so the table is a reproducible figure, not a
-// flaky sample.
-func RunSynthPower(n int, seed int64, opts explore.Options) ([]SynthPowerRow, error) {
+// RunSynthPower sweeps n generated problems (corpus seeds
+// seed..seed+n-1) through every synth adapter — the real mechanisms plus
+// the naive-gate control — and tabulates verdicts by mechanism and
+// constraint shape: the discriminating power of the synthesized problems.
+// A correct mechanism passes everything it can express; the naive-gate
+// control exists to fail; path expressions refuse the shapes outside
+// their vocabulary. Each problem is explored with Prune and DPOR on top
+// of opts, at the syncfuzz smoke window's budget: 100 random and 60 DFS
+// schedules, enough that the naive-gate control loses races it can lose,
+// small enough that N problems × mechanisms stays interactive. Everything
+// downstream of the seed is deterministic, so the table is a reproducible
+// figure, not a flaky sample.
+func RunSynthPower(n int, seed int64, opts explore.Options) ([]synth.Row, error) {
 	opts.RandomRuns, opts.DFSRuns = 100, 60
 	opts.Prune, opts.DPOR = true, true
-	cells := map[string]*SynthPowerRow{}
-	touch := func(mech, shape string) *SynthPowerRow {
-		key := mech + "\x00" + shape
-		if cells[key] == nil {
-			cells[key] = &SynthPowerRow{Mechanism: mech, Shape: shape}
-		}
-		return cells[key]
-	}
-	for i := 0; i < n; i++ {
-		pseed := seed + int64(i)
-		set := synth.Generate(pseed)
-		shape := set.Shape()
-		for _, mech := range synth.Mechanisms() {
-			cell := touch(mech, shape)
-			if err := synth.Supports(mech, set); err != nil {
-				cell.Inexpressible++
-				continue
-			}
-			prog, oracle, err := synth.Program(set, mech)
-			if err != nil {
-				return nil, fmt.Errorf("T9 %s/%s: %w", mech, set.Name, err)
-			}
-			res := explore.Run(prog, oracle, opts)
-			switch {
-			case !res.Found:
-				cell.Pass++
-			case res.Err != nil && errors.Is(res.Err, kernel.ErrDeadlock):
-				cell.Deadlock++
-			case res.Err != nil:
-				cell.Error++
-			default:
-				cell.Fail++
-			}
-		}
-	}
-	rows := make([]SynthPowerRow, 0, len(cells))
-	for _, c := range cells {
-		rows = append(rows, *c)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Mechanism != rows[j].Mechanism {
-			return rows[i].Mechanism < rows[j].Mechanism
-		}
-		return rows[i].Shape < rows[j].Shape
-	})
-	return rows, nil
+	return synth.Sweep(seed, n, synth.Mechanisms(), opts, nil)
 }
 
 // RenderSynthPower renders the T9 table.
-func RenderSynthPower(rows []SynthPowerRow, n int, seed int64) string {
+func RenderSynthPower(rows []synth.Row, n int, seed int64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "T9. Discriminating power of the generated corpus (%d problems, seed %d)\n", n, seed)
 	b.WriteString(strings.Repeat("-", 78) + "\n")

@@ -41,6 +41,7 @@ package explore
 import (
 	"errors"
 	"runtime"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/problems"
@@ -236,17 +237,9 @@ func judge(out runOut, oracle Oracle, runs int) (Result, bool) {
 	if out.err != nil {
 		return finding(out, nil, out.err, runs), true
 	}
-	if out.streamed {
-		// The streaming checker judged this run event by event; a
-		// completed run with no stream findings is clean, so the batch
-		// oracle is skipped entirely.
-		if len(out.streamVs) > 0 {
-			return finding(out, append([]problems.Violation(nil), out.streamVs...), nil, runs), true
-		}
-		return Result{}, false
-	}
-	if vs := oracle(out.tr); len(vs) > 0 {
-		return finding(out, vs, nil, runs), true
+	if vs := out.violations(oracle); len(vs) > 0 {
+		// Copied: a streamed verdict lives in the slot's buffer.
+		return finding(out, slices.Clone(vs), nil, runs), true
 	}
 	return Result{}, false
 }

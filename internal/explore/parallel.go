@@ -55,9 +55,18 @@ type runOut struct {
 	deps     []kernel.DepAccess
 	readyIDs []int32
 	causes   []int32
-	streamVs []problems.Violation
-	streamed bool // a streaming checker judged this run
 	slot     *runSlot
+}
+
+// violations is the run's verdict: the streaming checker's findings when
+// one judged the run event by event, else the batch oracle's. Like the
+// other views, a streamed verdict is valid only until the slot is
+// released.
+func (out runOut) violations(oracle Oracle) []problems.Violation {
+	if out.slot.stream != nil {
+		return out.slot.vs
+	}
+	return oracle(out.tr)
 }
 
 // runSlot bundles the per-run machinery — a kernel, its recorder, and
@@ -137,6 +146,24 @@ func (e *executor) acquire() *runSlot {
 	return s
 }
 
+// runProg runs prog on the slot's reset kernel and returns the outcome
+// as views into the slot's buffers.
+func (s *runSlot) runProg(prog Program) runOut {
+	prog(s.k, s.r)
+	err := s.k.Run()
+	return runOut{
+		schedule: s.k.ChoicesView(),
+		tr:       s.r.Snapshot(),
+		err:      err,
+		fps:      s.k.StepFingerprints(),
+		visible:  s.k.StepVisibility(),
+		deps:     s.k.DepAccesses(),
+		readyIDs: s.k.ReadySetIDs(),
+		causes:   s.k.ReadyCauses(),
+		slot:     s,
+	}
+}
+
 // release returns out's slot to the freelist. Call only once every view
 // in out (schedule, trace, fingerprints, visibility) has been consumed or
 // copied; a released slot's next run overwrites them all.
@@ -165,21 +192,7 @@ func (e *executor) run(prog Program, policy kernel.Policy) runOut {
 		s.stream.Reset()
 		s.vs = s.vs[:0]
 	}
-	prog(s.k, s.r)
-	err := s.k.Run()
-	return runOut{
-		schedule: s.k.ChoicesView(),
-		tr:       s.r.Snapshot(),
-		err:      err,
-		fps:      s.k.StepFingerprints(),
-		visible:  s.k.StepVisibility(),
-		deps:     s.k.DepAccesses(),
-		readyIDs: s.k.ReadySetIDs(),
-		causes:   s.k.ReadyCauses(),
-		streamVs: s.vs,
-		streamed: s.stream != nil,
-		slot:     s,
-	}
+	return s.runProg(prog)
 }
 
 // runFrom executes prog resuming from a checkpoint: the kernel re-drives
@@ -206,21 +219,7 @@ func (e *executor) runFrom(prog Program, snap *kernel.Snapshot, prefix trace.Tra
 			}
 		}
 	}
-	prog(s.k, s.r)
-	err := s.k.Run()
-	return runOut{
-		schedule: s.k.ChoicesView(),
-		tr:       s.r.Snapshot(),
-		err:      err,
-		fps:      s.k.StepFingerprints(),
-		visible:  s.k.StepVisibility(),
-		deps:     s.k.DepAccesses(),
-		readyIDs: s.k.ReadySetIDs(),
-		causes:   s.k.ReadyCauses(),
-		streamVs: s.vs,
-		streamed: s.stream != nil,
-		slot:     s,
-	}
+	return s.runProg(prog)
 }
 
 // randomLead is how many seeds per worker the random phase's claims may
@@ -387,13 +386,7 @@ func (s auditSet) addRun(out runOut, oracle Oracle) {
 		}
 		return
 	}
-	if out.streamed {
-		for _, v := range out.streamVs {
-			s[v.Rule] = true
-		}
-		return
-	}
-	for _, v := range oracle(out.tr) {
+	for _, v := range out.violations(oracle) {
 		s[v.Rule] = true
 	}
 }

@@ -47,6 +47,22 @@ const (
 	KernelErrOther    = "error"
 )
 
+// Scenario names are the SchedFile.Scenario values this repository seals.
+// Each says how Mechanism and Problem name the program a replay rebuilds.
+const (
+	// ScenarioFigure: the footnote-3 arrival pattern on a mechanism's
+	// readers-priority or writers-priority solution.
+	ScenarioFigure = "figure"
+	// ScenarioStandard: a mechanism's solution under the standard
+	// workload of a canonical problem.
+	ScenarioStandard = "standard"
+	// ScenarioSynth: generated problem "synth/<seed>" under a synth
+	// adapter, the naive-gate control included.
+	ScenarioSynth = "synth"
+	// ScenarioXCheck: synclint's seeded cyclic-wait fixture.
+	ScenarioXCheck = "xcheck"
+)
+
 // SchedFile is the on-disk schedule artifact. Mechanism, Problem, and
 // Scenario identify the program to rebuild at replay time; Fingerprint,
 // Rules, and KernelError pin what the replay must reproduce.
@@ -55,7 +71,7 @@ type SchedFile struct {
 	Kind        string   `json:"kind"`
 	Mechanism   string   `json:"mechanism,omitempty"`
 	Problem     string   `json:"problem,omitempty"`
-	Scenario    string   `json:"scenario,omitempty"` // "figure" or "standard"
+	Scenario    string   `json:"scenario,omitempty"` // one of the Scenario* names
 	Note        string   `json:"note,omitempty"`
 	MaxSteps    int64    `json:"max_steps,omitempty"`
 	Fingerprint string   `json:"fingerprint"` // %016x kernel run fingerprint

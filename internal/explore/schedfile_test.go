@@ -42,7 +42,7 @@ func TestSchedFileRoundTripT4Suite(t *testing.T) {
 				schedule := append([]kernel.Choice(nil), out.schedule...)
 				e.release(out)
 
-				f := NewSchedFile(suite.Mechanism, problem, "standard", schedule)
+				f := NewSchedFile(suite.Mechanism, problem, ScenarioStandard, schedule)
 				if err := f.Seal(Program(prog), check); err != nil {
 					t.Fatalf("Seal: %v", err)
 				}
@@ -90,7 +90,7 @@ func TestSchedFileGolden(t *testing.T) {
 			t.Fatalf("cannot regenerate golden: found=%v err=%v min=%v",
 				res.Found, res.Err, res.MinSchedule)
 		}
-		f := NewSchedFile("pathexpr", problems.NameReadersPriority, "figure", res.MinSchedule)
+		f := NewSchedFile("pathexpr", problems.NameReadersPriority, ScenarioFigure, res.MinSchedule)
 		f.Note = "shrunk footnote-3 readers-priority violation (golden artifact)"
 		if err := f.Seal(prog, oracle); err != nil {
 			t.Fatalf("Seal: %v", err)
@@ -130,7 +130,7 @@ func TestSchedFileRejects(t *testing.T) {
 	out := e.run(prog, kernel.Random(3))
 	schedule := append([]kernel.Choice(nil), out.schedule...)
 	e.release(out)
-	good := NewSchedFile("pathexpr", problems.NameReadersPriority, "figure", schedule)
+	good := NewSchedFile("pathexpr", problems.NameReadersPriority, ScenarioFigure, schedule)
 	if err := good.Seal(prog, oracle); err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
@@ -157,7 +157,7 @@ func TestSchedFileRejects(t *testing.T) {
 		}
 	})
 	t.Run("unsealed", func(t *testing.T) {
-		f := NewSchedFile("pathexpr", problems.NameReadersPriority, "figure", schedule)
+		f := NewSchedFile("pathexpr", problems.NameReadersPriority, ScenarioFigure, schedule)
 		if _, _, err := f.Verify(prog, oracle); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 			t.Fatalf("err = %v", err)
 		}

@@ -29,7 +29,6 @@ import (
 	"errors"
 
 	"repro/internal/kernel"
-	"repro/internal/problems"
 )
 
 // shrinkTarget is the violation the minimized schedule must preserve:
@@ -84,13 +83,7 @@ func (tgt shrinkTarget) matches(out runOut, oracle Oracle) bool {
 	if tgt.wantErr {
 		return false
 	}
-	var vs []problems.Violation
-	if out.streamed {
-		vs = out.streamVs
-	} else {
-		vs = oracle(out.tr)
-	}
-	for _, v := range vs {
+	for _, v := range out.violations(oracle) {
 		if tgt.rules[v.Rule] {
 			return true
 		}

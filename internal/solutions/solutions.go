@@ -29,6 +29,30 @@ import (
 //go:embed ccrsol/*.go cspsol/*.go monitorsol/*.go pathexprsol/*.go semsol/*.go serializersol/*.go
 var Sources embed.FS
 
+// SourceDirs maps each of the six mechanism keys to its package
+// directory in Sources.
+var SourceDirs = map[string]string{
+	"semaphore":  "semsol",
+	"ccr":        "ccrsol",
+	"pathexpr":   "pathexprsol",
+	"monitor":    "monitorsol",
+	"serializer": "serializersol",
+	"csp":        "cspsol",
+}
+
+// SolutionTypes maps each standard problem to the type that solves it in
+// every package of Sources: a naming convention the packages share.
+var SolutionTypes = map[string]string{
+	problems.NameBoundedBuffer:   "BoundedBuffer",
+	problems.NameFCFS:            "FCFS",
+	problems.NameReadersPriority: "ReadersPriority",
+	problems.NameWritersPriority: "WritersPriority",
+	problems.NameFCFSRW:          "FCFSRW",
+	problems.NameDisk:            "Disk",
+	problems.NameAlarmClock:      "AlarmClock",
+	problems.NameOneSlot:         "OneSlot",
+}
+
 // Suite is one mechanism's complete set of problem solutions. Factories
 // take the kernel because message-passing solutions spawn server daemons;
 // shared-memory solutions ignore it.

@@ -11,10 +11,10 @@
 //
 // Backward (MissAudit): the repository's sealed counterexample corpus
 // is replayed against the static pass — every deadlock-class schedule
-// must come from a package the lockorder analyzer flags. Exploration
-// thereby becomes a regression corpus for the static analyzers: a
-// future analyzer change that stops seeing a realized deadlock fails
-// the audit.
+// of a solution or of the fixture must come from a package the
+// lockorder analyzer flags. Exploration thereby becomes a regression
+// corpus for the static analyzers: a future analyzer change that stops
+// seeing a realized deadlock fails the audit.
 package xcheck
 
 import (
@@ -34,60 +34,19 @@ import (
 	"repro/internal/trace"
 )
 
-// FixtureMechanism, FixtureProblem, and FixtureScenario identify the
-// seeded cyclic-wait fixture in sealed schedule files; cmd/simtrace
-// resolves FixtureScenario back to cyclicfix.Program at replay time.
+// FixtureMechanism and FixtureProblem identify the seeded cyclic-wait
+// fixture in sealed schedule files, whose scenario is
+// explore.ScenarioXCheck.
 const (
 	FixtureMechanism = "fixture"
 	FixtureProblem   = "cyclic-wait"
-	FixtureScenario  = "xcheck"
 )
-
-// solutionDirs maps mechanism keys to their package directory inside
-// solutions.Sources.
-var solutionDirs = map[string]string{
-	"semaphore":  "semsol",
-	"ccr":        "ccrsol",
-	"pathexpr":   "pathexprsol",
-	"monitor":    "monitorsol",
-	"serializer": "serializersol",
-	"csp":        "cspsol",
-}
-
-// typeProblems maps a solution type to the standard problem that
-// exercises it. Unexported server types are reached through their
-// exported fronts, which share the type name prefix rendering below.
-var typeProblems = map[string]string{
-	"BoundedBuffer":   problems.NameBoundedBuffer,
-	"FCFS":            problems.NameFCFS,
-	"ReadersPriority": problems.NameReadersPriority,
-	"WritersPriority": problems.NameWritersPriority,
-	"FCFSRW":          problems.NameFCFSRW,
-	"Disk":            problems.NameDisk,
-	"AlarmClock":      problems.NameAlarmClock,
-	"OneSlot":         problems.NameOneSlot,
-}
 
 // SeedAnalyzers are the analyzers whose findings seed hunts: the two
 // whose hazard classes exploration can actually realize (a cyclic wait
 // deadlocks the kernel; a lost wakeup strands a sleeper).
 func SeedAnalyzers() []*synclint.Analyzer {
 	return []*synclint.Analyzer{synclint.LockOrderAnalyzer, synclint.LostWakeupAnalyzer}
-}
-
-// Options configures the hunts.
-type Options struct {
-	// RandomRuns and DFSRuns are per-hunt exploration budgets
-	// (explore.Options semantics; zero values take explore's defaults).
-	RandomRuns int
-	DFSRuns    int
-	// Workers throttles each hunt's parallelism; 0 = GOMAXPROCS.
-	Workers int
-	// SchedDir, when non-empty, receives a sealed .sched artifact for
-	// every confirmed finding.
-	SchedDir string
-	// Progress receives each hunt's stats snapshots when non-nil.
-	Progress func(explore.Stats)
 }
 
 // Row is the outcome of cross-validating one static finding.
@@ -102,8 +61,8 @@ type Row struct {
 	Status string
 	// Runs is the number of schedules the hunt judged.
 	Runs int
-	// SchedPath is the sealed artifact for confirmed findings when
-	// Options.SchedDir was set.
+	// SchedPath is the sealed artifact for confirmed findings when Run
+	// was given a schedule directory.
 	SchedPath string
 }
 
@@ -116,8 +75,13 @@ type target struct {
 }
 
 // Run analyzes every target package, hunts each finding, and returns
-// the rows sorted by mechanism, problem, position.
-func Run(opts Options) ([]Row, error) {
+// the rows sorted by mechanism, problem, position. Each hunt explores
+// with opts plus Prune and Shrink; opts sets the budgets, the workers,
+// any further reduction or audit, and the progress callback. When
+// schedDir is non-empty every confirmed finding seals a .sched artifact
+// there.
+func Run(opts explore.Options, schedDir string) ([]Row, error) {
+	opts.Prune, opts.Shrink = true, true
 	targets, err := loadTargets()
 	if err != nil {
 		return nil, err
@@ -144,22 +108,15 @@ func Run(opts Options) ([]Row, error) {
 			key := huntKey{tgt.mechanism, problem}
 			res := hunted[key]
 			if res == nil {
-				r := explore.Run(prog, oracle, explore.Options{
-					RandomRuns: opts.RandomRuns,
-					DFSRuns:    opts.DFSRuns,
-					Workers:    opts.Workers,
-					Prune:      true,
-					Shrink:     true,
-					Progress:   opts.Progress,
-				})
+				r := explore.Run(prog, oracle, opts)
 				res = &r
 				hunted[key] = res
 			}
 			row.Runs = res.Runs
 			if res.Found {
 				row.Status = "confirmed"
-				if opts.SchedDir != "" {
-					path, err := seal(opts.SchedDir, tgt.mechanism, problem, scenario, prog, oracle, res)
+				if schedDir != "" {
+					path, err := seal(schedDir, tgt.mechanism, problem, scenario, prog, oracle, res)
 					if err != nil {
 						return nil, err
 					}
@@ -191,7 +148,7 @@ func loadTargets() ([]target, error) {
 	var targets []target
 	for _, suite := range solutions.All() {
 		suite := suite
-		dir := solutionDirs[suite.Mechanism]
+		dir := solutions.SourceDirs[suite.Mechanism]
 		if dir == "" {
 			return nil, fmt.Errorf("xcheck: no source directory for mechanism %q", suite.Mechanism)
 		}
@@ -207,7 +164,7 @@ func loadTargets() ([]target, error) {
 				if err != nil {
 					return nil, nil, "", err
 				}
-				return explore.Program(prog), check, "standard", nil
+				return prog, check, explore.ScenarioStandard, nil
 			},
 		})
 	}
@@ -219,7 +176,7 @@ func loadTargets() ([]target, error) {
 		mechanism: FixtureMechanism,
 		pkg:       fixture,
 		program: func(string) (explore.Program, explore.Oracle, string, error) {
-			return cyclicfix.Program, nilOracle, FixtureScenario, nil
+			return cyclicfix.Program, nilOracle, explore.ScenarioXCheck, nil
 		},
 	})
 	return targets, nil
@@ -238,19 +195,20 @@ func problemForType(mechanism, typeName string) (string, bool) {
 	if typeName == "" {
 		return "", false
 	}
-	// Exact match first, then prefix (cspsol's rwServer-style backends
-	// keep their front's name as a prefix: "Disk" matches "diskServer"
-	// only via the exported front, so prefix matching runs on the
-	// exported names).
-	if p, ok := typeProblems[typeName]; ok {
-		return p, true
-	}
-	for name, p := range typeProblems {
-		if strings.HasPrefix(typeName, name) {
-			return p, true
+	// Exact match first, then the longest type name that prefixes it
+	// (cspsol's rwServer-style backends keep their front's name as a
+	// prefix: "Disk" matches "diskServer" only via the exported front, so
+	// prefix matching runs on the exported names).
+	best, bestLen := "", 0
+	for problem, name := range solutions.SolutionTypes {
+		if typeName == name {
+			return problem, true
+		}
+		if strings.HasPrefix(typeName, name) && len(name) > bestLen {
+			best, bestLen = problem, len(name)
 		}
 	}
-	return "", false
+	return best, best != ""
 }
 
 // enclosingType finds the receiver type of the function containing a
@@ -370,18 +328,27 @@ func MissAudit(dir string) ([]AuditRow, error) {
 	return rows, nil
 }
 
-// auditDeadlock checks that the package a deadlock artifact was hunted
-// on is still flagged by the lockorder analyzer (allows ignored — an
-// annotation must not hide a realized deadlock from the audit).
+// auditDeadlock checks, by the artifact's scenario, that the package a
+// deadlock was hunted on is still flagged by the lockorder analyzer
+// (allows ignored — an annotation must not hide a realized deadlock from
+// the audit). A generated problem has no such package: its deadlocks are
+// dynamic-only.
 func auditDeadlock(f *explore.SchedFile) (verdict, detail string) {
 	var pkg *synclint.Package
 	var err error
-	if f.Scenario == FixtureScenario {
+	switch f.Scenario {
+	case explore.ScenarioSynth:
+		return "dynamic-only", "a generated problem wedges through its constraint set or an adapter's admission policy, not a lock-order cycle"
+	case explore.ScenarioXCheck:
 		pkg, err = synclint.LoadFS(cyclicfix.Source, ".")
-	} else if dir := solutionDirs[f.Mechanism]; dir != "" {
+	case explore.ScenarioFigure, explore.ScenarioStandard:
+		dir := solutions.SourceDirs[f.Mechanism]
+		if dir == "" {
+			return "MISS", fmt.Sprintf("no source package known for mechanism %q", f.Mechanism)
+		}
 		pkg, err = synclint.LoadFS(solutions.Sources, dir)
-	} else {
-		return "MISS", fmt.Sprintf("no source package known for mechanism %q", f.Mechanism)
+	default:
+		return "MISS", fmt.Sprintf("unknown scenario %q", f.Scenario)
 	}
 	if err != nil {
 		return "MISS", err.Error()

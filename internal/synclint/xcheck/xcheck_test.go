@@ -16,7 +16,7 @@ import (
 // reasons with a budgeted hunt.
 func TestGateEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	rows, err := Run(Options{RandomRuns: 60, DFSRuns: 200, SchedDir: dir})
+	rows, err := Run(explore.Options{RandomRuns: 60, DFSRuns: 200}, dir)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -86,6 +86,28 @@ func TestMissAuditCorpus(t *testing.T) {
 	if Missed(rows) {
 		t.Fatalf("corpus audit reported a miss: %+v", rows)
 	}
+}
+
+// TestMissAuditSynthDeadlock classifies a sealed deadlock of a generated
+// problem (the make fuzz window's synth-31 under ccr): no solution
+// package stands behind it, so it is dynamic-only, not a MISS.
+func TestMissAuditSynthDeadlock(t *testing.T) {
+	rows, err := MissAudit(filepath.Join("..", "..", "eval", "testdata"))
+	if err != nil {
+		t.Fatalf("MissAudit: %v", err)
+	}
+	if Missed(rows) {
+		t.Fatalf("audit reported a miss: %+v", rows)
+	}
+	for _, r := range rows {
+		if r.File == "synth-31-ccr.sched" {
+			if r.Class != "deadlock" || r.Verdict != "dynamic-only" {
+				t.Fatalf("synth deadlock audited as %+v, want a dynamic-only deadlock", r)
+			}
+			return
+		}
+	}
+	t.Fatalf("no row for synth-31-ccr.sched: %+v", rows)
 }
 
 // TestFixtureFlaggedWithAllowsHonored pins the dual contract: the

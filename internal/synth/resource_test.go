@@ -119,7 +119,7 @@ func TestNaiveGateIsCaughtAndSealed(t *testing.T) {
 	if len(sched) == 0 {
 		sched = res.Schedule
 	}
-	f := explore.NewSchedFile(NaiveGate, set.Name, "synth", sched)
+	f := explore.NewSchedFile(NaiveGate, set.Name, explore.ScenarioSynth, sched)
 	if err := f.Seal(prog, oracle); err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
