@@ -34,30 +34,29 @@ lint:
 # checkpointed-DFS batch/stream rows, and the prune/DPOR
 # schedules-to-finding/-exhaustion hunts — plus the simulated kernel's
 # context-switch benchmark, the random policy's reseed-and-pick cost
-# (BenchmarkRandomPolicy), the schedule-space counter's
-# (BenchmarkCoverage), the synth derived oracle's cost per judged run
-# (BenchmarkSynthCheck) and interval pairing's, for one process in
+# (BenchmarkRandomPolicy), the synth derived oracle's cost per judged
+# run (BenchmarkSynthCheck) and interval pairing's, for one process in
 # series and for 256 requests in flight
 # (BenchmarkIntervalsReconstruction). It archives the numbers (ns/op,
-# B/op, allocs/op, schedules/sec, schedules-to-finding, schedules-to-exhaustion,
-# explored-fraction per variant; switches/sec for the kernel;
-# counts/sec for the counter) into BENCH_explore.json. The file is a
+# B/op, allocs/op, schedules/sec, schedules-to-finding and
+# schedules-to-exhaustion per variant; switches/sec for the kernel)
+# into BENCH_explore.json. An exhaustion row fails unless the search is
+# Exhausted: the frontier emptied and no run was cut. The file is a
 # committed baseline: benchjson merges fresh runs into it line by line
 # instead of overwriting, so a partial -bench filter never loses the
 # other variants. Override BENCHTIME (e.g. BENCHTIME=1x) for a smoke
 # run. -p 1 runs one package's benchmarks at a time, so no package's
 # build or benchmark competes with another's timed loop for the CPUs.
-BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch|BenchmarkRandomPolicy|BenchmarkCoverage|BenchmarkSynthCheck|BenchmarkIntervalsReconstruction
-BENCHPKGS := . ./internal/kernel ./internal/explore ./internal/synth ./internal/trace
+BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch|BenchmarkRandomPolicy|BenchmarkSynthCheck|BenchmarkIntervalsReconstruction
+BENCHPKGS := . ./internal/kernel ./internal/synth ./internal/trace
 bench:
 	$(GO) test -p 1 -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime $(BENCHTIME) -count 1 $(BENCHPKGS) \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_explore.json
 
 # bench-check regression-gates a fresh bench run against the committed
 # BENCH_explore.json baseline: any variant whose goodness ratio on a
-# gated metric (schedules/sec, explored-fraction, switches/sec and
-# counts/sec up, schedules-to-finding and schedules-to-exhaustion
-# down) falls below TOLERANCE fails. Metrics the baseline predates are skipped, so a
+# gated metric (schedules/sec and switches/sec up, schedules-to-finding
+# and schedules-to-exhaustion down) falls below TOLERANCE fails. Metrics the baseline predates are skipped, so a
 # pre-DPOR baseline never fails a post-DPOR run. CI runs this after
 # the bench smoke.
 TOLERANCE ?= 0.8
@@ -157,8 +156,8 @@ hunt:
 # dpor-audit proves the partial-order reduction sound on this tree: the
 # full T4 conformance matrix runs with every search doubled — reduced,
 # then unreduced at the same budget — and fails if the reduction missed
-# any violation rule, then the per-scenario coverage table (T8) reports
-# how much of each schedule space the reduced search proved covered.
+# any violation rule, then the per-scenario table (T8) reports how many
+# runs the depth bound cut and which searches exhausted.
 dpor-audit:
 	$(GO) test -run TestDPORMatchesFull ./internal/explore/
 	$(GO) run ./cmd/evalsync -experiment T8

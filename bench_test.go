@@ -178,8 +178,7 @@ func BenchmarkE1CheckpointDFS(b *testing.B) {
 // that the anomaly hides in a ~2^36 schedule space — and reports how
 // many schedules the search judged before finding it. Unlike the
 // throughput benches above, fewer is better here: this is the metric
-// partial-order reduction exists to shrink. With DPOR on, the
-// analytically covered fraction of the schedule space rides along.
+// partial-order reduction exists to shrink.
 func benchSchedulesToFinding(b *testing.B, opts explore.Options) {
 	suite, _ := solutions.ByMechanism("pathexpr")
 	cfg := problems.RWConfig{Readers: 3, Writers: 2, Rounds: 1,
@@ -208,8 +207,8 @@ func benchSchedulesToFinding(b *testing.B, opts explore.Options) {
 // frontier empties, and reports how many schedules that took. This is
 // the repo's first schedules-to-exhaustion number: before DPOR the
 // search had no way to know it was done with the space, only with its
-// budget. The explored fraction is 1 by definition at exhaustion — the
-// metric line pins that the engine still proves full coverage.
+// budget. A run fails unless the search is Exhausted, which proves full
+// coverage: the frontier emptied and no run was cut.
 func benchSchedulesToExhaustion(b *testing.B, opts explore.Options) {
 	suite, _ := solutions.ByMechanism("monitor")
 	prog := explore.Program(func(k kernel.Kernel, r *trace.Recorder) {
@@ -225,16 +224,13 @@ func benchSchedulesToExhaustion(b *testing.B, opts explore.Options) {
 			b.Fatal("unexpected finding")
 		}
 		if !res.Stats.Exhausted {
-			b.Fatalf("budget %d too small: frontier not exhausted after %d runs", opts.DFSRuns, res.Runs)
+			b.Fatalf("not exhausted after %d runs (budget %d, %d runs cut)", res.Runs, opts.DFSRuns, res.Stats.CutRuns)
 		}
 		total += res.Runs
 		last = res
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "schedules/sec")
 	b.ReportMetric(float64(last.Runs), "schedules-to-exhaustion")
-	if opts.DPOR {
-		b.ReportMetric(last.Stats.ExploredFraction, "explored-fraction")
-	}
 }
 
 // BenchmarkE1SchedulesToFinding compares how many schedules fingerprint
@@ -243,8 +239,7 @@ func benchSchedulesToExhaustion(b *testing.B, opts explore.Options) {
 // prove the whole schedule space covered (the searches are
 // deterministic, so the counts are exact, not sampled). The committed
 // baseline archives all six lines; `make bench-check` gates
-// schedules-to-finding and schedules-to-exhaustion downward and
-// explored-fraction upward.
+// schedules-to-finding and schedules-to-exhaustion downward.
 func BenchmarkE1SchedulesToFinding(b *testing.B) {
 	base := explore.Options{RandomRuns: -1, DFSRuns: 200000, DFSDepth: 48, Workers: 1}
 	exhaust := explore.Options{RandomRuns: -1, DFSRuns: 500000, Workers: 1}

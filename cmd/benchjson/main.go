@@ -24,12 +24,12 @@
 //
 // With -compare it gates instead of archiving: given a baseline report
 // and a fresh one, every benchmark present in both is checked on the
-// gated metrics — schedules/sec, explored-fraction and switches/sec
-// (higher is better), schedules-to-finding (lower is better) — and the
-// run exits non-zero if any goodness ratio fell below tolerance. Metrics the
-// baseline predates (pre-DPOR reports have no schedules-to-finding)
-// are skipped, not failed. CI runs this after the bench smoke so an
-// exploration-engine regression fails the build.
+// gated metrics — schedules/sec and switches/sec (higher is better),
+// schedules-to-finding and schedules-to-exhaustion (lower is better) —
+// and the run exits non-zero if any goodness ratio fell below tolerance.
+// Metrics the baseline predates (pre-DPOR reports have no
+// schedules-to-finding) are skipped, not failed. CI runs this after the
+// bench smoke so an exploration-engine regression fails the build.
 //
 // With -ab it compares paired perfbench runs of two trees, as make ab
 // records them, on BENCHMARK.json's end-to-end metrics (see ab.go).
@@ -89,7 +89,7 @@ type Report struct {
 func main() {
 	out := flag.String("o", "", "write JSON here instead of stdout; an existing bench report is merged into, not overwritten")
 	loadMode := flag.Bool("load", false, "ingest a syncload report instead of bench output")
-	compareMode := flag.Bool("compare", false, "compare two reports (baseline.json fresh.json) on the gated metrics (schedules/sec, schedules-to-finding, explored-fraction, switches/sec); exit non-zero on regression")
+	compareMode := flag.Bool("compare", false, "compare two reports (baseline.json fresh.json) on the gated metrics (schedules/sec, schedules-to-finding, schedules-to-exhaustion, switches/sec); exit non-zero on regression")
 	loadCompareMode := flag.Bool("load-compare", false, "compare two syncload reports (baseline.json fresh.json) on throughput and p99 latency; exit non-zero on regression")
 	tolerance := flag.Float64("tolerance", 0.8, "with -compare/-load-compare, minimum acceptable goodness ratio (fresh/baseline, inverted for lower-is-better metrics)")
 	abMode := flag.Bool("ab", false, "compare paired perfbench runs (BENCHMARK.json runs.ndjson, as make ab writes them) per end-to-end metric: medians with quartiles, ratio, wins and a verdict; exit non-zero if a metric is worse beyond its bound or a run failed")
@@ -215,12 +215,12 @@ func mergeReports(base, fresh Report) Report {
 // direction that counts as better. schedules/sec is the engine's raw
 // throughput; schedules-to-finding is how many schedules the reduced
 // search judges before the Figure-1 anomaly (fewer is the whole point
-// of DPOR); explored-fraction is the analytically covered share of the
-// schedule space; switches/sec is the simulated kernel's context-switch
-// rate (BenchmarkSimContextSwitch), the layer under every schedule;
-// counts/sec is the schedule-space counter's rate (BenchmarkCoverage),
-// run once per DPOR search. ns/op is deliberately not gated — wall-clock
-// per hunt moves with budget choices, while these are figures of merit.
+// of DPOR); schedules-to-exhaustion is how many it judges before it
+// proves the clean footnote-3 scenario covered; switches/sec is the
+// simulated kernel's context-switch rate (BenchmarkSimContextSwitch),
+// the layer under every schedule. ns/op is deliberately not gated —
+// wall-clock per hunt moves with budget choices, while these are
+// figures of merit.
 var gatedMetrics = []struct {
 	unit         string
 	higherBetter bool
@@ -228,9 +228,7 @@ var gatedMetrics = []struct {
 	{"schedules/sec", true},
 	{"schedules-to-finding", false},
 	{"schedules-to-exhaustion", false},
-	{"explored-fraction", true},
 	{"switches/sec", true},
-	{"counts/sec", true},
 }
 
 // compareReports checks every benchmark present in both reports on each

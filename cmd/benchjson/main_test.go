@@ -209,22 +209,23 @@ func TestCompareReports(t *testing.T) {
 	}
 }
 
-// Direction-aware gating: schedules-to-finding regresses when it grows,
-// explored-fraction when it shrinks, and a baseline that predates a
-// metric (pre-DPOR reports) skips that metric instead of failing.
+// Direction-aware gating: schedules-to-finding and
+// schedules-to-exhaustion regress when they grow, and a baseline that
+// predates a metric (pre-DPOR reports) skips that metric instead of
+// failing.
 func TestCompareReportsDirectionAware(t *testing.T) {
 	bench := func(m map[string]float64) Benchmark {
 		return Benchmark{Name: "BenchmarkE1SchedulesToFinding/dpor-prune", Iterations: 1, Metrics: m}
 	}
 	base := writeReport(t, "base.json", Report{Benchmarks: []Benchmark{bench(map[string]float64{
-		"schedules-to-finding": 100, "explored-fraction": 0.5,
+		"schedules-to-finding": 100, "schedules-to-exhaustion": 150,
 	})}})
 
-	// Fewer schedules to the finding and a larger covered fraction both
-	// count as improvements.
+	// Fewer schedules to the finding and to exhaustion both count as
+	// improvements.
 	var out strings.Builder
 	ok, err := compareReports(base, writeReport(t, "better.json", Report{Benchmarks: []Benchmark{
-		bench(map[string]float64{"schedules-to-finding": 40, "explored-fraction": 0.9}),
+		bench(map[string]float64{"schedules-to-finding": 40, "schedules-to-exhaustion": 100}),
 	}}), 0.8, &out)
 	if err != nil || !ok {
 		t.Fatalf("improvement flagged: ok=%v err=%v\n%s", ok, err, out.String())
@@ -233,7 +234,7 @@ func TestCompareReportsDirectionAware(t *testing.T) {
 	// Needing more schedules is a regression even though the number went up.
 	out.Reset()
 	ok, err = compareReports(base, writeReport(t, "slower.json", Report{Benchmarks: []Benchmark{
-		bench(map[string]float64{"schedules-to-finding": 200, "explored-fraction": 0.5}),
+		bench(map[string]float64{"schedules-to-finding": 200, "schedules-to-exhaustion": 150}),
 	}}), 0.8, &out)
 	if err != nil || ok {
 		t.Fatalf("schedules-to-finding growth not caught: ok=%v err=%v\n%s", ok, err, out.String())
@@ -242,13 +243,13 @@ func TestCompareReportsDirectionAware(t *testing.T) {
 		t.Fatalf("missing regression line:\n%s", out.String())
 	}
 
-	// A shrinking explored fraction is a regression too.
+	// So is needing more schedules to exhaustion.
 	out.Reset()
-	ok, err = compareReports(base, writeReport(t, "thinner.json", Report{Benchmarks: []Benchmark{
-		bench(map[string]float64{"schedules-to-finding": 100, "explored-fraction": 0.1}),
+	ok, err = compareReports(base, writeReport(t, "longer.json", Report{Benchmarks: []Benchmark{
+		bench(map[string]float64{"schedules-to-finding": 100, "schedules-to-exhaustion": 600}),
 	}}), 0.8, &out)
 	if err != nil || ok {
-		t.Fatalf("explored-fraction drop not caught: ok=%v err=%v\n%s", ok, err, out.String())
+		t.Fatalf("schedules-to-exhaustion growth not caught: ok=%v err=%v\n%s", ok, err, out.String())
 	}
 
 	// A pre-DPOR baseline knows only schedules/sec: the new metrics are
@@ -259,35 +260,23 @@ func TestCompareReportsDirectionAware(t *testing.T) {
 	}})
 	out.Reset()
 	ok, err = compareReports(preDPOR, writeReport(t, "post.json", Report{Benchmarks: []Benchmark{
-		bench(map[string]float64{"schedules/sec": 950, "schedules-to-finding": 40, "explored-fraction": 0.9}),
+		bench(map[string]float64{"schedules/sec": 950, "schedules-to-finding": 40, "schedules-to-exhaustion": 100}),
 	}}), 0.8, &out)
 	if err != nil || !ok {
 		t.Fatalf("pre-DPOR baseline should pass: ok=%v err=%v\n%s", ok, err, out.String())
 	}
 	if !strings.Contains(out.String(), "predates the schedules-to-finding metric") ||
-		!strings.Contains(out.String(), "predates the explored-fraction metric") {
+		!strings.Contains(out.String(), "predates the schedules-to-exhaustion metric") {
 		t.Fatalf("missing pre-DPOR skip lines:\n%s", out.String())
 	}
 }
 
-// The kernel's context-switch rate is gated higher-is-better, and a
-// baseline row archived before the benchmark reported it skips the
-// metric instead of failing.
+// The kernel's context-switch rate is gated higher-is-better: faster and
+// within-tolerance runs pass, a slower one fails, and a baseline row
+// archived before the benchmark reported it skips the metric while the
+// throughput row beside it still gates.
 func TestCompareReportsSwitchesPerSec(t *testing.T) {
-	checkRateGate(t, "BenchmarkSimContextSwitch", "switches/sec", 2.5e6)
-}
-
-// So is the schedule-space counter's rate (BenchmarkCoverage).
-func TestCompareReportsCountsPerSec(t *testing.T) {
-	checkRateGate(t, "BenchmarkCoverage", "counts/sec", 2e4)
-}
-
-// checkRateGate pins a higher-is-better rate metric of one benchmark:
-// faster and within-tolerance runs pass, a slower one fails, and a
-// baseline row without the metric skips it while the throughput row
-// beside it still gates.
-func checkRateGate(t *testing.T, name, unit string, rate float64) {
-	t.Helper()
+	const name, unit, rate = "BenchmarkSimContextSwitch", "switches/sec", 2.5e6
 	bench := func(m map[string]float64) Benchmark {
 		return Benchmark{Name: name, CPUs: 2, Iterations: 1, Metrics: m}
 	}

@@ -19,8 +19,9 @@
 //	T6  CSP evaluated with the same methodology (the paper's §6)
 //	T7  static lockorder/lostwakeup findings cross-validated by
 //	    schedule exploration (the synclint xcheck gate)
-//	T8  schedule-space coverage under partial-order reduction, one row
-//	    per T4 pairing (opt-in: runs only as -experiment T8, never in all)
+//	T8  exhaustion under partial-order reduction: runs, cut runs and
+//	    whether the search exhausted, one row per T4 pairing (opt-in:
+//	    runs only as -experiment T8, never in all)
 //	T9  discriminating power of the generated constraint corpus: verdict
 //	    counts by mechanism × constraint shape, naive-gate control
 //	    included (opt-in: runs only as -experiment T9, never in all)
@@ -52,7 +53,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment id (F1 F2 T1 T2 T3 T4 T5 T6 T7 E1 E2 B2) or all; T8 (DPOR coverage) and T9 (synth corpus power) run only when named explicitly")
+	experiment := flag.String("experiment", "all", "experiment id (F1 F2 T1 T2 T3 T4 T5 T6 T7 E1 E2 B2) or all; T8 (DPOR exhaustion) and T9 (synth corpus power) run only when named explicitly")
 	detail := flag.Bool("detail", false, "include per-declaration similarity detail in T2")
 	var opts explore.Options
 	explore.BindFlags(flag.CommandLine, &opts)
@@ -225,8 +226,9 @@ func writeReport(w io.Writer, experiment string, detail bool, opts explore.Optio
 		}
 	}
 	// T8 is opt-in (never part of "all"): it runs 36 reduced explorations
-	// and reports coverage, which is diagnostic detail rather than part
-	// of the paper's reproduction.
+	// and reports, per scenario, the runs the depth bound cut and whether
+	// the search exhausted, which is diagnostic detail rather than part of
+	// the paper's reproduction.
 	if experiment == "T8" {
 		ran = true
 		fmt.Fprintln(w)
@@ -235,11 +237,6 @@ func writeReport(w io.Writer, experiment string, detail bool, opts explore.Optio
 			return nil, err
 		}
 		fmt.Fprint(w, eval.RenderDPORCoverage(rows))
-		for _, r := range rows {
-			if r.Explored <= 0 || r.Explored > 1 {
-				contradict("T8: %s/%s explored fraction %v out of (0, 1]", r.Mechanism, r.Problem, r.Explored)
-			}
-		}
 	}
 	// T9 is opt-in for the same reason: it explores a whole generated
 	// corpus across every adapter, which is a fuzzing figure rather than

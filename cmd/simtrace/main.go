@@ -264,13 +264,8 @@ func runExplore(suite solutions.Suite, problem string, quiet bool, saveSched str
 		fmt.Fprintf(stdout, "explored %d schedules\n", res.Runs)
 	}
 	if opts.DPOR {
-		approx := "exactly "
-		if !res.Stats.ScheduleSpaceExact {
-			approx = "at most "
-		}
-		fmt.Fprintf(stdout, "schedule space: %s2^%.1f interleavings; explored %.3g (backtracks %d, commuting siblings skipped %d)\n",
-			approx, res.Stats.ScheduleSpaceLog2, res.Stats.ExploredFraction,
-			res.Stats.BacktrackPoints, res.Stats.DPORBlocked)
+		fmt.Fprintf(stdout, "dpor: backtracks %d, commuting siblings skipped %d, cut runs %d, exhausted %v\n",
+			res.Stats.BacktrackPoints, res.Stats.DPORBlocked, res.Stats.CutRuns, res.Stats.Exhausted)
 	}
 	if !res.Found {
 		fmt.Fprintln(stdout, "no violation found")

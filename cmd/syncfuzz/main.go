@@ -53,8 +53,9 @@ type mechResult struct {
 	Runs int `json:"runs,omitempty"`
 	// Sched is the sealed artifact's file name (with -o).
 	Sched string `json:"sched,omitempty"`
-	// MinChoices is the length of the shrunk schedule.
-	MinChoices int `json:"min_choices,omitempty"`
+	// MinChoices is the length of the shrunk schedule, present for every
+	// finding: 0 means the FIFO default schedule already fails.
+	MinChoices *int `json:"min_choices,omitempty"`
 }
 
 // problemResult is one generated problem's row.
@@ -232,11 +233,14 @@ func (o options) record(pseed int64, v synth.Verdict) (mechResult, error) {
 			mr.Rules = append(mr.Rules, viol.Rule)
 		}
 	}
+	// A nil MinSchedule was not shrunk; an empty one is the FIFO default,
+	// which an empty sealed schedule replays.
 	sched := res.MinSchedule
-	if len(sched) == 0 {
+	if sched == nil {
 		sched = res.Schedule
 	}
-	mr.MinChoices = len(sched)
+	n := len(sched)
+	mr.MinChoices = &n
 	if o.outDir != "" {
 		f := explore.NewSchedFile(v.Mechanism, fmt.Sprintf("synth/%d", pseed), explore.ScenarioSynth, sched)
 		f.MaxSteps = o.steps

@@ -43,9 +43,9 @@ import (
 
 // dporAnalysisCap bounds the number of scheduling steps the vector-clock
 // pass walks per run. Runs longer than this (possible only with very
-// deep scenarios) have races past the cap ignored; backtrack points can
-// only land within Options.DFSDepth anyway, and the audit covers the
-// loss like every other approximation here.
+// deep scenarios) have races past the cap ignored, so the scan counts
+// them as cut (StatsCore.CutRuns) and such a search never claims
+// Exhausted.
 const dporAnalysisCap = 4096
 
 // dporProposal is one backtrack point: branch to alternative alt at

@@ -14,8 +14,13 @@
 // small scenario constructors, so bounded DFS over scheduling choices is
 // enough to reach the anomalies. Options.DPOR adds dynamic partial-order
 // reduction (dpor.go): the DFS branches only where two conflicting steps
-// are not ordered by happens-before, and coverage.go reports how much of
-// the schedule space the reduced search provably covered.
+// are not ordered by happens-before.
+//
+// A search that ends without a finding claims coverage only as a proof.
+// Result.Stats.Exhausted holds when the DFS frontier emptied and no run
+// was cut, that is, no run reached a decision point the search could not
+// branch on (one at or past Options.DFSDepth, or past the 4096 steps the
+// DPOR race pass walks); StatsCore.CutRuns counts the runs that did.
 //
 // There is one engine. Every run executes on a recycled kernel slot, and
 // every DFS run forks from a checkpoint of the run that pushed it when
@@ -124,7 +129,8 @@ type Options struct {
 	// DFSRuns bounds the number of systematic runs (0 disables DFS).
 	DFSRuns int
 	// DFSDepth bounds the length of the choice prefix the DFS branches
-	// on; beyond it, runs continue FIFO. Default 40.
+	// on; beyond it, runs continue FIFO, and a run with a decision point
+	// there counts in StatsCore.CutRuns. Default 40.
 	DFSDepth int
 	// MaxSteps is the per-run kernel step bound. Zero or negative means
 	// the default, 100000. A run that exceeds it ends with a kernel error,
@@ -156,8 +162,11 @@ type Options struct {
 	// decisions are made on the driver in canonical order, so the Result
 	// stays byte-identical at every Workers count. Like Prune the
 	// dependency relation is a conservative heuristic; Audit is the
-	// cross-check. Result.Stats reports BacktrackPoints, DPORBlocked,
-	// and the analytic ExploredFraction (see coverage.go).
+	// cross-check. Result.Stats reports BacktrackPoints and DPORBlocked.
+	// A reduced search that exhausts has judged one schedule of every
+	// class the dependency relation tells apart, so its Exhausted is as
+	// sound as that relation. The race pass walks at most the first 4096
+	// steps of a run; a longer run counts as cut.
 	DPOR bool
 	// Audit cross-checks the reductions. It runs the DFS budget twice,
 	// both passes to completion: once with the reductions turned on
@@ -280,13 +289,6 @@ func runPhases(e *executor, prog Program, oracle Oracle, opts Options, t *tracke
 	// Phase 0: the deterministic FIFO baseline.
 	t.phase("baseline")
 	out := e.run(prog, kernel.FIFO())
-	if opts.DPOR {
-		// The baseline run's happens-before order is the analytic
-		// denominator: its linear-extension count is the scenario's total
-		// interleaving count (see coverage.go).
-		log2, exact := coverageOf(out)
-		t.noteCoverage(log2, exact)
-	}
 	t.ran()
 	if res, found := judge(out, oracle, t.st.Runs); found {
 		return res

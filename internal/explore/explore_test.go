@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/problems"
+	"repro/internal/solutions"
 	"repro/internal/solutions/monitorsol"
 	"repro/internal/solutions/pathexprsol"
 	"repro/internal/trace"
@@ -120,6 +121,75 @@ func TestCleanProgramExhaustsBudget(t *testing.T) {
 	}
 	if res.Runs < 11 {
 		t.Fatalf("runs = %d, want at least FIFO + 10 random", res.Runs)
+	}
+}
+
+// Exhausted is a proof: it holds only when the frontier emptied and no
+// run was cut, and the deprecated ExploredFraction is 1 exactly then. At
+// T8's budget (DPOR, 400 DFS runs to depth 12) every DFS run of the
+// semaphore disk scheduler has a decision point past depth 12, and 67 of
+// the one-slot buffer's do. With no depth bound the one-slot buffer
+// exhausts, by plain DFS and by DPOR with Prune. The footnote-3 monitor
+// exhausts at the options of the paper's hunt (Prune, DPOR, streamed
+// oracle, depth 40).
+func TestExhaustedIsAProof(t *testing.T) {
+	standard := func(mech, problem string) (Program, Oracle) {
+		suite, _ := solutions.ByMechanism(mech)
+		prog, check, err := solutions.StandardProgram(suite, problem, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Program(prog), check
+	}
+	monitor, _ := solutions.ByMechanism("monitor")
+	footnote3 := Program(func(k kernel.Kernel, r *trace.Recorder) {
+		rwScenario(monitor.NewReadersPriority(k))(k, r)
+	})
+	inc, ok := problems.IncrementalOracleFor(problems.NameReadersPriority)
+	if !ok {
+		t.Fatal("no incremental oracle for readers-priority")
+	}
+	t8 := Options{RandomRuns: -1, DFSRuns: 400, DFSDepth: 12, DPOR: true}
+	unbounded := Options{RandomRuns: -1, DFSRuns: 1 << 20, DFSDepth: 1 << 20}
+	reduced := unbounded
+	reduced.DPOR, reduced.Prune = true, true
+	hunt := Options{RandomRuns: -1, DFSRuns: 600, Prune: true, DPOR: true, Shrink: true, Stream: inc.New}
+
+	diskProg, diskCheck := standard("semaphore", problems.NameDisk)
+	slotProg, slotCheck := standard("semaphore", problems.NameOneSlot)
+	for _, c := range []struct {
+		name      string
+		prog      Program
+		oracle    Oracle
+		opts      Options
+		runs, cut int
+		exhausted bool
+	}{
+		{"t8/semaphore/disk-scheduler", diskProg, diskCheck, t8, 235, 234, false},
+		{"t8/semaphore/one-slot-buffer", slotProg, slotCheck, t8, 401, 67, false},
+		{"unbounded/semaphore/one-slot-buffer", slotProg, slotCheck, unbounded, 2293, 0, true},
+		{"unbounded-dpor-prune/semaphore/one-slot-buffer", slotProg, slotCheck, reduced, 380, 0, true},
+		{"hunt/footnote3/monitor", footnote3, inc.Check, hunt, 149, 0, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res := Run(c.prog, c.oracle, c.opts)
+			st := res.Stats
+			if res.Found {
+				t.Fatalf("unexpected finding after %d runs: %v %v", res.Runs, res.Violations, res.Err)
+			}
+			if res.Runs != c.runs || st.CutRuns != c.cut || st.Exhausted != c.exhausted {
+				t.Fatalf("runs %d, cut %d, exhausted %v; want %d, %d, %v",
+					res.Runs, st.CutRuns, st.Exhausted, c.runs, c.cut, c.exhausted)
+			}
+			wantFrac := 0.0
+			if c.exhausted {
+				wantFrac = 1
+			}
+			if st.ExploredFraction != wantFrac || st.ScheduleSpaceExact {
+				t.Fatalf("deprecated fields: ExploredFraction %v, ScheduleSpaceExact %v; want %v, false",
+					st.ExploredFraction, st.ScheduleSpaceExact, wantFrac)
+			}
+		})
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 func BindFlags(fs *flag.FlagSet, o *Options) {
 	fs.IntVar(&o.Workers, "workers", o.Workers, "goroutines running random-phase schedules (0 = all cores; results are identical for any value)")
 	fs.BoolVar(&o.Prune, "prune", o.Prune, "prune the DFS via kernel-state fingerprints (fewer schedules to a finding, so reported run counts shrink)")
-	fs.BoolVar(&o.DPOR, "dpor", o.DPOR, "reduce the DFS by dynamic partial-order reduction (fewer schedules to the same findings; reports schedule-space coverage)")
+	fs.BoolVar(&o.DPOR, "dpor", o.DPOR, "reduce the DFS by dynamic partial-order reduction (fewer schedules to the same findings; reports backtrack points and commuting siblings skipped)")
 	fs.BoolVar(&o.Audit, "audit", o.Audit, "run the DFS budget again unreduced and fail if -prune or -dpor missed a violation rule (turns neither on)")
 	fs.BoolVar(&o.Shrink, "shrink", o.Shrink, "minimize a finding's schedule by delta debugging (1-minimal)")
 	fs.BoolFunc("progress", "print a one-line live exploration status to stderr", func(v string) error {

@@ -501,6 +501,9 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 			out = e.run(prog, kernel.Replay(prefix))
 		}
 		dfsRuns++
+		if cut(out.schedule, opts.DFSDepth, dpor) {
+			t.st.CutRuns++
+		}
 		if ent != nil {
 			t.forked(ent.depth, n-ent.depth)
 		} else {
@@ -542,16 +545,32 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 		t.st.Frontier = len(stack)
 	}
 	t.st.Frontier = 0
-	if len(stack) == 0 {
-		// The frontier emptied before the budget ran out: every schedule
-		// the (possibly reduced) search wanted to run has been run.
-		t.st.Exhausted = true
-	}
+	// The frontier emptied before the budget ran out, and no run left a
+	// decision point unbranched: every schedule the (possibly reduced)
+	// search tells apart has been run.
+	t.st.Exhausted = len(stack) == 0 && t.st.CutRuns == 0
 	if !first.Found {
 		first.Runs = t.st.Runs
 		first.Pruned = pruned
 	}
 	return first, found
+}
+
+// cut reports whether the search cannot branch on every decision point
+// of a run: one lies at or past the depth bound, where the DFS runs
+// FIFO, or, with DPOR, the run is longer than the race pass walks
+// (dporAnalysisCap), so a race whose later step lies past the cap is
+// never proposed.
+func cut(schedule []kernel.Choice, depth int, dpor bool) bool {
+	if dpor && len(schedule) > dporAnalysisCap {
+		return true
+	}
+	for i := max(depth, 0); i < len(schedule); i++ {
+		if schedule[i].Ready >= 2 {
+			return true
+		}
+	}
+	return false
 }
 
 // expandDFS builds the branch nodes of a completed run: every alternative

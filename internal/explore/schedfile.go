@@ -251,6 +251,9 @@ func ReadSchedFile(path string) (*SchedFile, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("explore: %s: %w", path, err)
 	}
+	if len(f.Rules) == 0 {
+		f.Rules = nil // "rules": [] reads as the omitted field WriteFile writes
+	}
 	if err := f.validate(); err != nil {
 		return nil, fmt.Errorf("%w (%s)", err, path)
 	}

@@ -50,26 +50,23 @@ type StatsCore struct {
 	// schedules proven commuting with an explored one. Zero unless
 	// Options.DPOR.
 	DPORBlocked int
-	// Exhausted reports that the DFS frontier emptied before the run
-	// budget did: every schedule the (possibly reduced) search considers
-	// distinct has been judged.
+	// CutRuns counts the DFS runs the search could not branch on at
+	// every decision point: a run with a decision point (two or more
+	// ready processes) at or past Options.DFSDepth, which the DFS runs
+	// FIFO, or, with Options.DPOR, a run longer than the 4096 steps the
+	// race pass walks, whose late races are never proposed. A cut run's
+	// unexplored continuations are schedules the search never judged.
+	CutRuns int
+	// Exhausted reports that the search is a proof: the DFS frontier
+	// emptied before the run budget did and no run was cut, so every
+	// schedule the (possibly reduced) search considers distinct has been
+	// judged. The reductions' own soundness is what Options.Audit checks.
 	Exhausted bool
-	// ScheduleSpaceLog2 is log2 of the total number of interleavings of
-	// the scenario, computed from the baseline run's happens-before order
-	// by linear-extension counting. Zero unless Options.DPOR.
-	ScheduleSpaceLog2 float64
-	// ScheduleSpaceExact reports whether ScheduleSpaceLog2 is an exact
-	// linear-extension count or an upper bound. The count is the shuffle
-	// multinomial across the order's independent components times each
-	// component's own count: 1 for a single process, dynamic programming
-	// over down-sets for interacting processes. A component whose DP
-	// does not fit the shared state budget is bounded by its own chain
-	// multinomial (its edges dropped), and then the count is inexact.
+	// Deprecated: the schedule-space counter is gone; ScheduleSpaceExact
+	// is always false and will be removed.
 	ScheduleSpaceExact bool
-	// ExploredFraction is the judged fraction of the schedule space:
-	// Runs / 2^ScheduleSpaceLog2, clamped to 1, and exactly 1 when
-	// Exhausted (the reduced search covers every equivalence class even
-	// though it ran far fewer schedules). Zero unless Options.DPOR.
+	// Deprecated: ExploredFraction is 1 when Exhausted and 0 otherwise;
+	// read Exhausted instead. It will be removed.
 	ExploredFraction float64
 }
 
@@ -104,12 +101,6 @@ type tracker struct {
 	progress func(Stats)
 	start    time.Time
 	st       Stats
-
-	// Schedule-space coverage, noted once from the baseline run when
-	// Options.DPOR is on (see coverage.go).
-	covered  bool
-	covLog2  float64
-	covExact bool
 }
 
 func newTracker(e *executor, opts Options) *tracker {
@@ -157,16 +148,6 @@ func (t *tracker) replayed(prefix int) {
 	t.st.ReplayedSteps += int64(prefix)
 }
 
-// noteCoverage records the scenario's schedule-space size, measured once
-// from the baseline run's happens-before order.
-func (t *tracker) noteCoverage(log2 float64, exact bool) {
-	t.covered = true
-	t.covLog2 = log2
-	t.covExact = exact
-	t.st.ScheduleSpaceLog2 = log2
-	t.st.ScheduleSpaceExact = exact
-}
-
 func (t *tracker) emit() {
 	if t.progress == nil {
 		return
@@ -194,12 +175,11 @@ func (t *tracker) deterministic(res *Result) StatsCore {
 		ReplayedSteps:   t.st.ReplayedSteps,
 		BacktrackPoints: t.st.BacktrackPoints,
 		DPORBlocked:     t.st.DPORBlocked,
+		CutRuns:         t.st.CutRuns,
 		Exhausted:       t.st.Exhausted,
 	}
-	if t.covered {
-		st.ScheduleSpaceLog2 = t.covLog2
-		st.ScheduleSpaceExact = t.covExact
-		st.ExploredFraction = exploredFraction(res.Runs, t.st.Exhausted, t.covLog2)
+	if st.Exhausted {
+		st.ExploredFraction = 1
 	}
 	return st
 }

@@ -26,11 +26,10 @@ func objProc(id int) uint64 { return uint64(id) }
 
 // DepObjTrace is the dependency-object identity of the recorded trace —
 // the single cell every recording step touches. Exported so consumers
-// can separate the conservative recording conflicts from the true
-// synchronization edges (per-process cells, readying causes): the
-// exploration engine's race detection keeps trace conflicts (oracles
-// are order-sensitive), while its schedule-space counting drops them
-// (the denominator is the sync structure, not the instrumentation).
+// can tell the conservative recording conflicts from the true
+// synchronization edges (per-process cells, readying causes); the
+// exploration engine's race detection keeps trace conflicts, because
+// oracles are order-sensitive.
 const DepObjTrace = uint64(1) << 63
 
 // objTrace is the dependency-object identity of the recorded trace.

@@ -266,11 +266,12 @@ func seal(dir, mechanism, problem, scenario string, prog explore.Program, oracle
 // AuditRow is the classification of one sealed schedule artifact.
 type AuditRow struct {
 	File  string
-	Class string // "deadlock", "error", or "violation"
+	Class string // "deadlock", "error", "violation", or "clean"
 	// Verdict is "flagged" (the static pass sees the hazard class),
 	// "dynamic-only" (the artifact's hazard class is outside static
-	// reach: ordering violations, step-limit errors), or "MISS" (a
-	// deadlock the lockorder analyzer no longer flags).
+	// reach: ordering violations, step-limit errors), "clean" (the
+	// artifact records no hazard at all), or "MISS" (a deadlock the
+	// lockorder analyzer no longer flags).
 	Verdict string
 	Detail  string
 }
@@ -315,6 +316,12 @@ func MissAudit(dir string) ([]AuditRow, error) {
 			row.Class = "deadlock"
 			row.Verdict, row.Detail = auditDeadlock(f)
 		case "":
+			if len(f.Rules) == 0 {
+				row.Class = "clean"
+				row.Verdict = "clean"
+				row.Detail = "records no violation and no kernel error; nothing to audit"
+				break
+			}
 			row.Class = "violation"
 			row.Verdict = "dynamic-only"
 			row.Detail = "ordering/priority violations are schedule properties, outside static reach"

@@ -88,9 +88,12 @@ func TestMissAuditCorpus(t *testing.T) {
 	}
 }
 
-// TestMissAuditSynthDeadlock classifies a sealed deadlock of a generated
-// problem (the make fuzz window's synth-31 under ccr): no solution
-// package stands behind it, so it is dynamic-only, not a MISS.
+// TestMissAuditSynthDeadlock classifies the eval corpus: a sealed
+// deadlock of a generated problem (the make fuzz window's synth-31 under
+// ccr) has no solution package behind it, so it is dynamic-only, not a
+// MISS; a naive-gate ordering violation is dynamic-only too; and a clean
+// standard schedule, which records no rule and no kernel error, is
+// clean, not a violation.
 func TestMissAuditSynthDeadlock(t *testing.T) {
 	rows, err := MissAudit(filepath.Join("..", "..", "eval", "testdata"))
 	if err != nil {
@@ -99,15 +102,24 @@ func TestMissAuditSynthDeadlock(t *testing.T) {
 	if Missed(rows) {
 		t.Fatalf("audit reported a miss: %+v", rows)
 	}
-	for _, r := range rows {
-		if r.File == "synth-31-ccr.sched" {
-			if r.Class != "deadlock" || r.Verdict != "dynamic-only" {
-				t.Fatalf("synth deadlock audited as %+v, want a dynamic-only deadlock", r)
-			}
-			return
-		}
+	want := map[string][2]string{
+		"monitor-bounded-buffer.sched": {"clean", "clean"},
+		"synth-28-naive-gate.sched":    {"violation", "dynamic-only"},
+		"synth-31-ccr.sched":           {"deadlock", "dynamic-only"},
 	}
-	t.Fatalf("no row for synth-31-ccr.sched: %+v", rows)
+	for _, r := range rows {
+		w, ok := want[r.File]
+		if !ok {
+			t.Fatalf("unexpected row %+v", r)
+		}
+		if got := [2]string{r.Class, r.Verdict}; got != w {
+			t.Errorf("%s audited as %v (%s), want %v", r.File, got, r.Detail, w)
+		}
+		delete(want, r.File)
+	}
+	if len(want) > 0 {
+		t.Fatalf("no rows for %v: %+v", want, rows)
+	}
 }
 
 // TestFixtureFlaggedWithAllowsHonored pins the dual contract: the
