@@ -35,8 +35,9 @@ lint:
 # schedules-to-finding/-exhaustion hunts — plus the simulated kernel's
 # context-switch benchmark, the random policy's reseed-and-pick cost
 # (BenchmarkRandomPolicy), the synth derived oracle's cost per judged
-# run (BenchmarkSynthCheck) and interval pairing's, for one process in
-# series and for 256 requests in flight
+# run (BenchmarkSynthCheck), one generated run on a recycled kernel slot
+# per mechanism (BenchmarkSynthRun; 0 allocs/op) and interval pairing's,
+# for one process in series and for 256 requests in flight
 # (BenchmarkIntervalsReconstruction). It archives the numbers (ns/op,
 # B/op, allocs/op, schedules/sec, schedules-to-finding and
 # schedules-to-exhaustion per variant; switches/sec for the kernel)
@@ -47,7 +48,7 @@ lint:
 # other variants. Override BENCHTIME (e.g. BENCHTIME=1x) for a smoke
 # run. -p 1 runs one package's benchmarks at a time, so no package's
 # build or benchmark competes with another's timed loop for the CPUs.
-BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch|BenchmarkRandomPolicy|BenchmarkSynthCheck|BenchmarkIntervalsReconstruction
+BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch|BenchmarkRandomPolicy|BenchmarkSynthCheck|BenchmarkSynthRun|BenchmarkIntervalsReconstruction
 BENCHPKGS := . ./internal/kernel ./internal/synth ./internal/trace
 bench:
 	$(GO) test -p 1 -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime $(BENCHTIME) -count 1 $(BENCHPKGS) \

@@ -19,9 +19,10 @@
 //	T6  CSP evaluated with the same methodology (the paper's §6)
 //	T7  static lockorder/lostwakeup findings cross-validated by
 //	    schedule exploration (the synclint xcheck gate)
-//	T8  exhaustion under partial-order reduction: runs, cut runs and
-//	    whether the search exhausted, one row per T4 pairing (opt-in:
-//	    runs only as -experiment T8, never in all)
+//	T8  exhaustion under partial-order reduction: runs, cut runs,
+//	    whether the search exhausted and whether it stopped on a
+//	    finding, one row per T4 pairing (opt-in: runs only as
+//	    -experiment T8, never in all)
 //	T9  discriminating power of the generated constraint corpus: verdict
 //	    counts by mechanism × constraint shape, naive-gate control
 //	    included (opt-in: runs only as -experiment T9, never in all)

@@ -82,36 +82,30 @@ func (r *Region) exit(p *kernel.Proc) {
 		r.mu.Unlock()
 		panic(fmt.Sprintf("ccr %s: exit by non-occupant %s", r.name, p))
 	}
-	// Re-evaluate guards in arrival order. We still hold the region
+	// Re-evaluate guards in arrival order and admit the first that holds;
+	// the others keep their places. We still hold the region
 	// conceptually, so guards may safely read protected state.
-	var admitted *kernel.Proc
-	var rest []struct {
-		p *kernel.Proc
-		g func() bool
-	}
-	for {
-		w, tag := r.waiters.PopTagged()
-		if w == nil {
-			break
-		}
-		g := tag.(func() bool)
-		if admitted == nil && g() {
-			admitted = w
-			continue
-		}
-		rest = append(rest, struct {
-			p *kernel.Proc
-			g func() bool
-		}{w, g})
-	}
-	for _, e := range rest {
-		r.waiters.PushTagged(e.p, 0, e.g)
-	}
+	admitted := r.waiters.PopWhere(guardHolds)
 	r.occupant = admitted
 	r.mu.Unlock()
 	if admitted != nil {
 		admitted.Unpark()
 	}
+}
+
+// guardHolds evaluates a waiter's guard, the tag Execute queued it with.
+func guardHolds(tag any) bool { return tag.(func() bool)() }
+
+// Reset empties the region — no occupant, no waiter — keeping the wait
+// list's capacity. A run cut short (deadlock, Stop) leaves processes
+// queued on their guards; a simulation that reuses the region for its
+// next run resets it first. Never call it while processes of a live run
+// use it.
+func (r *Region) Reset() {
+	r.mu.Lock()
+	r.occupant = nil
+	r.waiters.Reset()
+	r.mu.Unlock()
 }
 
 // Occupied reports whether a process is inside the region; advisory under

@@ -289,3 +289,34 @@ func BenchmarkRegionGuardedHandoff(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestResetAfterCutRun: a run cut by Stop leaves a process queued on its
+// guard (the occupant's deferred exit releases the region as the run
+// unwinds). Reset empties the region, and it works again.
+func TestResetAfterCutRun(t *testing.T) {
+	k := kernel.NewSim()
+	r := New("r")
+	k.Spawn("occupant", func(p *kernel.Proc) {
+		r.Execute(p, True, func() {
+			p.Yield()
+			k.Stop()
+			p.Yield()
+		})
+	})
+	k.Spawn("waiter", func(p *kernel.Proc) { r.Await(p, func() bool { return false }) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Waiting() != 1 {
+		t.Fatalf("before Reset: %d waiting, want 1", r.Waiting())
+	}
+	r.Reset()
+	if r.Occupied() || r.Waiting() != 0 {
+		t.Fatalf("after Reset: occupied %v, %d waiting", r.Occupied(), r.Waiting())
+	}
+	k2 := kernel.NewSim()
+	k2.Spawn("again", func(p *kernel.Proc) { r.Await(p, True) })
+	if err := k2.Run(); err != nil {
+		t.Fatalf("run after Reset: %v", err)
+	}
+}

@@ -32,18 +32,25 @@ import (
 type Net struct {
 	mu    sync.Mutex
 	stamp int64
+	// states holds every receive state the net has made, and idle those
+	// free for a new reception, so a blocking Recv or Select allocates
+	// nothing once the net is warm.
+	states []*recvState
+	idle   []*recvState
 }
 
 // NewNet creates an empty channel universe.
 func NewNet() *Net { return &Net{} }
 
 // Chan is a synchronous (rendezvous) channel carrying values of any type.
+// Its queues hold their waiters by value and pop from the front in place,
+// so a warm channel's operations allocate nothing.
 type Chan struct {
 	net  *Net
 	name string
 
-	senders   []*sendWaiter
-	receivers []*recvWaiter
+	senders   []sendWaiter
+	receivers []recvWaiter
 }
 
 type sendWaiter struct {
@@ -52,18 +59,20 @@ type sendWaiter struct {
 	stamp int64
 }
 
-// selectState coordinates a receiver blocked in Select across channels.
-type selectState struct {
+// recvState is one blocked reception, a plain Recv or a Select: the
+// first sender to claim it delivers its value and case index. A Select
+// registers the same state on every enabled channel, so a claim is seen
+// on all of them.
+type recvState struct {
+	p       *kernel.Proc
 	claimed bool
 	chosen  int
 	value   any
 }
 
 type recvWaiter struct {
-	p       *kernel.Proc
-	sel     *selectState // nil for a plain Recv
+	st      *recvState
 	caseIdx int
-	slot    *any // plain Recv delivery target
 }
 
 // NewChan creates a channel in the net.
@@ -71,8 +80,77 @@ func (n *Net) NewChan(name string) *Chan {
 	return &Chan{net: n, name: name}
 }
 
+// Reset returns the net's arrival clock to zero and frees every receive
+// state, including those of receivers a run cut short (deadlock, Stop)
+// left blocked. A simulation that reuses a net for its next run resets
+// it and each of its channels (Chan.Reset) first, so no registration
+// outlives its state and the run orders its senders exactly as a fresh
+// net would. Never call it while processes of a live run use the net.
+func (n *Net) Reset() {
+	n.mu.Lock()
+	n.stamp = 0
+	for _, st := range n.states {
+		*st = recvState{}
+	}
+	n.idle = append(n.idle[:0], n.states...)
+	n.mu.Unlock()
+}
+
+// Reset drops every waiter on the channel, keeping its queues' capacity.
+// A run cut short (deadlock, Stop) leaves senders and receivers blocked;
+// a simulation that reuses the channel for its next run resets it first.
+// Never call it while processes of a live run use it.
+func (c *Chan) Reset() {
+	c.net.mu.Lock()
+	clear(c.senders)
+	c.senders = c.senders[:0]
+	clear(c.receivers)
+	c.receivers = c.receivers[:0]
+	c.net.mu.Unlock()
+}
+
 // Name reports the channel's name.
 func (c *Chan) Name() string { return c.name }
+
+// popSender removes the longest-waiting sender; the caller checked that
+// there is one.
+func (c *Chan) popSender() sendWaiter {
+	s := c.senders[0]
+	copy(c.senders, c.senders[1:])
+	c.senders[len(c.senders)-1] = sendWaiter{}
+	c.senders = c.senders[:len(c.senders)-1]
+	return s
+}
+
+// popReceiver removes the longest-waiting receiver; the caller checked
+// that there is one.
+func (c *Chan) popReceiver() recvWaiter {
+	w := c.receivers[0]
+	copy(c.receivers, c.receivers[1:])
+	c.receivers[len(c.receivers)-1] = recvWaiter{}
+	c.receivers = c.receivers[:len(c.receivers)-1]
+	return w
+}
+
+// newRecvStateLocked takes a receive state for p from the net's pool.
+func (n *Net) newRecvStateLocked(p *kernel.Proc) *recvState {
+	if k := len(n.idle); k > 0 {
+		st := n.idle[k-1]
+		n.idle = n.idle[:k-1]
+		st.p = p
+		return st
+	}
+	st := &recvState{p: p}
+	n.states = append(n.states, st)
+	return st
+}
+
+// freeRecvStateLocked returns a finished reception's state to the pool.
+// No channel holds a registration of it any more.
+func (n *Net) freeRecvStateLocked(st *recvState) {
+	*st = recvState{}
+	n.idle = append(n.idle, st)
+}
 
 // Send delivers v to a receiver, blocking until one takes it (rendezvous).
 func (c *Chan) Send(p *kernel.Proc, v any) {
@@ -81,24 +159,19 @@ func (c *Chan) Send(p *kernel.Proc, v any) {
 	// Deliver to the first live receiver, skipping select-waiters already
 	// claimed by another channel.
 	for len(c.receivers) > 0 {
-		w := c.receivers[0]
-		c.receivers = c.receivers[1:]
-		if w.sel != nil {
-			if w.sel.claimed {
-				continue // stale registration; the selector went elsewhere
-			}
-			w.sel.claimed = true
-			w.sel.chosen = w.caseIdx
-			w.sel.value = v
-		} else {
-			*w.slot = v
+		w := c.popReceiver()
+		if w.st.claimed {
+			continue // stale registration; the selector went elsewhere
 		}
+		w.st.claimed = true
+		w.st.chosen = w.caseIdx
+		w.st.value = v
 		n.mu.Unlock()
-		w.p.Unpark()
+		w.st.p.Unpark()
 		return
 	}
 	n.stamp++
-	c.senders = append(c.senders, &sendWaiter{p: p, value: v, stamp: n.stamp})
+	c.senders = append(c.senders, sendWaiter{p: p, value: v, stamp: n.stamp})
 	n.mu.Unlock()
 	p.Park()
 }
@@ -108,17 +181,21 @@ func (c *Chan) Recv(p *kernel.Proc) any {
 	n := c.net
 	n.mu.Lock()
 	if len(c.senders) > 0 {
-		s := c.senders[0]
-		c.senders = c.senders[1:]
+		s := c.popSender()
 		n.mu.Unlock()
 		s.p.Unpark()
 		return s.value
 	}
-	var slot any
-	c.receivers = append(c.receivers, &recvWaiter{p: p, slot: &slot})
+	st := n.newRecvStateLocked(p)
+	c.receivers = append(c.receivers, recvWaiter{st: st})
 	n.mu.Unlock()
 	p.Park()
-	return slot
+	// The sender that claimed st popped its only registration.
+	n.mu.Lock()
+	v := st.value
+	n.freeRecvStateLocked(st)
+	n.mu.Unlock()
+	return v
 }
 
 // Pending reports the number of senders blocked on the channel; it is the
@@ -185,20 +262,18 @@ func Select(p *kernel.Proc, cases []Case) (int, any) {
 		panic("csp: Select with all guards false (alternation failure)")
 	}
 	if best >= 0 {
-		ch := cases[best].Chan
-		s := ch.senders[0]
-		ch.senders = ch.senders[1:]
+		s := cases[best].Chan.popSender()
 		n.mu.Unlock()
 		s.p.Unpark()
 		return best, s.value
 	}
 	// No sender ready: register on every enabled channel and park.
-	st := &selectState{}
+	st := n.newRecvStateLocked(p)
 	for i, cs := range cases {
 		if cs.Guard != nil && !cs.Guard() {
 			continue
 		}
-		cs.Chan.receivers = append(cs.Chan.receivers, &recvWaiter{p: p, sel: st, caseIdx: i})
+		cs.Chan.receivers = append(cs.Chan.receivers, recvWaiter{st: st, caseIdx: i})
 	}
 	n.mu.Unlock()
 	p.Park()
@@ -208,13 +283,15 @@ func Select(p *kernel.Proc, cases []Case) (int, any) {
 	for _, cs := range cases {
 		ws := cs.Chan.receivers[:0]
 		for _, w := range cs.Chan.receivers {
-			if w.sel != st {
+			if w.st != st {
 				ws = append(ws, w)
 			}
 		}
+		clear(cs.Chan.receivers[len(ws):])
 		cs.Chan.receivers = ws
 	}
 	chosen, value := st.chosen, st.value
+	n.freeRecvStateLocked(st)
 	n.mu.Unlock()
 	return chosen, value
 }

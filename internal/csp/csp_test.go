@@ -370,3 +370,44 @@ func BenchmarkSelectTwoChannels(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestResetAfterDeadlock: a run that deadlocks leaves a sender blocked on
+// one channel and a selector registered on two. Resetting the net and
+// its channels drops every waiter, and the channels work again.
+func TestResetAfterDeadlock(t *testing.T) {
+	k := kernel.NewSim()
+	n := NewNet()
+	a, b, c := n.NewChan("a"), n.NewChan("b"), n.NewChan("c")
+	k.Spawn("sender", func(p *kernel.Proc) { a.Send(p, 1) })
+	k.Spawn("selector", func(p *kernel.Proc) { Select(p, []Case{{Chan: b}, {Chan: c}}) })
+	if err := k.Run(); !errors.Is(err, kernel.ErrDeadlock) {
+		t.Fatalf("Run = %v, want deadlock", err)
+	}
+	if a.Pending() != 1 {
+		t.Fatalf("before Reset: %d pending on a, want 1", a.Pending())
+	}
+	n.Reset()
+	for _, ch := range []*Chan{a, b, c} {
+		ch.Reset()
+	}
+	if a.Pending() != 0 || len(b.receivers) != 0 || len(c.receivers) != 0 {
+		t.Fatalf("after Reset: %d pending on a, %d and %d receivers on b and c", a.Pending(), len(b.receivers), len(c.receivers))
+	}
+	k2 := kernel.NewSim()
+	var got []any
+	k2.Spawn("recv", func(p *kernel.Proc) {
+		got = append(got, b.Recv(p))
+		_, v := Select(p, []Case{{Chan: a}, {Chan: c}})
+		got = append(got, v)
+	})
+	k2.Spawn("send", func(p *kernel.Proc) {
+		b.Send(p, "x")
+		c.Send(p, "y")
+	})
+	if err := k2.Run(); err != nil {
+		t.Fatalf("run after Reset: %v", err)
+	}
+	if fmt.Sprint(got) != "[x y]" {
+		t.Fatalf("received %v, want [x y]", got)
+	}
+}

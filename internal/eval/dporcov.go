@@ -62,21 +62,27 @@ func RunDPORCoverage(opts explore.Options) ([]DPORCoverageRow, error) {
 // RenderDPORCoverage renders the T8 table.
 func RenderDPORCoverage(rows []DPORCoverageRow) string {
 	var b strings.Builder
-	b.WriteString("T8. Schedule-space coverage under partial-order reduction\n")
+	b.WriteString("T8. Exhaustion under partial-order reduction\n")
 	b.WriteString(strings.Repeat("-", 78) + "\n")
-	fmt.Fprintf(&b, "%-10s %-16s %6s %6s %6s %8s %8s\n",
-		"mechanism", "problem", "runs", "cut", "done", "backtrk", "blocked")
+	fmt.Fprintf(&b, "%-10s %-16s %6s %6s %6s %6s %8s %8s\n",
+		"mechanism", "problem", "runs", "cut", "done", "found", "backtrk", "blocked")
 	for _, r := range rows {
-		done := ""
-		if r.Exhausted {
-			done = "yes"
-		}
-		fmt.Fprintf(&b, "%-10s %-16s %6d %6d %6s %8d %8d\n",
-			r.Mechanism, r.Problem, r.Runs, r.CutRuns, done, r.BacktrackPoints, r.DPORBlocked)
+		fmt.Fprintf(&b, "%-10s %-16s %6d %6d %6s %6s %8d %8d\n",
+			r.Mechanism, r.Problem, r.Runs, r.CutRuns, yes(r.Exhausted), yes(r.Found), r.BacktrackPoints, r.DPORBlocked)
 	}
 	b.WriteString("\ncut: runs with a decision point at or past depth 12 (or longer than the\n")
 	b.WriteString("race pass walks), whose continuations the search never branched on.\n")
 	b.WriteString("done: the frontier emptied and no run was cut, so every schedule the\n")
 	b.WriteString("reduced search tells apart was judged.\n")
+	b.WriteString("found: the search stopped on a violation or kernel error, so its runs\n")
+	b.WriteString("and cuts end there: the row is neither clean nor out of budget.\n")
 	return b.String()
+}
+
+// yes renders a flag as "yes" or blank.
+func yes(b bool) string {
+	if b {
+		return "yes"
+	}
+	return ""
 }

@@ -53,13 +53,22 @@ import (
 	"repro/internal/trace"
 )
 
-// Program builds one run of the system under test on a fresh kernel and
+// Program builds one run of the system under test on a reset kernel and
 // recorder. It must spawn all processes (it is called before Run) and be
 // deterministic apart from scheduling: exploration assumes two runs with
 // the same schedule produce the same trace. Programs must also be safe to
 // run on several kernels concurrently (each invocation gets its own kernel
 // and recorder; sharing mutable state between invocations would break
 // determinism anyway).
+//
+// The engine runs a program on recycled kernel slots, so a program may
+// keep state with its slot instead of rebuilding it every run: on a
+// *kernel.SimKernel it can store objects under a key of its own
+// (SimKernel.Local/SetLocal) and reuse them on the slot's later runs. It
+// must then reset that state at the start of every run, since the run
+// before may have been cut short (deadlock, step limit, a streaming
+// oracle's Stop) with processes mid-operation; a run on a recycled slot
+// must be indistinguishable from one on a fresh kernel.
 type Program func(k kernel.Kernel, r *trace.Recorder)
 
 // Oracle judges a completed run's trace.

@@ -225,12 +225,20 @@ type SimKernel struct {
 	causes   []int32
 
 	// Process recycling (WithRecycle): procPool holds every process object
-	// earlier runs spawned, with its coroutine, for in-place reuse at the
-	// same spawn position — deterministic programs respawn the same
-	// processes in the same order, so reuse also recovers the interned
-	// name labels and a run starts no coroutine.
+	// the kernel has created, indexed by spawn position, with its
+	// coroutine, for in-place reuse at the same position — deterministic
+	// programs respawn the same processes in the same order, so reuse
+	// also recovers the interned name labels and a run starts no
+	// coroutine. A process joins the pool when it is created, so the
+	// pool and the run's procs never share a backing array and a run
+	// that spawns no more processes than the one before allocates
+	// nothing for either.
 	recycle  bool
 	procPool []*simProc
+
+	// locals is the slot-local storage (see Local): what programs keep
+	// with this kernel between runs. Reset keeps it; Close drops it.
+	locals []local
 
 	// panicked is the first non-shutdown panic raised by a process body
 	// in this run; Run re-raises it after unwinding the other processes.
@@ -285,6 +293,48 @@ func NewSim(opts ...SimOption) *SimKernel {
 		o(k)
 	}
 	return k
+}
+
+// local is one slot-local value and the key it was stored under.
+type local struct {
+	key, val any
+}
+
+// Local returns the value stored under key with SetLocal, or nil.
+//
+// Slot-local storage lets a program keep its own run state with the
+// kernel it runs on, the way a recycling kernel (WithRecycle) keeps its
+// process objects: a pooled kernel runs one program run after run, so a
+// program can build its objects on its first run, store them here, and
+// reset them at the start of every later run instead of allocating them
+// again. The storage survives Reset and is dropped by Close. Keys are
+// compared with ==; a program uses a key only it holds (a pointer it
+// allocated), so two programs on one kernel never see each other's
+// values. Whatever a program keeps here it must reset on every run,
+// since a run cut short (deadlock, step limit, Stop) leaves it mid-use.
+func (k *SimKernel) Local(key any) any {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for _, l := range k.locals {
+		if l.key == key {
+			return l.val
+		}
+	}
+	return nil
+}
+
+// SetLocal stores val under key in the kernel's slot-local storage (see
+// Local), replacing any value already stored there.
+func (k *SimKernel) SetLocal(key, val any) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for i := range k.locals {
+		if k.locals[i].key == key {
+			k.locals[i].val = val
+			return
+		}
+	}
+	k.locals = append(k.locals, local{key: key, val: val})
 }
 
 type simProc struct {
@@ -358,6 +408,9 @@ func (k *SimKernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 			state:  stateRunnable,
 		}
 		p.impl = sp
+		if k.recycle {
+			k.procPool = append(k.procPool, sp)
+		}
 	}
 	sp.fn = fn
 	if k.finished {
@@ -452,9 +505,10 @@ func (k *SimKernel) Stop() {
 
 // Reset returns the kernel to its pristine pre-spawn state, retaining
 // every allocation — choice, fingerprint, and scratch buffers keep their
-// capacity — so a pooled kernel runs in zero-allocation steady state. The
-// given options are applied on top of the kernel's current configuration
-// (pass WithPolicy to change the schedule).
+// capacity, and slot-local storage (Local) keeps its values — so a pooled
+// kernel runs in zero-allocation steady state. The given options are
+// applied on top of the kernel's current configuration (pass WithPolicy
+// to change the schedule).
 //
 // Reset must only be called before any Spawn or after Run has returned
 // (Run leaves no process mid-body, so there is nothing to wait for).
@@ -466,15 +520,8 @@ func (k *SimKernel) Reset(opts ...SimOption) {
 	k.now = 0
 	k.nextID = 0
 	k.readySeq = 0
-	// spawn reuses the pool positionally, so the finished run's procs
-	// are a prefix of the pool or extend it. Keep the longer as the pool
-	// for in-place reuse (see spawn): every pooled coroutine stays
-	// reachable for Close.
-	if k.recycle && len(k.procs) > len(k.procPool) {
-		k.procs, k.procPool = k.procPool[:0], k.procs
-	} else {
-		k.procs = k.procs[:0]
-	}
+	// With recycling, every process is already in the pool (see spawn).
+	k.procs = k.procs[:0]
 	k.ready = k.ready[:0]
 	k.running = nil
 	k.steps = 0
@@ -498,13 +545,18 @@ func (k *SimKernel) Reset(opts ...SimOption) {
 }
 
 // Close stops the coroutines a recycling kernel (WithRecycle) keeps
-// between runs; without recycling Run stops every coroutine it started,
-// and Close is a no-op. Call it after Run has returned; the kernel must
-// not be used after Close.
+// between runs and drops its slot-local storage (see Local); without
+// recycling Run stops every coroutine it started, and Close only drops
+// the storage. Call it after Run has returned; the kernel must not be
+// used after Close.
 func (k *SimKernel) Close() {
 	k.mu.Lock()
-	sps := append(k.procPool, k.procs...)
+	sps := k.procs
+	if k.recycle {
+		sps = k.procPool // every process the kernel created (see spawn)
+	}
 	k.procPool, k.procs = nil, nil
+	k.locals = nil
 	k.mu.Unlock()
 	for _, sp := range sps {
 		sp.release()

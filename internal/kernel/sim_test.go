@@ -766,3 +766,28 @@ func TestSimReadyOrderIsArrivalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSimLocalStorage: slot-local values survive Reset, are kept apart by
+// key, and are dropped by Close.
+func TestSimLocalStorage(t *testing.T) {
+	k := NewSim(WithRecycle())
+	a, b := new(int), new(int)
+	if k.Local(a) != nil {
+		t.Fatal("Local of an unused key is not nil")
+	}
+	k.SetLocal(a, "first")
+	k.SetLocal(b, "other")
+	k.SetLocal(a, "second")
+	k.Spawn("p", func(p *Proc) { p.Yield() })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Reset()
+	if k.Local(a) != "second" || k.Local(b) != "other" {
+		t.Fatalf("after Reset: Local(a) = %v, Local(b) = %v", k.Local(a), k.Local(b))
+	}
+	k.Close()
+	if k.Local(a) != nil || k.Local(b) != nil {
+		t.Fatal("Close kept slot-local values")
+	}
+}

@@ -8,18 +8,20 @@ package kernel
 // conditions additionally need rank-ordered dequeueing.
 //
 // A WaitList is not safe for concurrent use; the owning mechanism guards it
-// with its own state lock. Enqueueing records an arrival sequence number so
-// that equal-rank waiters always dequeue in arrival order.
+// with its own state lock. Equal-rank waiters always dequeue in arrival
+// order. Every entry carries a stamp: its arrival number in this list, or
+// one the caller supplies (PushStamped) to order waiters across several
+// lists.
 type WaitList struct {
 	entries []waitEntry
 	seq     int64
 }
 
 type waitEntry struct {
-	p    *Proc
-	rank int64
-	seq  int64
-	tag  any
+	p     *Proc
+	rank  int64
+	stamp int64
+	tag   any
 }
 
 // Push appends p with rank 0 (pure FIFO).
@@ -35,7 +37,15 @@ func (w *WaitList) PushRank(p *Proc, rank int64) { w.PushTagged(p, rank, nil) }
 // guard or a requested disk track) alongside the process.
 func (w *WaitList) PushTagged(p *Proc, rank int64, tag any) {
 	w.seq++
-	e := waitEntry{p: p, rank: rank, seq: w.seq, tag: tag}
+	w.PushStamped(p, rank, w.seq, tag)
+}
+
+// PushStamped is PushTagged with a caller-chosen stamp, retrievable with
+// PeekStamp: a serializer stamps its queues from one clock to find the
+// longest-waiting head among them. The stamp does not affect the order
+// within this list.
+func (w *WaitList) PushStamped(p *Proc, rank, stamp int64, tag any) {
+	e := waitEntry{p: p, rank: rank, stamp: stamp, tag: tag}
 	// Insert before the first entry with a strictly greater rank, keeping
 	// arrival order among equal ranks. Linear scan from the back keeps the
 	// common all-rank-zero case O(1).
@@ -61,9 +71,38 @@ func (w *WaitList) PopTagged() (*Proc, any) {
 		return nil, nil
 	}
 	e := w.entries[0]
-	copy(w.entries, w.entries[1:])
-	w.entries = w.entries[:len(w.entries)-1]
+	w.removeAt(0)
 	return e.p, e.tag
+}
+
+// PopWhere removes and returns the first waiter, in dequeue order, whose
+// tag satisfies match, or nil when none does. match is called in dequeue
+// order and not again after the first match.
+func (w *WaitList) PopWhere(match func(tag any) bool) *Proc {
+	for i := range w.entries {
+		if e := w.entries[i]; match(e.tag) {
+			w.removeAt(i)
+			return e.p
+		}
+	}
+	return nil
+}
+
+// removeAt deletes entry i in place, keeping the order of the rest and
+// the list's capacity.
+func (w *WaitList) removeAt(i int) {
+	copy(w.entries[i:], w.entries[i+1:])
+	w.entries[len(w.entries)-1] = waitEntry{}
+	w.entries = w.entries[:len(w.entries)-1]
+}
+
+// Reset empties the list and restarts its arrival numbering, keeping its
+// capacity: a mechanism reset between runs leaves no waiter behind and
+// allocates nothing on the next run.
+func (w *WaitList) Reset() {
+	clear(w.entries)
+	w.entries = w.entries[:0]
+	w.seq = 0
 }
 
 // Peek returns the process that Pop would return, without removing it, or
@@ -83,6 +122,15 @@ func (w *WaitList) PeekTag() any {
 	return w.entries[0].tag
 }
 
+// PeekStamp returns the head entry's stamp; it is meaningful only when
+// Len() > 0.
+func (w *WaitList) PeekStamp() int64 {
+	if len(w.entries) == 0 {
+		return 0
+	}
+	return w.entries[0].stamp
+}
+
 // MinRank returns the rank of the head entry. It is meaningful only when
 // Len() > 0; the boolean reports whether the list is non-empty. Monitor
 // priority conditions expose this as Hoare's "minrank" query.
@@ -99,8 +147,7 @@ func (w *WaitList) MinRank() (int64, bool) {
 func (w *WaitList) Remove(p *Proc) bool {
 	for i := range w.entries {
 		if w.entries[i].p == p {
-			copy(w.entries[i:], w.entries[i+1:])
-			w.entries = w.entries[:len(w.entries)-1]
+			w.removeAt(i)
 			return true
 		}
 	}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -202,5 +203,46 @@ func BenchmarkWaitListPushPopRanked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := w.Pop()
 		w.PushRank(p, int64(i%8))
+	}
+}
+
+func TestWaitListPopWhereKeepsOrder(t *testing.T) {
+	var w WaitList
+	a, b, c, d := mkProc(1), mkProc(2), mkProc(3), mkProc(4)
+	for i, p := range []*Proc{a, b, c, d} {
+		w.PushTagged(p, 0, i)
+	}
+	var asked []int
+	got := w.PopWhere(func(tag any) bool {
+		asked = append(asked, tag.(int))
+		return tag.(int) >= 1
+	})
+	if got != b || fmt.Sprint(asked) != "[0 1]" {
+		t.Fatalf("PopWhere = %v after asking %v, want %v after [0 1]", got, asked, b)
+	}
+	if got := w.PopWhere(func(any) bool { return false }); got != nil {
+		t.Fatalf("PopWhere with no match = %v, want nil", got)
+	}
+	for i, want := range []*Proc{a, c, d} {
+		if got := w.Pop(); got != want {
+			t.Fatalf("Pop #%d = %v, want %v", i, got, want)
+		}
+	}
+}
+
+func TestWaitListStampsAndReset(t *testing.T) {
+	var w WaitList
+	w.PushStamped(mkProc(1), 5, 40, nil)
+	w.PushStamped(mkProc(2), 1, 41, nil)
+	if got := w.PeekStamp(); got != 41 {
+		t.Fatalf("PeekStamp = %d, want 41 (the lower rank's)", got)
+	}
+	w.Reset()
+	if w.Len() != 0 || w.Pop() != nil || w.PeekStamp() != 0 {
+		t.Fatalf("after Reset: Len %d", w.Len())
+	}
+	w.Push(mkProc(3))
+	if got := w.PeekStamp(); got != 1 {
+		t.Fatalf("first arrival after Reset stamped %d, want 1", got)
 	}
 }

@@ -71,7 +71,7 @@ func (m *Monitor) Enter(p *kernel.Proc) {
 // admitted.
 func (m *Monitor) Exit(p *kernel.Proc) {
 	m.mu.Lock()
-	m.checkOccupantLocked(p, "Exit")
+	m.checkOccupantLocked(p, "Exit", "")
 	next := m.releaseLocked()
 	m.mu.Unlock()
 	if next != nil {
@@ -102,10 +102,29 @@ func (m *Monitor) releaseLocked() *kernel.Proc {
 	return nil
 }
 
-func (m *Monitor) checkOccupantLocked(p *kernel.Proc, op string) {
+// checkOccupantLocked panics unless p occupies the monitor. The
+// operation's label, op or op(cond), is formatted only on failure, so
+// the check costs no allocation on the paths that pass it.
+func (m *Monitor) checkOccupantLocked(p *kernel.Proc, op, cond string) {
 	if m.occupant != p {
+		if cond != "" {
+			op += "(" + cond + ")"
+		}
 		panic(fmt.Sprintf("monitor %s: %s called %s while occupant is %v", m.name, p, op, m.occupant))
 	}
+}
+
+// Reset empties the monitor — no occupant, no entrant or urgent waiter —
+// keeping its queues' capacity. A run cut short (deadlock, Stop) leaves
+// processes queued; a simulation that reuses the monitor for its next run
+// resets it, and each of its conditions (Condition.Reset), first. Never
+// call it while processes of a live run use it.
+func (m *Monitor) Reset() {
+	m.mu.Lock()
+	m.occupant = nil
+	m.entry.Reset()
+	m.urgent.Reset()
+	m.mu.Unlock()
 }
 
 // Occupied reports whether some process is inside the monitor. Advisory
@@ -141,6 +160,14 @@ func (m *Monitor) NewCondition(name string) *Condition {
 // Name reports the condition's name.
 func (c *Condition) Name() string { return c.name }
 
+// Reset drops the condition's waiters, keeping the queue's capacity; see
+// Monitor.Reset.
+func (c *Condition) Reset() {
+	c.m.mu.Lock()
+	c.waiters.Reset()
+	c.m.mu.Unlock()
+}
+
 // Wait releases the monitor and blocks until signalled, FIFO among
 // waiters. The caller must occupy the monitor; it occupies it again when
 // Wait returns.
@@ -152,7 +179,7 @@ func (c *Condition) Wait(p *kernel.Proc) { c.WaitRank(p, 0) }
 func (c *Condition) WaitRank(p *kernel.Proc, rank int64) {
 	m := c.m
 	m.mu.Lock()
-	m.checkOccupantLocked(p, "Wait("+c.name+")")
+	m.checkOccupantLocked(p, "Wait", c.name)
 	c.waiters.PushRank(p, rank)
 	next := m.releaseLocked()
 	m.mu.Unlock()
@@ -170,7 +197,7 @@ func (c *Condition) WaitRank(p *kernel.Proc, rank int64) {
 func (c *Condition) Signal(p *kernel.Proc) {
 	m := c.m
 	m.mu.Lock()
-	m.checkOccupantLocked(p, "Signal("+c.name+")")
+	m.checkOccupantLocked(p, "Signal", c.name)
 	w := c.waiters.Pop()
 	if w == nil {
 		m.mu.Unlock()

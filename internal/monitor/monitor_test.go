@@ -252,11 +252,16 @@ func TestMisusePanics(t *testing.T) {
 	cases := []struct {
 		name string
 		body func(m *Monitor, c *Condition, p *kernel.Proc)
+		want string // the panic text
 	}{
-		{"exit-not-occupant", func(m *Monitor, c *Condition, p *kernel.Proc) { m.Exit(p) }},
-		{"wait-outside", func(m *Monitor, c *Condition, p *kernel.Proc) { c.Wait(p) }},
-		{"signal-outside", func(m *Monitor, c *Condition, p *kernel.Proc) { c.Signal(p) }},
-		{"reenter", func(m *Monitor, c *Condition, p *kernel.Proc) { m.Enter(p); m.Enter(p) }},
+		{"exit-not-occupant", func(m *Monitor, c *Condition, p *kernel.Proc) { m.Exit(p) },
+			"monitor mx: bad#1 called Exit while occupant is <nil>"},
+		{"wait-outside", func(m *Monitor, c *Condition, p *kernel.Proc) { c.Wait(p) },
+			"monitor mx: bad#1 called Wait(c) while occupant is <nil>"},
+		{"signal-outside", func(m *Monitor, c *Condition, p *kernel.Proc) { c.Signal(p) },
+			"monitor mx: bad#1 called Signal(c) while occupant is <nil>"},
+		{"reenter", func(m *Monitor, c *Condition, p *kernel.Proc) { m.Enter(p); m.Enter(p) },
+			"monitor mx: bad#1 re-entered (monitors are not reentrant)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -271,8 +276,8 @@ func TestMisusePanics(t *testing.T) {
 			if err := k.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if recovered == nil {
-				t.Fatal("misuse did not panic")
+			if recovered != tc.want {
+				t.Fatalf("misuse panicked with %v, want %q", recovered, tc.want)
 			}
 		})
 	}
@@ -393,5 +398,45 @@ func BenchmarkMonitorSignalWaitPingPong(b *testing.B) {
 	})
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestResetAfterCutRun: a run cut by Stop leaves the monitor occupied,
+// an entrant queued and a waiter on a condition. Reset (of the monitor
+// and its condition) empties all three, and the monitor works again.
+func TestResetAfterCutRun(t *testing.T) {
+	k := kernel.NewSim()
+	m := New("m")
+	c := m.NewCondition("c")
+	k.Spawn("waiter", func(p *kernel.Proc) {
+		m.Enter(p)
+		c.Wait(p)
+	})
+	k.Spawn("occupant", func(p *kernel.Proc) {
+		m.Enter(p)
+		p.Yield()
+		k.Stop()
+		p.Yield()
+	})
+	k.Spawn("entrant", func(p *kernel.Proc) { m.Enter(p) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Occupied() || m.EntryWaiting() != 1 || c.Waiting() != 1 {
+		t.Fatalf("before Reset: occupied %v, %d entrants, %d waiting", m.Occupied(), m.EntryWaiting(), c.Waiting())
+	}
+	m.Reset()
+	c.Reset()
+	if m.Occupied() || m.EntryWaiting() != 0 || c.Waiting() != 0 {
+		t.Fatalf("after Reset: occupied %v, %d entrants, %d waiting", m.Occupied(), m.EntryWaiting(), c.Waiting())
+	}
+	k2 := kernel.NewSim()
+	k2.Spawn("again", func(p *kernel.Proc) {
+		m.Enter(p)
+		c.Signal(p)
+		m.Exit(p)
+	})
+	if err := k2.Run(); err != nil {
+		t.Fatalf("run after Reset: %v", err)
 	}
 }

@@ -80,7 +80,7 @@ type Set struct {
 }
 
 type burstState struct {
-	mu semaphore.Semaphore // binary semaphore guarding n; initialized to 1
+	mu *semaphore.Semaphore // binary semaphore guarding n; initial count 1
 	n  int64
 }
 
@@ -140,9 +140,7 @@ func CompileList(paths []*Path) (*Set, error) {
 	}
 	set.bursts = make([]*burstState, set.burstCnt)
 	for i := range set.bursts {
-		b := &burstState{}
-		b.mu.V() // initialize the guard to 1
-		set.bursts[i] = b
+		set.bursts[i] = &burstState{mu: semaphore.New(1)}
 	}
 	return set, nil
 }
@@ -270,16 +268,16 @@ func (s *Set) run(p *kernel.Proc, steps []step) {
 	}
 }
 
-// Reset reinstantiates the runtime state (semaphores and burst counters),
-// abandoning any in-flight executions. For use between independent runs in
-// tests and benchmarks; never while processes are inside Exec.
+// Reset returns the runtime state (semaphores and burst counters) to its
+// compiled initial values in place, abandoning any in-flight executions
+// and allocating nothing. For use between independent runs; never while
+// processes of a live run are inside Exec.
 func (s *Set) Reset() {
-	for i, init := range s.semInit {
-		s.sems[i] = semaphore.New(init)
+	for _, sem := range s.sems {
+		sem.Reset()
 	}
-	for i := range s.bursts {
-		b := &burstState{}
-		b.mu.V()
-		s.bursts[i] = b
+	for _, b := range s.bursts {
+		b.mu.Reset()
+		b.n = 0
 	}
 }

@@ -328,3 +328,26 @@ func BenchmarkExecBurstReader(b *testing.B) {
 	})
 	<-done
 }
+
+// TestResetAfterCutRun: a run cut inside a burst leaves its counter
+// raised and the path's root semaphore taken. Reset restores both in
+// place, so the other alternative runs at once.
+func TestResetAfterCutRun(t *testing.T) {
+	set := MustCompile("path {a} , b end")
+	k := kernel.NewSim()
+	k.Spawn("reader", func(p *kernel.Proc) {
+		set.Exec(p, "a", func() {
+			k.Stop()
+			p.Yield()
+		})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	set.Reset()
+	k2 := kernel.NewSim()
+	k2.Spawn("writer", func(p *kernel.Proc) { set.Exec(p, "b", func() {}) })
+	if err := k2.Run(); err != nil {
+		t.Fatalf("b after Reset: %v", err)
+	}
+}

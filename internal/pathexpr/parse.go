@@ -115,6 +115,9 @@ func (p *parser) parsePath() *Path {
 		bound = n
 		p.advance()
 		p.expect(tokColon)
+		if p.err != nil {
+			return nil
+		}
 	}
 	expr := p.parseExpr()
 	endTok := p.expect(tokEnd)
@@ -169,6 +172,11 @@ func (p *parser) parseAlt() Node {
 }
 
 func (p *parser) parsePrim() Node {
+	if p.err != nil {
+		// Stop at the first error: advance no longer moves, so the "{"
+		// and "(" cases below would recurse on the same token forever.
+		return nil
+	}
 	switch p.tok.kind {
 	case tokIdent:
 		name := p.tok.text

@@ -152,6 +152,10 @@ func TestParseErrors(t *testing.T) {
 		{"path a end trailing", `expected "path"`},
 		{"path a % b end", "illegal character"},
 		{"path path end", "expected operation"},
+		// A bound without its colon once recursed until the runtime
+		// aborted on a stack overflow.
+		{"path 3 (a ; b) end", `expected ":"`},
+		{"path 3 { a end", `expected ":"`},
 	}
 	for _, tc := range cases {
 		_, err := ParseList(tc.src)

@@ -25,6 +25,7 @@ import (
 // Semaphore is a FIFO counting semaphore.
 type Semaphore struct {
 	mu      sync.Mutex
+	init    int64 // the count New gave it, restored by Reset
 	count   int64
 	waiters kernel.WaitList
 }
@@ -35,7 +36,19 @@ func New(initial int64) *Semaphore {
 	if initial < 0 {
 		panic(fmt.Sprintf("semaphore: negative initial count %d", initial))
 	}
-	return &Semaphore{count: initial}
+	return &Semaphore{init: initial, count: initial}
+}
+
+// Reset returns the semaphore to the state New left it in: its initial
+// count and no waiters, keeping the wait list's capacity. A run cut
+// short (deadlock, Stop) can leave processes parked in P and permits
+// unconsumed; a simulation that reuses the semaphore for its next run
+// resets it first. Never call it while processes of a live run use it.
+func (s *Semaphore) Reset() {
+	s.mu.Lock()
+	s.count = s.init
+	s.waiters.Reset()
+	s.mu.Unlock()
 }
 
 // P (Dijkstra's "proberen"; acquire) decrements the semaphore, blocking the
@@ -107,6 +120,15 @@ type Mutex struct {
 
 // NewMutex creates an unlocked Mutex.
 func NewMutex() *Mutex { return &Mutex{} }
+
+// Reset unlocks the mutex and drops its waiters, keeping the wait list's
+// capacity; the same contract as Semaphore.Reset.
+func (m *Mutex) Reset() {
+	m.mu.Lock()
+	m.owner = nil
+	m.waiters.Reset()
+	m.mu.Unlock()
+}
 
 // Lock acquires the mutex FIFO, blocking while another process holds it.
 // Recursive locking panics (the 1979 constructs are all non-reentrant).

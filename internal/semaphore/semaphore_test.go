@@ -342,3 +342,38 @@ func BenchmarkSemaphoreContendedHandoff(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestResetAfterDeadlock: a run that deadlocks leaves a semaphore with a
+// parked waiter and a spent count, and a mutex held with a waiter.
+// Reset returns both to their state at construction.
+func TestResetAfterDeadlock(t *testing.T) {
+	k := kernel.NewSim()
+	s := New(1)
+	m := NewMutex()
+	k.Spawn("a", func(p *kernel.Proc) {
+		s.P(p)
+		m.Lock(p)
+		s.P(p)
+	})
+	k.Spawn("b", func(p *kernel.Proc) { m.Lock(p) })
+	if err := k.Run(); !errors.Is(err, kernel.ErrDeadlock) {
+		t.Fatalf("Run = %v, want deadlock", err)
+	}
+	if s.Waiting() != 1 || m.Holder() == nil {
+		t.Fatalf("before Reset: %d waiting, holder %v", s.Waiting(), m.Holder())
+	}
+	s.Reset()
+	m.Reset()
+	if s.Value() != 1 || s.Waiting() != 0 || m.Holder() != nil {
+		t.Fatalf("after Reset: value %d, %d waiting, holder %v; want 1, 0, nil", s.Value(), s.Waiting(), m.Holder())
+	}
+	k2 := kernel.NewSim()
+	k2.Spawn("c", func(p *kernel.Proc) {
+		m.Lock(p)
+		s.P(p)
+		m.Unlock(p)
+	})
+	if err := k2.Run(); err != nil {
+		t.Fatalf("run after Reset: %v", err)
+	}
+}

@@ -45,6 +45,7 @@ type Serializer struct {
 	entry     kernel.WaitList
 	rejoin    kernel.WaitList
 	queues    []*Queue
+	crowds    []*Crowd
 	stamp     int64
 }
 
@@ -80,7 +81,7 @@ func (s *Serializer) Enter(p *kernel.Proc) {
 // Exit releases possession.
 func (s *Serializer) Exit(p *kernel.Proc) {
 	s.mu.Lock()
-	s.checkPossessorLocked(p, "Exit")
+	s.checkPossessorLocked(p, "Exit", "")
 	next := s.releaseLocked()
 	s.mu.Unlock()
 	if next != nil {
@@ -95,10 +96,37 @@ func (s *Serializer) Do(p *kernel.Proc, body func()) {
 	body()
 }
 
-func (s *Serializer) checkPossessorLocked(p *kernel.Proc, op string) {
+// checkPossessorLocked panics unless p holds possession. The operation's
+// label, op or op(name), is formatted only on failure, so the check costs
+// no allocation on the paths that pass it.
+func (s *Serializer) checkPossessorLocked(p *kernel.Proc, op, name string) {
 	if s.possessor != p {
+		if name != "" {
+			op += "(" + name + ")"
+		}
 		panic(fmt.Sprintf("serializer %s: %s called %s while possessor is %v", s.name, p, op, s.possessor))
 	}
+}
+
+// Reset empties the serializer — no possessor; no entrant, rejoiner or
+// queued waiter; every crowd empty — and restarts its arrival stamps,
+// keeping the queues' capacity. A run cut short (deadlock, Stop) leaves
+// processes queued and crowds populated; a simulation that reuses the
+// serializer for its next run resets it first. Never call it while
+// processes of a live run use it.
+func (s *Serializer) Reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.possessor = nil
+	s.entry.Reset()
+	s.rejoin.Reset()
+	for _, q := range s.queues {
+		q.waiters.Reset()
+	}
+	for _, c := range s.crowds {
+		clear(c.members)
+	}
+	s.stamp = 0
 }
 
 // releaseLocked selects the next possessor: rejoining crowd leavers, then
@@ -121,7 +149,7 @@ func (s *Serializer) releaseLocked() *kernel.Proc {
 		}
 	}
 	if bestQ != nil {
-		w, _ := bestQ.waiters.PopTagged()
+		w := bestQ.waiters.Pop()
 		s.possessor = w
 		return w
 	}
@@ -146,12 +174,7 @@ func (s *Serializer) Possessed() bool {
 type Queue struct {
 	s       *Serializer
 	name    string
-	waiters kernel.WaitList // tags: *queueTag
-}
-
-type queueTag struct {
-	guarantee func() bool
-	stamp     int64
+	waiters kernel.WaitList // tags: guarantees; stamps: the serializer's arrival clock
 }
 
 // NewQueue creates a queue on s.
@@ -171,11 +194,11 @@ func (q *Queue) headEligibleLocked() bool {
 	if tag == nil {
 		return false
 	}
-	return tag.(*queueTag).guarantee()
+	return tag.(func() bool)()
 }
 
 func (q *Queue) headStampLocked() int64 {
-	return q.waiters.PeekTag().(*queueTag).stamp
+	return q.waiters.PeekStamp()
 }
 
 // Enqueue releases possession and blocks until the caller is at the head
@@ -197,9 +220,9 @@ func (q *Queue) Enqueue(p *kernel.Proc, guarantee func() bool) {
 func (q *Queue) EnqueueRank(p *kernel.Proc, rank int64, guarantee func() bool) {
 	s := q.s
 	s.mu.Lock()
-	s.checkPossessorLocked(p, "Enqueue("+q.name+")")
+	s.checkPossessorLocked(p, "Enqueue", q.name)
 	s.stamp++
-	q.waiters.PushTagged(p, rank, &queueTag{guarantee: guarantee, stamp: s.stamp})
+	q.waiters.PushStamped(p, rank, s.stamp, guarantee)
 	next := s.releaseLocked()
 	s.mu.Unlock()
 	if next != nil {
@@ -237,7 +260,11 @@ type Crowd struct {
 
 // NewCrowd creates a crowd on s.
 func (s *Serializer) NewCrowd(name string) *Crowd {
-	return &Crowd{s: s, name: name, members: make(map[*kernel.Proc]bool)}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := &Crowd{s: s, name: name, members: make(map[*kernel.Proc]bool)}
+	s.crowds = append(s.crowds, c)
+	return c
 }
 
 // Name reports the crowd's name.
@@ -249,7 +276,7 @@ func (c *Crowd) Name() string { return c.name }
 func (c *Crowd) Join(p *kernel.Proc, body func()) {
 	s := c.s
 	s.mu.Lock()
-	s.checkPossessorLocked(p, "Join("+c.name+")")
+	s.checkPossessorLocked(p, "Join", c.name)
 	c.members[p] = true
 	next := s.releaseLocked()
 	s.mu.Unlock()

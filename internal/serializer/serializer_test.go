@@ -233,11 +233,16 @@ func TestMisusePanics(t *testing.T) {
 	cases := []struct {
 		name string
 		body func(s *Serializer, q *Queue, c *Crowd, p *kernel.Proc)
+		want string // the panic text
 	}{
-		{"exit-not-possessor", func(s *Serializer, q *Queue, c *Crowd, p *kernel.Proc) { s.Exit(p) }},
-		{"enqueue-outside", func(s *Serializer, q *Queue, c *Crowd, p *kernel.Proc) { q.Enqueue(p, always) }},
-		{"join-outside", func(s *Serializer, q *Queue, c *Crowd, p *kernel.Proc) { c.Join(p, func() {}) }},
-		{"reenter", func(s *Serializer, q *Queue, c *Crowd, p *kernel.Proc) { s.Enter(p); s.Enter(p) }},
+		{"exit-not-possessor", func(s *Serializer, q *Queue, c *Crowd, p *kernel.Proc) { s.Exit(p) },
+			"serializer s: bad#1 called Exit while possessor is <nil>"},
+		{"enqueue-outside", func(s *Serializer, q *Queue, c *Crowd, p *kernel.Proc) { q.Enqueue(p, always) },
+			"serializer s: bad#1 called Enqueue(q) while possessor is <nil>"},
+		{"join-outside", func(s *Serializer, q *Queue, c *Crowd, p *kernel.Proc) { c.Join(p, func() {}) },
+			"serializer s: bad#1 called Join(c) while possessor is <nil>"},
+		{"reenter", func(s *Serializer, q *Queue, c *Crowd, p *kernel.Proc) { s.Enter(p); s.Enter(p) },
+			"serializer s: bad#1 re-entered"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -253,8 +258,8 @@ func TestMisusePanics(t *testing.T) {
 			if err := k.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if recovered == nil {
-				t.Fatal("misuse did not panic")
+			if recovered != tc.want {
+				t.Fatalf("misuse panicked with %v, want %q", recovered, tc.want)
 			}
 		})
 	}
@@ -397,4 +402,50 @@ func BenchmarkSerializerCrowdJoin(b *testing.B) {
 		close(done)
 	})
 	<-done
+}
+
+// TestResetAfterCutRun: a run cut by Stop leaves a process in a crowd, a
+// process queued and the serializer possessed with an entrant waiting.
+// Reset empties all of them, and the serializer works again.
+func TestResetAfterCutRun(t *testing.T) {
+	k := kernel.NewSim()
+	s := New("s")
+	q := s.NewQueue("q")
+	c := s.NewCrowd("c")
+	k.Spawn("queued", func(p *kernel.Proc) {
+		s.Enter(p)
+		q.Enqueue(p, func() bool { return false })
+	})
+	k.Spawn("member", func(p *kernel.Proc) {
+		s.Enter(p)
+		c.Join(p, func() {
+			p.Yield()
+			p.Yield()
+		})
+	})
+	k.Spawn("possessor", func(p *kernel.Proc) {
+		s.Enter(p)
+		k.Stop()
+		p.Yield()
+	})
+	k.Spawn("entrant", func(p *kernel.Proc) { s.Enter(p) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Possessed() || q.Len() != 1 || c.Size() != 1 {
+		t.Fatalf("before Reset: possessed %v, %d queued, crowd %d", s.Possessed(), q.Len(), c.Size())
+	}
+	s.Reset()
+	if s.Possessed() || q.Len() != 0 || c.Size() != 0 {
+		t.Fatalf("after Reset: possessed %v, %d queued, crowd %d", s.Possessed(), q.Len(), c.Size())
+	}
+	k2 := kernel.NewSim()
+	k2.Spawn("again", func(p *kernel.Proc) {
+		s.Enter(p)
+		c.Join(p, func() {})
+		s.Exit(p)
+	})
+	if err := k2.Run(); err != nil {
+		t.Fatalf("run after Reset: %v", err)
+	}
 }

@@ -72,3 +72,38 @@ func BenchmarkSynthCheck(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSynthRun is the cost of one generated run on a recycled
+// kernel slot, the exploration engine's unit of work: the programs of
+// the first 20 corpus problems a mechanism can express, each on its own
+// recycling kernel with FIFO scheduling, run in turn — kernel and
+// recorder reset, program, Run — one per iteration. One sub-benchmark
+// per mechanism; a warm run allocates nothing (TestRecycledRunAllocatesNothing).
+func BenchmarkSynthRun(b *testing.B) {
+	slots := recycledPrograms(b, 20)
+	defer func() {
+		for _, s := range slots {
+			s.k.Close()
+		}
+	}()
+	for _, mech := range Mechanisms() {
+		var runs []*slotRun
+		for _, s := range slots {
+			if s.mech == mech {
+				runs = append(runs, s)
+			}
+		}
+		b.Run(mech, func(b *testing.B) {
+			for _, s := range runs {
+				s.run() // warm: the first run on a slot builds the program's instance
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := runs[i%len(runs)].run(); err != nil && !errors.Is(err, kernel.ErrDeadlock) {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

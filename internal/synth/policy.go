@@ -10,11 +10,15 @@ package synth
 // mutex, the CSP server process), which is exactly the encapsulation the
 // paper's modularity criteria talk about.
 
-// Waiter is one pending or admitted operation known to a Gate.
+// Waiter is one pending or admitted operation known to a Gate. A process
+// has at most one operation in flight, so an adapter can keep one Waiter
+// per process and enqueue it again for every operation (Enqueue).
 type Waiter struct {
 	Cand
-	// Aux carries the adapter's per-waiter payload (a condition
-	// variable, a private semaphore, a grant channel).
+	// Aux carries the adapter's per-process payload (a condition
+	// variable, a private semaphore, a grant channel, closures bound to
+	// the process). Enqueue leaves it alone, so it is built on the
+	// process's first operation and reused.
 	Aux any
 	// Hooks are the waiter's own record points. Grant fires their Enter
 	// inside the adapter's critical section, so the recorded Enter
@@ -56,6 +60,23 @@ func NewGate(set *Set) *Gate {
 	}
 	g.view.g = g
 	return g
+}
+
+// Reset returns the Gate to the state NewGate left it in, keeping its
+// capacity: no waiter, zero populations and slots, no class started. A
+// run cut short leaves waiters behind, so a recycled program resets its
+// Gate at the start of every run.
+func (g *Gate) Reset() {
+	g.stamp = 0
+	clear(g.waiting)
+	g.waiting = g.waiting[:0]
+	clear(g.waitingN)
+	clear(g.active)
+	clear(g.started)
+	clear(g.done)
+	g.slots = 0
+	g.last = -1
+	g.view.self = nil
 }
 
 // Count implements StateView.
@@ -105,13 +126,23 @@ func (g *Gate) viewOf(w *Waiter) *gateView {
 	return &g.view
 }
 
-// Arrive registers a new candidate and returns its waiter.
+// Arrive registers a new candidate and returns its waiter, a fresh one.
 func (g *Gate) Arrive(class int, arg int64, hasArg bool) *Waiter {
+	w := &Waiter{}
+	g.Enqueue(w, class, arg, hasArg)
+	return w
+}
+
+// Enqueue registers w as a new candidate: it overwrites w's candidate and
+// grant state and keeps its Aux (and Hooks, which the caller sets). w
+// must not be waiting already; a process's Waiter is free again once its
+// operation is granted.
+func (g *Gate) Enqueue(w *Waiter, class int, arg int64, hasArg bool) {
 	g.stamp++
-	w := &Waiter{Cand: Cand{Class: class, Arg: arg, HasArg: hasArg, Stamp: g.stamp}}
+	w.Cand = Cand{Class: class, Arg: arg, HasArg: hasArg, Stamp: g.stamp}
+	w.granted = false
 	g.waiting = append(g.waiting, w)
 	g.waitingN[class]++
-	return w
 }
 
 // Admissible reports whether any exclusion rule currently bars w.

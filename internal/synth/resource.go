@@ -16,6 +16,17 @@ package synth
 // carries the three record points into the adapter, which fires each one
 // inside its own exclusion: Request at Arrive, Enter at Grant (through
 // the Waiter's copy), Exit immediately before Release.
+//
+// Per-process objects: a process has at most one operation in flight, so
+// what an operation needs beyond its arguments — the Waiter, the
+// monitor's private condition, the semaphore adapter's private
+// semaphore, the CSP grant channel and message slots, the closures the
+// ccr, serializer and pathexpr adapters hand their mechanism — belongs
+// to the process's op and is built on its first operation. A recycled
+// program (program.go) keeps one op per process and one adapter per
+// kernel slot, so a warm run allocates nothing; NewResource, the
+// real-kernel path, builds a fresh adapter and gives every Do a fresh
+// op.
 
 import (
 	"fmt"
@@ -107,9 +118,55 @@ func Supports(mech string, set *Set) error {
 	return fmt.Errorf("synth: unknown mechanism %q", mech)
 }
 
+// op is one process's operation in flight: who runs it, what it asks
+// for, and the Waiter the adapter queues it as. The Waiter's Aux holds
+// the adapter's per-process objects, built on the op's first use; a
+// recycled program refills the same op every round (program.go).
+type op struct {
+	p      *kernel.Proc
+	class  int
+	arg    int64
+	hasArg bool
+	h      Hooks
+	body   func()
+	w      Waiter
+	wake   []*semaphore.Semaphore // the semaphore adapter's grant scratch
+	// reset, when set, empties the per-process object a process may be
+	// left blocked on when a run is cut short; a recycled program calls
+	// it at the start of every run.
+	reset func()
+}
+
+// adapter is one mechanism's implementation of the Gate policy.
+type adapter interface {
+	// start readies the adapter for a run on k: it returns the Gate and
+	// every mechanism object to their state before any operation (a run
+	// cut by deadlock or Stop leaves processes queued), and the CSP
+	// adapter spawns its server.
+	start(k kernel.Kernel)
+	// do runs o's operation.
+	do(o *op)
+}
+
+// fresh is the Resource NewResource returns: each Do is a new op.
+type fresh struct{ a adapter }
+
+func (f fresh) Do(p *kernel.Proc, class int, arg int64, hasArg bool, h Hooks, body func()) {
+	f.a.do(&op{p: p, class: class, arg: arg, hasArg: hasArg, h: h, body: body})
+}
+
 // NewResource builds the mechanism's adapter for the set. The kernel is
 // needed only by csp (its gate is a server process).
 func NewResource(mech string, set *Set, k kernel.Kernel) (Resource, error) {
+	a, err := newAdapter(mech, set)
+	if err != nil {
+		return nil, err
+	}
+	a.start(k)
+	return fresh{a}, nil
+}
+
+func newAdapter(mech string, set *Set) (adapter, error) {
 	if err := Supports(mech, set); err != nil {
 		return nil, err
 	}
@@ -121,7 +178,7 @@ func NewResource(mech string, set *Set, k kernel.Kernel) (Resource, error) {
 	case "ccr":
 		return &ccrResource{region: ccr.New(set.Name), g: NewGate(set)}, nil
 	case "csp":
-		return newCSPResource(set, k), nil
+		return newCSPResource(set), nil
 	case "serializer":
 		return newSerializerResource(set), nil
 	case "pathexpr":
@@ -134,12 +191,17 @@ func NewResource(mech string, set *Set, k kernel.Kernel) (Resource, error) {
 
 // --- monitor ---------------------------------------------------------
 
-// monitorResource keeps the Gate as monitor state; every blocked waiter
-// has a private condition, and whoever changes the state (arrival or
+// monitorResource keeps the Gate as monitor state; every process waits
+// on its own condition, and whoever changes the state (arrival or
 // release) runs the grant loop and signals the newly admitted.
 type monitorResource struct {
 	m *monitor.Monitor
 	g *Gate
+}
+
+func (r *monitorResource) start(kernel.Kernel) {
+	r.m.Reset()
+	r.g.Reset()
 }
 
 func (r *monitorResource) grantAll(p *kernel.Proc, self *Waiter) {
@@ -155,38 +217,49 @@ func (r *monitorResource) grantAll(p *kernel.Proc, self *Waiter) {
 	}
 }
 
-func (r *monitorResource) Do(p *kernel.Proc, class int, arg int64, hasArg bool, h Hooks, body func()) {
+func (r *monitorResource) do(o *op) {
+	p, w := o.p, &o.w
+	cond, ok := w.Aux.(*monitor.Condition)
+	if !ok {
+		cond = r.m.NewCondition(fmt.Sprintf("grant-%d", p.ID()))
+		w.Aux, o.reset = cond, cond.Reset
+	}
 	r.m.Enter(p)
-	h.request()
-	w := r.g.Arrive(class, arg, hasArg)
-	w.Hooks = h
-	cond := r.m.NewCondition(fmt.Sprintf("grant-%d", w.Stamp))
-	w.Aux = cond
+	o.h.request()
+	r.g.Enqueue(w, o.class, o.arg, o.hasArg)
+	w.Hooks = o.h
 	r.grantAll(p, w)
 	for !w.Granted() {
 		cond.Wait(p)
 	}
 	r.m.Exit(p)
-	body()
+	o.body()
 	r.m.Enter(p)
-	h.exit()
-	r.g.Release(class)
+	o.h.exit()
+	r.g.Release(o.class)
 	r.grantAll(p, nil)
 	r.m.Exit(p)
 }
 
 // --- semaphore -------------------------------------------------------
 
-// semResource guards the Gate with a mutex and parks each waiter on a
-// private binary semaphore: the exact-baton idiom — every grant decided
-// under the lock is paid with exactly one V.
+// semResource guards the Gate with a mutex and parks each waiter on its
+// process's private binary semaphore: the exact-baton idiom — every
+// grant decided under the lock is paid with exactly one V, so the
+// semaphore is back at zero when the operation ends.
 type semResource struct {
 	mu *semaphore.Mutex
 	g  *Gate
 }
 
-func (r *semResource) grantAll(self *Waiter) []*semaphore.Semaphore {
-	var wake []*semaphore.Semaphore
+func (r *semResource) start(kernel.Kernel) {
+	r.mu.Reset()
+	r.g.Reset()
+}
+
+// grantAll grants every waiter that may start and appends the private
+// semaphores of those other than self to wake, for V after the unlock.
+func (r *semResource) grantAll(wake []*semaphore.Semaphore, self *Waiter) []*semaphore.Semaphore {
 	for {
 		w := r.g.NextGrant()
 		if w == nil {
@@ -199,28 +272,33 @@ func (r *semResource) grantAll(self *Waiter) []*semaphore.Semaphore {
 	}
 }
 
-func (r *semResource) Do(p *kernel.Proc, class int, arg int64, hasArg bool, h Hooks, body func()) {
+func (r *semResource) do(o *op) {
+	p, w := o.p, &o.w
+	sem, ok := w.Aux.(*semaphore.Semaphore)
+	if !ok {
+		sem = semaphore.New(0)
+		w.Aux, o.reset = sem, sem.Reset
+	}
 	r.mu.Lock(p)
-	h.request()
-	w := r.g.Arrive(class, arg, hasArg)
-	w.Hooks = h
-	w.Aux = semaphore.New(0)
-	wake := r.grantAll(w)
+	o.h.request()
+	r.g.Enqueue(w, o.class, o.arg, o.hasArg)
+	w.Hooks = o.h
+	o.wake = r.grantAll(o.wake[:0], w)
 	granted := w.Granted()
 	r.mu.Unlock(p)
-	for _, s := range wake {
+	for _, s := range o.wake {
 		s.V()
 	}
 	if !granted {
-		w.Aux.(*semaphore.Semaphore).P(p)
+		sem.P(p)
 	}
-	body()
+	o.body()
 	r.mu.Lock(p)
-	h.exit()
-	r.g.Release(class)
-	wake = r.grantAll(nil)
+	o.h.exit()
+	r.g.Release(o.class)
+	o.wake = r.grantAll(o.wake[:0], nil)
 	r.mu.Unlock(p)
-	for _, s := range wake {
+	for _, s := range o.wake {
 		s.V()
 	}
 }
@@ -235,50 +313,88 @@ type ccrResource struct {
 	g      *Gate
 }
 
-func (r *ccrResource) Do(p *kernel.Proc, class int, arg int64, hasArg bool, h Hooks, body func()) {
-	var w *Waiter
-	r.region.Execute(p, ccr.True, func() {
-		h.request()
-		w = r.g.Arrive(class, arg, hasArg)
-		w.Hooks = h
-		if r.g.MayStart(w) {
-			r.g.Grant(w)
-		}
-	})
-	if !w.Granted() {
-		r.region.Execute(p, func() bool { return r.g.MayStart(w) }, func() {
-			r.g.Grant(w)
-		})
+// ccrProc is one process's region bodies and guard, bound to its op
+// once.
+type ccrProc struct {
+	arrive, grant, release func()
+	mayStart               func() bool
+}
+
+func (r *ccrResource) start(kernel.Kernel) {
+	r.region.Reset()
+	r.g.Reset()
+}
+
+func (r *ccrResource) bind(o *op) *ccrProc {
+	w := &o.w
+	return &ccrProc{
+		arrive: func() {
+			o.h.request()
+			r.g.Enqueue(w, o.class, o.arg, o.hasArg)
+			w.Hooks = o.h
+			if r.g.MayStart(w) {
+				r.g.Grant(w)
+			}
+		},
+		mayStart: func() bool { return r.g.MayStart(w) },
+		grant:    func() { r.g.Grant(w) },
+		release: func() {
+			o.h.exit()
+			r.g.Release(o.class)
+		},
 	}
-	body()
-	r.region.Execute(p, ccr.True, func() {
-		h.exit()
-		r.g.Release(class)
-	})
+}
+
+func (r *ccrResource) do(o *op) {
+	c, ok := o.w.Aux.(*ccrProc)
+	if !ok {
+		c = r.bind(o)
+		o.w.Aux = c
+	}
+	r.region.Execute(o.p, ccr.True, c.arrive)
+	if !o.w.Granted() {
+		r.region.Execute(o.p, c.mayStart, c.grant)
+	}
+	o.body()
+	r.region.Execute(o.p, ccr.True, c.release)
 }
 
 // --- csp -------------------------------------------------------------
 
 // cspResource hides the Gate inside a server process: clients send a
-// request carrying a private grant channel, the server loops on
+// request naming their private grant channel, the server loops on
 // alternation over requests and releases, granting by rendezvous. After
 // every communication the server drains the channels' pending senders
 // (the same discipline as the handwritten rwServer) so the grant policy
 // always decides on the complete announced state.
 type cspResource struct {
-	net *csp.Net
-	req *csp.Chan
-	rel *csp.Chan
+	name  string // the server process's name
+	net   *csp.Net
+	req   *csp.Chan
+	rel   *csp.Chan
+	cases []csp.Case
+	g     *Gate
+	serve func(p *kernel.Proc) // server, bound once
 }
 
-// cspReq and cspRel carry the sending round's Hooks by value: the
-// server fires them after the client has moved on, possibly into its
-// next round.
+// cspProc is one client's grant channel and message slots. A client
+// sends a pointer to its slot, not a boxed copy. The server can fire a
+// round's Exit after the client has begun its next round, so each slot
+// carries its round's Hooks by value, and requests and releases have
+// separate slots: a client fills its release slot again only after its
+// next grant, and its request slot only after its last one was granted —
+// both after the server consumed the slot's previous message.
+type cspProc struct {
+	grant *csp.Chan
+	req   cspReq
+	rel   cspRel
+}
+
 type cspReq struct {
+	w      *Waiter // the client's, queued by the server
 	class  int
 	arg    int64
 	hasArg bool
-	grant  *csp.Chan
 	hooks  Hooks
 }
 
@@ -287,54 +403,73 @@ type cspRel struct {
 	hooks Hooks
 }
 
-func newCSPResource(set *Set, k kernel.Kernel) *cspResource {
-	r := &cspResource{net: csp.NewNet()}
+func newCSPResource(set *Set) *cspResource {
+	r := &cspResource{name: set.Name + "-gate", net: csp.NewNet(), g: NewGate(set)}
 	r.req = r.net.NewChan("req")
 	r.rel = r.net.NewChan("rel")
-	k.SpawnDaemon(set.Name+"-gate", func(p *kernel.Proc) {
-		g := NewGate(set)
-		cases := []csp.Case{{Chan: r.req}, {Chan: r.rel}}
-		apply := func(i int, v any) {
-			if i == 0 {
-				m := v.(cspReq)
-				m.hooks.request()
-				w := g.Arrive(m.class, m.arg, m.hasArg)
-				w.Hooks = m.hooks
-				w.Aux = m.grant
-			} else {
-				m := v.(cspRel)
-				m.hooks.exit()
-				g.Release(m.class)
-			}
-		}
-		drain := func() {
-			for r.req.Pending()+r.rel.Pending() > 0 {
-				apply(csp.Select(p, cases)) // immediate: a sender waits
-			}
-		}
-		for {
-			apply(csp.Select(p, cases))
-			drain()
-			for {
-				w := g.NextGrant()
-				if w == nil {
-					break
-				}
-				g.Grant(w)
-				w.Aux.(*csp.Chan).Send(p, nil)
-				drain()
-			}
-		}
-	})
+	r.cases = []csp.Case{{Chan: r.req}, {Chan: r.rel}}
+	r.serve = r.server
 	return r
 }
 
-func (r *cspResource) Do(p *kernel.Proc, class int, arg int64, hasArg bool, h Hooks, body func()) {
-	grant := r.net.NewChan(fmt.Sprintf("grant-%d", p.ID()))
-	r.req.Send(p, cspReq{class: class, arg: arg, hasArg: hasArg, grant: grant, hooks: h})
-	grant.Recv(p)
-	body()
-	r.rel.Send(p, cspRel{class: class, hooks: h})
+func (r *cspResource) start(k kernel.Kernel) {
+	r.net.Reset()
+	r.req.Reset()
+	r.rel.Reset()
+	r.g.Reset()
+	k.SpawnDaemon(r.name, r.serve)
+}
+
+func (r *cspResource) apply(i int, v any) {
+	if i == 0 {
+		m := v.(*cspReq)
+		m.hooks.request()
+		r.g.Enqueue(m.w, m.class, m.arg, m.hasArg)
+		m.w.Hooks = m.hooks
+	} else {
+		m := v.(*cspRel)
+		m.hooks.exit()
+		r.g.Release(m.class)
+	}
+}
+
+// drain applies every pending message; each Select returns at once, since
+// a sender waits.
+func (r *cspResource) drain(p *kernel.Proc) {
+	for r.req.Pending()+r.rel.Pending() > 0 {
+		r.apply(csp.Select(p, r.cases))
+	}
+}
+
+func (r *cspResource) server(p *kernel.Proc) {
+	for {
+		r.apply(csp.Select(p, r.cases))
+		r.drain(p)
+		for {
+			w := r.g.NextGrant()
+			if w == nil {
+				break
+			}
+			r.g.Grant(w)
+			w.Aux.(*cspProc).grant.Send(p, nil)
+			r.drain(p)
+		}
+	}
+}
+
+func (r *cspResource) do(o *op) {
+	p := o.p
+	c, ok := o.w.Aux.(*cspProc)
+	if !ok {
+		c = &cspProc{grant: r.net.NewChan(fmt.Sprintf("grant-%d", p.ID()))}
+		o.w.Aux, o.reset = c, c.grant.Reset
+	}
+	c.req = cspReq{w: &o.w, class: o.class, arg: o.arg, hasArg: o.hasArg, hooks: o.h}
+	r.req.Send(p, &c.req)
+	c.grant.Recv(p)
+	o.body()
+	c.rel = cspRel{class: o.class, hooks: o.h}
+	r.rel.Send(p, &c.rel)
 }
 
 // --- serializer ------------------------------------------------------
@@ -363,6 +498,11 @@ func newSerializerResource(set *Set) *serializerResource {
 	return r
 }
 
+func (r *serializerResource) start(kernel.Kernel) {
+	r.s.Reset()
+	r.g.Reset()
+}
+
 // rank maps a class's self-priority rule onto the queue's rank order
 // (ascending): smaller-arg first, larger-arg first, or arrival order.
 func (r *serializerResource) rank(class int, w *Waiter) int64 {
@@ -380,12 +520,29 @@ func (r *serializerResource) rank(class int, w *Waiter) int64 {
 	return 0
 }
 
-func (r *serializerResource) Do(p *kernel.Proc, class int, arg int64, hasArg bool, h Hooks, body func()) {
+// mayStart is a process's guarantee: its waiter may start. It is bound
+// to the op once and kept in the Waiter's Aux.
+func (r *serializerResource) mayStart(w *Waiter) func() bool {
+	return func() bool {
+		r.mu.Lock()
+		ok := r.g.MayStart(w)
+		r.mu.Unlock()
+		return ok
+	}
+}
+
+func (r *serializerResource) do(o *op) {
+	p, w := o.p, &o.w
+	guarantee, ok := w.Aux.(func() bool)
+	if !ok {
+		guarantee = r.mayStart(w)
+		w.Aux = guarantee
+	}
 	r.s.Enter(p)
 	r.mu.Lock()
-	h.request()
-	w := r.g.Arrive(class, arg, hasArg)
-	w.Hooks = h
+	o.h.request()
+	r.g.Enqueue(w, o.class, o.arg, o.hasArg)
+	w.Hooks = o.h
 	r.mu.Unlock()
 	// Between the guarantee turning true (evaluated at a possession
 	// release) and this process resuming with possession, crowd members
@@ -393,12 +550,7 @@ func (r *serializerResource) Do(p *kernel.Proc, class int, arg int64, hasArg boo
 	// gate lock and requeue on a stale pass.
 	for {
 		//synclint:allow holdwait: the queues are serializer-owned (built via r.s.NewQueue), so EnqueueRank releases possession while parked — the analyzer's component binding only sees composite-literal fields, not slice appends
-		r.queues[class].EnqueueRank(p, r.rank(class, w), func() bool {
-			r.mu.Lock()
-			ok := r.g.MayStart(w)
-			r.mu.Unlock()
-			return ok
-		})
+		r.queues[o.class].EnqueueRank(p, r.rank(o.class, w), guarantee)
 		r.mu.Lock()
 		if r.g.MayStart(w) {
 			r.g.Grant(w)
@@ -407,10 +559,10 @@ func (r *serializerResource) Do(p *kernel.Proc, class int, arg int64, hasArg boo
 		}
 		r.mu.Unlock()
 	}
-	r.crowds[class].Join(p, body)
+	r.crowds[o.class].Join(p, o.body)
 	r.mu.Lock()
-	h.exit()
-	r.g.Release(class)
+	o.h.exit()
+	r.g.Release(o.class)
 	r.mu.Unlock()
 	r.s.Exit(p)
 }
@@ -446,16 +598,27 @@ func newPathResource(s *Set) (*pathResource, error) {
 	return r, nil
 }
 
-func (r *pathResource) Do(p *kernel.Proc, class int, _ int64, _ bool, h Hooks, body func()) {
-	name := r.names[class]
-	wrapped := func() {
-		h.enter()
-		body()
-		h.exit()
+func (r *pathResource) start(kernel.Kernel) {
+	if r.set != nil {
+		r.set.Reset()
 	}
-	h.request()
+}
+
+func (r *pathResource) do(o *op) {
+	wrapped, ok := o.w.Aux.(func())
+	if !ok {
+		// The operation as the path set runs it, bound to the op once.
+		wrapped = func() {
+			o.h.enter()
+			o.body()
+			o.h.exit()
+		}
+		o.w.Aux = wrapped
+	}
+	name := r.names[o.class]
+	o.h.request()
 	if r.set != nil && r.set.Constrained(name) {
-		r.set.Exec(p, name, wrapped)
+		r.set.Exec(o.p, name, wrapped)
 	} else {
 		wrapped()
 	}
@@ -483,24 +646,34 @@ func newNaiveResource(set *Set) *naiveResource {
 	return r
 }
 
-func (r *naiveResource) Do(p *kernel.Proc, class int, arg int64, hasArg bool, h Hooks, body func()) {
+func (r *naiveResource) start(kernel.Kernel) {
+	r.mu.Reset()
+	r.g.Reset()
+	for _, s := range r.gates {
+		s.Reset()
+	}
+	clear(r.parked)
+}
+
+func (r *naiveResource) do(o *op) {
+	p, w := o.p, &o.w
 	r.mu.Lock(p)
-	h.request()
-	w := r.g.Arrive(class, arg, hasArg)
-	w.Hooks = h
+	o.h.request()
+	r.g.Enqueue(w, o.class, o.arg, o.hasArg)
+	w.Hooks = o.h
 	for !r.g.Admissible(w) {
-		r.parked[class]++
+		r.parked[o.class]++
 		r.mu.Unlock(p)
-		r.gates[class].P(p)
+		r.gates[o.class].P(p)
 		r.mu.Lock(p)
-		r.parked[class]--
+		r.parked[o.class]--
 	}
 	r.g.Grant(w)
 	r.mu.Unlock(p)
-	body()
+	o.body()
 	r.mu.Lock(p)
-	h.exit()
-	r.g.Release(class)
+	o.h.exit()
+	r.g.Release(o.class)
 	for ci := range r.gates {
 		for i := 0; i < r.parked[ci]; i++ {
 			r.gates[ci].V()
