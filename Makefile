@@ -36,20 +36,23 @@ lint:
 # context-switch benchmark, the random policy's reseed-and-pick cost
 # (BenchmarkRandomPolicy), the synth derived oracle's cost per judged
 # run (BenchmarkSynthCheck), one generated run on a recycled kernel slot
-# per mechanism (BenchmarkSynthRun; 0 allocs/op) and interval pairing's,
+# per mechanism (BenchmarkSynthRun; 0 allocs/op), interval pairing's,
 # for one process in series and for 256 requests in flight
-# (BenchmarkIntervalsReconstruction). It archives the numbers (ns/op,
-# B/op, allocs/op, schedules/sec, schedules-to-finding and
-# schedules-to-exhaustion per variant; switches/sec for the kernel)
-# into BENCH_explore.json. An exhaustion row fails unless the search is
-# Exhausted: the frontier emptied and no run was cut. The file is a
-# committed baseline: benchjson merges fresh runs into it line by line
-# instead of overwriting, so a partial -bench filter never loses the
-# other variants. Override BENCHTIME (e.g. BENCHTIME=1x) for a smoke
-# run. -p 1 runs one package's benchmarks at a time, so no package's
-# build or benchmark competes with another's timed loop for the CPUs.
-BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch|BenchmarkRandomPolicy|BenchmarkSynthCheck|BenchmarkSynthRun|BenchmarkIntervalsReconstruction
-BENCHPKGS := . ./internal/kernel ./internal/synth ./internal/trace
+# (BenchmarkIntervalsReconstruction), and DPOR's race pass, one expand
+# of a recorded hunt run at depth 40 and with no bound, beside the
+# vector-clock reference it replaced (BenchmarkDPORRacePass). It
+# archives the numbers (ns/op, B/op, allocs/op, schedules/sec,
+# schedules-to-finding and schedules-to-exhaustion per variant;
+# switches/sec for the kernel) into BENCH_explore.json. An exhaustion
+# row fails unless the search is Exhausted: the frontier emptied and no
+# run was cut. The file is a committed baseline: benchjson merges fresh
+# runs into it line by line instead of overwriting, so a partial -bench
+# filter never loses the other variants. Override BENCHTIME (e.g.
+# BENCHTIME=1x) for a smoke run. -p 1 runs one package's benchmarks at a
+# time, so no package's build or benchmark competes with another's timed
+# loop for the CPUs.
+BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch|BenchmarkRandomPolicy|BenchmarkSynthCheck|BenchmarkSynthRun|BenchmarkIntervalsReconstruction|BenchmarkDPORRacePass
+BENCHPKGS := . ./internal/kernel ./internal/synth ./internal/trace ./internal/explore
 bench:
 	$(GO) test -p 1 -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime $(BENCHTIME) -count 1 $(BENCHPKGS) \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_explore.json

@@ -58,11 +58,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/load"
 )
@@ -513,15 +515,33 @@ func marshal(v any) ([]byte, error) {
 }
 
 // parse reads the bench output. A malformed Benchmark result line —
-// truncated mid-write, interleaved with a crash, wrong field count — is
-// an error, not a skip: silently dropping lines would let CI archive a
-// report that looks complete but is missing data.
+// truncated mid-write, interleaved with a crash, wrong field count, a
+// value JSON cannot encode, bytes that are not UTF-8 (in a header line
+// too) — is an error, not a skip: silently dropping lines would let CI
+// archive a report that looks complete but is missing data. So is a
+// second result for one benchmark and cpu count (a -count above 1):
+// reports are keyed by those, and merging or comparing would silently
+// keep only one of them.
 func parse(sc *bufio.Scanner) (Report, error) {
+	type key struct {
+		name string
+		cpus int
+	}
 	var r Report
+	seen := map[key]bool{}
 	lineno := 0
 	for sc.Scan() {
 		lineno++
 		line := sc.Text()
+		kept := strings.HasPrefix(line, "Benchmark")
+		for _, h := range []string{"goos: ", "goarch: ", "pkg: ", "cpu: "} {
+			kept = kept || strings.HasPrefix(line, h)
+		}
+		if kept && !utf8.ValidString(line) {
+			// Marshal would replace the bad bytes, so the archive
+			// would not hold what was measured.
+			return r, fmt.Errorf("line %d: not valid UTF-8: %q", lineno, line)
+		}
 		switch {
 		case strings.HasPrefix(line, "goos: "):
 			r.GoOS = strings.TrimPrefix(line, "goos: ")
@@ -542,6 +562,11 @@ func parse(sc *bufio.Scanner) (Report, error) {
 			if err != nil {
 				return r, fmt.Errorf("line %d: %w: %q", lineno, err, line)
 			}
+			k := key{b.Name, b.CPUs}
+			if seen[k] {
+				return r, fmt.Errorf("line %d: second result for %s (run with -count 1): %q", lineno, b.Name, line)
+			}
+			seen[k] = true
 			r.Benchmarks = append(r.Benchmarks, b)
 		}
 	}
@@ -568,6 +593,9 @@ func parseBenchLine(line string) (Benchmark, error) {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
 			return Benchmark{}, fmt.Errorf("malformed metric value %q", fields[i])
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Benchmark{}, fmt.Errorf("non-finite metric value %q (JSON cannot encode it)", fields[i])
 		}
 		b.Metrics[fields[i+1]] = v
 	}

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -61,6 +64,9 @@ func TestParseRejectsMalformed(t *testing.T) {
 		{"bad-iterations", "BenchmarkX-8 fast 5347102 ns/op\n", "malformed iteration count"},
 		{"bad-metric-value", "BenchmarkX-8 223 quick ns/op\n", "malformed metric value"},
 		{"truncated-after-good-line", sample[:strings.Index(sample, "PASS")] + "BenchmarkY-8 10\n", "malformed benchmark line"},
+		{"nan-metric", "BenchmarkX-2 1 NaN ns/op\n", "line 1: non-finite metric value"},
+		{"inf-metric", "BenchmarkX-2 1 5 ns/op\nBenchmarkY-2 1 +Inf ns/op\n", "line 2: non-finite metric value"},
+		{"second-result", "BenchmarkX-2 1 5 ns/op\nBenchmarkX-2 1 6 ns/op\n", "line 2: second result"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -527,4 +533,68 @@ func TestIngestLoadNDJSON(t *testing.T) {
 		!strings.Contains(err.Error(), "NDJSON line 1") {
 		t.Fatalf("bad snapshot line accepted: %v", err)
 	}
+}
+
+// renderBench writes b back as the bench line it was parsed from, its
+// metrics in unit order.
+func renderBench(b Benchmark) string {
+	name := b.Name
+	if b.CPUs > 0 {
+		name += "-" + strconv.Itoa(b.CPUs)
+	}
+	units := make([]string, 0, len(b.Metrics))
+	for u := range b.Metrics {
+		units = append(units, u)
+	}
+	sort.Strings(units)
+	line := fmt.Sprintf("%s\t%d", name, b.Iterations)
+	for _, u := range units {
+		line += fmt.Sprintf("\t%s %s", strconv.FormatFloat(b.Metrics[u], 'g', -1, 64), u)
+	}
+	return line + "\n"
+}
+
+// FuzzBenchText fuzzes the bench-text boundary: no input panics, a
+// report parse accepts marshals, re-marshalling what it unmarshals to is
+// byte-identical, and merging a report into itself changes nothing. It
+// is seeded with the committed baseline's rows rendered back to bench
+// text and with a NaN line, which parse once accepted and marshal then
+// refused.
+func FuzzBenchText(f *testing.F) {
+	data, err := os.ReadFile("../../BENCH_explore.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var base Report
+	if err := json.Unmarshal(data, &base); err != nil {
+		f.Fatal(err)
+	}
+	all := fmt.Sprintf("goos: %s\ngoarch: %s\npkg: %s\ncpu: %s\n", base.GoOS, base.GoArch, base.Package, base.CPU)
+	for _, b := range base.Benchmarks {
+		line := renderBench(b)
+		f.Add(line)
+		all += line
+	}
+	f.Add(all + "PASS\n")
+	f.Add("BenchmarkX-2 1 NaN ns/op\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		r, err := parse(bufio.NewScanner(strings.NewReader(text)))
+		if err != nil {
+			return
+		}
+		out, err := marshal(r)
+		if err != nil {
+			t.Fatalf("parse accepted a report marshal refuses: %v", err)
+		}
+		var back Report
+		if err := json.Unmarshal(out, &back); err != nil {
+			t.Fatalf("marshalled report does not unmarshal: %v", err)
+		}
+		if again, err := marshal(back); err != nil || !bytes.Equal(again, out) {
+			t.Fatalf("re-marshalled report differs (err %v):\n%s\nwant\n%s", err, again, out)
+		}
+		if merged, err := marshal(mergeReports(r, r)); err != nil || !bytes.Equal(merged, out) {
+			t.Fatalf("report merged into itself differs (err %v):\n%s\nwant\n%s", err, merged, out)
+		}
+	})
 }

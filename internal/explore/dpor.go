@@ -4,14 +4,25 @@
 // fingerprint pruning to dedup states after the fact. DPOR avoids
 // scheduling the redundant siblings in the first place: after each run
 // the driver reconstructs a happens-before relation from the kernel's
-// dependency trace (kernel.WithDepTrace) via per-step vector clocks, and
-// for every pair of conflicting steps not ordered by happens-before it
-// pushes a backtrack point at the earlier step's branch group — schedule
-// the later step's process there instead (a persistent set). If that
-// process was not enabled at the branch group, every alternative is
-// pushed (the conservative fallback). Runs whose steps all commute with
-// their siblings push nothing, so independent interleavings are never
+// dependency trace (kernel.WithDepTrace), and for every pair of
+// conflicting steps not ordered by happens-before it pushes a backtrack
+// point at the earlier step's branch group — schedule the later step's
+// process there instead (a persistent set). If that process was not
+// enabled at the branch group, every alternative is pushed (the
+// conservative fallback). Runs whose steps all commute with their
+// siblings push nothing, so independent interleavings are never
 // enumerated.
+//
+// Backtrack points can only land on branch points: decision points
+// inside the depth bound with two or more ready processes. So the race
+// pass tracks happens-before only into those. Each branch point gets one
+// bit, and each step carries the bitset of branch points that happen
+// before it: ⌈B/64⌉ words per step for a run with B branch points, one
+// word whenever DFSDepth is at most 64. A join is a word OR and the race
+// test a bit test. The pass is exact: a process's steps are chained in
+// program order, so a branch point i happens before step j exactly when
+// a per-process vector clock of j would hold a step of i's process at or
+// after i.
 //
 // A sleep-set memory spans the scan: for each branch group the engine
 // remembers which processes have already been scheduled from it — by an
@@ -36,16 +47,16 @@
 package explore
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/kernel"
 )
 
-// dporAnalysisCap bounds the number of scheduling steps the vector-clock
-// pass walks per run. Runs longer than this (possible only with very
-// deep scenarios) have races past the cap ignored, so the scan counts
-// them as cut (StatsCore.CutRuns) and such a search never claims
-// Exhausted.
+// dporAnalysisCap bounds the number of scheduling steps the race pass
+// walks per run. Runs longer than this (possible only with very deep
+// scenarios) have races past the cap ignored, so the scan counts them as
+// cut (StatsCore.CutRuns) and such a search never claims Exhausted.
 const dporAnalysisCap = 4096
 
 // dporProposal is one backtrack point: branch to alternative alt at
@@ -64,16 +75,18 @@ type dporState struct {
 	stateSeen map[uint64][]int32
 
 	// Per-run scratch, reused across runs.
-	off      []int   // readyIDs offset per decision point
-	stepProc []int32 // executing process id per step
-	lastOf   []int32 // process id -> its latest step so far, -1 if none
-	clocks   []int32 // flat per-step vector clocks, stride = max id + 1
-	pclock   []int32 // pre-access clock of the step under analysis
-	lastAcc  []int32 // object slot -> its latest accessing step, -1 if none
-	props    []dporProposal
-	propSeen map[int64]bool
-	pushedAt map[int]int
-	keyBuf   []byte
+	off       []int    // readyIDs offset per decision point
+	stepProc  []int32  // executing process id per step
+	lastOf    []int32  // process id -> its latest step so far, -1 if none
+	lastAcc   []int32  // object slot -> its latest accessing step, -1 if none
+	traceSlot int      // lastAcc slot of kernel.DepObjTrace
+	bit       []int32  // branch point -> its bit, -1 for other decision points
+	hb        []uint64 // per step, the bitset of branch points before it
+	pre       []uint64 // pre-access bitset of the step under analysis
+	props     []dporProposal
+	propSeen  map[int64]bool
+	pushedAt  map[int]int
+	keyBuf    []byte
 }
 
 func newDPORState() *dporState {
@@ -110,16 +123,6 @@ func (d *dporState) addStateSeen(fp uint64, p int32) bool {
 	return true
 }
 
-// join folds the stored clock of step into dst (component-wise max).
-func (d *dporState) join(dst []int32, step int) {
-	src := d.clocks[step*len(dst) : (step+1)*len(dst)]
-	for i, v := range src {
-		if v > dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
 // expand is DPOR's replacement for expandDFS: it analyzes the completed
 // run's dependency trace and returns only the backtrack points the
 // detected races demand, sorted like expandDFS's output (ascending
@@ -128,17 +131,23 @@ func (d *dporState) join(dst []int32, step int) {
 // own suffix that plain branching would have pushed and the reduction
 // did not.
 func (d *dporState) expand(prefix []kernel.Choice, out runOut, depth int, expanded map[uint64]bool, pruned *int) ([][]kernel.Choice, int) {
+	limit, ok := d.prepare(out, depth, expanded)
+	if !ok {
+		// No dependency records (defensive; the executor enables
+		// WithDepTrace whenever DPOR is on): fall back to plain branching.
+		return expandDFS(prefix, out, depth, expanded, pruned), 0
+	}
+	d.races(out, limit, expanded, pruned)
+	return d.children(prefix, out, limit)
+}
+
+// prepare readies the per-run scratch for a race pass over out and does
+// the run's sleep-set bookkeeping. It returns the branching limit, the
+// decision points below which the search branches, and false when out
+// carries no dependency records.
+func (d *dporState) prepare(out runOut, depth int, expanded map[uint64]bool) (int, bool) {
 	schedule := out.schedule
-	limit := len(schedule)
-	if limit > depth {
-		limit = depth
-	}
-	if limit > len(out.visible) {
-		limit = len(out.visible)
-	}
-	if limit > len(out.fps) {
-		limit = len(out.fps)
-	}
+	limit := min(len(schedule), depth, len(out.visible), len(out.fps))
 
 	// Offsets of each decision's segment in the flattened ready-set ids.
 	d.off = d.off[:0]
@@ -148,15 +157,11 @@ func (d *dporState) expand(prefix []kernel.Choice, out runOut, depth int, expand
 		off += c.Ready
 	}
 	if off > len(out.readyIDs) || len(out.causes) < len(schedule) {
-		// No dependency records (defensive; the executor enables
-		// WithDepTrace whenever DPOR is on): fall back to plain branching.
-		return expandDFS(prefix, out, depth, expanded, pruned), 0
+		return limit, false
 	}
 	var maxID int32
 	for _, p := range out.readyIDs {
-		if p > maxID {
-			maxID = p
-		}
+		maxID = max(maxID, p)
 	}
 	d.stepProc = d.stepProc[:0]
 	for i, c := range schedule {
@@ -182,30 +187,7 @@ func (d *dporState) expand(prefix []kernel.Choice, out runOut, depth int, expand
 		}
 	}
 
-	// Forward vector-clock pass. A step's clock is the join of its
-	// process's previous step, the step that readied the process
-	// (unpark/spawn edges), and the last accesses of the objects it
-	// touches; component p holds the latest step of process p known to
-	// happen before. A pair (i, j) accessing a common object from
-	// different processes races iff i is not in j's pre-access clock.
-	steps := len(schedule)
-	if steps > dporAnalysisCap {
-		steps = dporAnalysisCap
-	}
-	stride := int(maxID) + 1
-	if need := steps * stride; cap(d.clocks) < need {
-		d.clocks = make([]int32, need)
-	} else {
-		d.clocks = d.clocks[:need]
-	}
-	if cap(d.pclock) < stride {
-		d.pclock = make([]int32, stride)
-	}
-	d.pclock = d.pclock[:stride]
-	if cap(d.lastOf) < stride {
-		d.lastOf = make([]int32, stride)
-	}
-	d.lastOf = d.lastOf[:stride]
+	d.lastOf = resize(d.lastOf, int(maxID)+1)
 	for i := range d.lastOf {
 		d.lastOf[i] = -1
 	}
@@ -213,77 +195,116 @@ func (d *dporState) expand(prefix []kernel.Choice, out runOut, depth int, expand
 	// cell in the last slot. Size from the accesses, not the ready sets:
 	// a spawn touches its child's cell before the child appears in any
 	// ready set, and a run cut short can end right there.
-	deps := out.deps
-	traceSlot := 0
-	for _, a := range deps {
-		if a.Obj != kernel.DepObjTrace && int(a.Obj) >= traceSlot {
-			traceSlot = int(a.Obj) + 1
+	d.traceSlot = 0
+	for _, a := range out.deps {
+		if a.Obj != kernel.DepObjTrace && int(a.Obj) >= d.traceSlot {
+			d.traceSlot = int(a.Obj) + 1
 		}
 	}
-	if cap(d.lastAcc) <= traceSlot {
-		d.lastAcc = make([]int32, traceSlot+1)
-	}
-	d.lastAcc = d.lastAcc[:traceSlot+1]
+	d.lastAcc = resize(d.lastAcc, d.traceSlot+1)
 	for i := range d.lastAcc {
 		d.lastAcc[i] = -1
 	}
-	objSlot := func(obj uint64) int {
-		if obj == kernel.DepObjTrace {
-			return traceSlot
-		}
-		return int(obj)
-	}
 	d.props = d.props[:0]
 	clear(d.propSeen)
+	return limit, true
+}
 
+// slot maps a dependency object to its lastAcc slot.
+func (d *dporState) slot(obj uint64) int {
+	if obj == kernel.DepObjTrace {
+		return d.traceSlot
+	}
+	return int(obj)
+}
+
+// races is the race pass, a forward walk over the run's first
+// dporAnalysisCap steps. Step j races with i, the previous access of an
+// object j touches, when i is a branch point of another process that
+// does not happen before j: i is in neither the bitset of the previous
+// step of j's process nor that of the step that readied the process
+// (unpark and spawn edges). Each race is proposed as a backtrack point
+// at i. Step j's own bitset then adds the bitsets of those previous
+// accesses, and j's bit if j is a branch point.
+func (d *dporState) races(out runOut, limit int, expanded map[uint64]bool, pruned *int) {
+	schedule := out.schedule
+	steps := min(len(schedule), dporAnalysisCap)
+	// Number the branch points. propose acts on no other decision point,
+	// so a race whose earlier step is not one needs no bit.
+	nbits := int32(0)
+	d.bit = d.bit[:0]
+	for i := 0; i < min(limit, steps); i++ {
+		b := int32(-1)
+		if schedule[i].Ready >= 2 {
+			b = nbits
+			nbits++
+		}
+		d.bit = append(d.bit, b)
+	}
+	if nbits == 0 {
+		return
+	}
+	w := int(nbits+63) / 64
+	d.hb = resize(d.hb, steps*w)
+	d.pre = resize(d.pre, w)
+	hb, pre := d.hb, d.pre
+
+	deps := out.deps
 	di := 0
 	for di < len(deps) && deps[di].Step < 0 {
 		di++ // pre-run accesses precede every decision; nothing to backtrack
 	}
 	for j := 0; j < steps; j++ {
 		q := d.stepProc[j]
-		pc := d.pclock
-		if last := d.lastOf[q]; last >= 0 {
-			copy(pc, d.clocks[int(last)*stride:(int(last)+1)*stride])
-		} else {
-			for i := range pc {
-				pc[i] = -1
+		last, cause := int(d.lastOf[q]), int(out.causes[j])
+		for k := range pre {
+			var v uint64
+			if last >= 0 {
+				v = hb[last*w+k]
 			}
-		}
-		if c := out.causes[j]; c >= 0 && int(c) < j {
-			d.join(pc, int(c))
+			if cause >= 0 && cause < j {
+				v |= hb[cause*w+k]
+			}
+			pre[k] = v
 		}
 		start := di
-		for di < len(deps) && deps[di].Step == int32(j) {
-			if i := d.lastAcc[objSlot(deps[di].Obj)]; i >= 0 {
-				p := d.stepProc[i]
-				if p != q && pc[p] < i {
-					d.propose(int(i), q, out, limit, expanded, pruned)
+		for ; di < len(deps) && deps[di].Step == int32(j); di++ {
+			i := d.lastAcc[d.slot(deps[di].Obj)]
+			if i < 0 || int(i) >= len(d.bit) || d.stepProc[i] == q {
+				continue
+			}
+			if b := d.bit[i]; b >= 0 && pre[b>>6]&(1<<(b&63)) == 0 {
+				d.propose(int(i), q, out, limit, expanded, pruned)
+			}
+		}
+		h := hb[j*w : (j+1)*w]
+		copy(h, pre)
+		for k := start; k < di; k++ {
+			if i := int(d.lastAcc[d.slot(deps[k].Obj)]); i >= 0 {
+				for x := range h {
+					h[x] |= hb[i*w+x]
 				}
 			}
-			di++
 		}
-		jc := d.clocks[j*stride : (j+1)*stride]
-		copy(jc, pc)
-		for k := start; k < di; k++ {
-			if i := d.lastAcc[objSlot(deps[k].Obj)]; i >= 0 {
-				d.join(jc, int(i))
+		if j < len(d.bit) {
+			if b := d.bit[j]; b >= 0 {
+				h[b>>6] |= 1 << (b & 63)
 			}
 		}
-		jc[q] = int32(j)
 		d.lastOf[q] = int32(j)
 		for k := start; k < di; k++ {
-			d.lastAcc[objSlot(deps[k].Obj)] = int32(j)
+			d.lastAcc[d.slot(deps[k].Obj)] = int32(j)
 		}
 	}
+}
 
-	// Materialize the surviving proposals as frontier nodes, ascending
-	// (depth, alternative) like expandDFS's push order.
-	sort.Slice(d.props, func(a, b int) bool {
-		if d.props[a].i != d.props[b].i {
-			return d.props[a].i < d.props[b].i
-		}
-		return d.props[a].alt < d.props[b].alt
+// children materializes the surviving proposals as frontier nodes,
+// ascending (depth, alternative) like expandDFS's push order, and counts
+// the siblings in the node's own suffix the reduction blocked.
+func (d *dporState) children(prefix []kernel.Choice, out runOut, limit int) ([][]kernel.Choice, int) {
+	schedule := out.schedule
+	slices.SortFunc(d.props, func(a, b dporProposal) int {
+		return cmp.Or(cmp.Compare(a.i, b.i), cmp.Compare(a.alt, b.alt))
 	})
 	var children [][]kernel.Choice
 	clear(d.pushedAt)
@@ -301,6 +322,15 @@ func (d *dporState) expand(prefix []kernel.Choice, out runOut, depth int, expand
 		}
 	}
 	return children, blocked
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // propose adds a backtrack point at decision i, the earlier step of a

@@ -2,8 +2,10 @@ package explore
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/kernel"
@@ -22,6 +24,19 @@ func deepFigure1Program() Program {
 	suite, _ := solutions.ByMechanism("pathexpr")
 	cfg := problems.RWConfig{Readers: 3, Writers: 2, Rounds: 1,
 		WriteYields: 6, ReadYields: 1, GapYields: 1}
+	return func(k kernel.Kernel, r *trace.Recorder) {
+		_ = problems.SpawnRW(k, suite.NewReadersPriority(k), r, cfg)
+	}
+}
+
+// monitor20Program is the hunt's 20-process clean scenario: twelve
+// readers and eight writers, four rounds each, on the monitor
+// readers-priority solution, with one yield in every body and gap. Its
+// runs are long and have hundreds of branch points.
+func monitor20Program() Program {
+	suite, _ := solutions.ByMechanism("monitor")
+	cfg := problems.RWConfig{Readers: 12, Writers: 8, Rounds: 4,
+		WriteYields: 1, ReadYields: 1, GapYields: 1}
 	return func(k kernel.Kernel, r *trace.Recorder) {
 		_ = problems.SpawnRW(k, suite.NewReadersPriority(k), r, cfg)
 	}
@@ -257,5 +272,285 @@ func TestDPORAuditFullComposition(t *testing.T) {
 	}
 	if !res.Found {
 		t.Fatalf("figure-1 anomaly not found under full composition (%d runs)", res.Runs)
+	}
+}
+
+// vcPass is the race pass on per-step vector clocks, the reference the
+// bitset pass (dporState.races) is held to. Component p of a step's
+// clock is the latest step of process p that happens before it, and a
+// pair (i, j) races when i's process has no step at or after i in j's
+// pre-access clock. Its scratch is reused across runs.
+type vcPass struct {
+	clocks []int32 // flat per-step clocks, stride = max id + 1
+	pc     []int32 // pre-access clock of the step under analysis
+}
+
+func (v *vcPass) races(d *dporState, out runOut, limit int, expanded map[uint64]bool, pruned *int) {
+	steps := min(len(out.schedule), dporAnalysisCap)
+	stride := len(d.lastOf)
+	v.clocks = resize(v.clocks, steps*stride)
+	v.pc = resize(v.pc, stride)
+	pc := v.pc
+	join := func(dst []int32, step int) {
+		for i, c := range v.clocks[step*stride : (step+1)*stride] {
+			dst[i] = max(dst[i], c)
+		}
+	}
+	deps := out.deps
+	di := 0
+	for di < len(deps) && deps[di].Step < 0 {
+		di++
+	}
+	for j := 0; j < steps; j++ {
+		q := d.stepProc[j]
+		if last := d.lastOf[q]; last >= 0 {
+			copy(pc, v.clocks[int(last)*stride:(int(last)+1)*stride])
+		} else {
+			for i := range pc {
+				pc[i] = -1
+			}
+		}
+		if c := out.causes[j]; c >= 0 && int(c) < j {
+			join(pc, int(c))
+		}
+		start := di
+		for ; di < len(deps) && deps[di].Step == int32(j); di++ {
+			if i := d.lastAcc[d.slot(deps[di].Obj)]; i >= 0 {
+				if p := d.stepProc[i]; p != q && pc[p] < i {
+					d.propose(int(i), q, out, limit, expanded, pruned)
+				}
+			}
+		}
+		jc := v.clocks[j*stride : (j+1)*stride]
+		copy(jc, pc)
+		for k := start; k < di; k++ {
+			if i := d.lastAcc[d.slot(deps[k].Obj)]; i >= 0 {
+				join(jc, int(i))
+			}
+		}
+		jc[q] = int32(j)
+		d.lastOf[q] = int32(j)
+		for k := start; k < di; k++ {
+			d.lastAcc[d.slot(deps[k].Obj)] = int32(j)
+		}
+	}
+}
+
+// expand is dporState.expand with the reference race pass.
+func (v *vcPass) expand(d *dporState, prefix []kernel.Choice, out runOut, depth int, expanded map[uint64]bool, pruned *int) ([][]kernel.Choice, int) {
+	limit, ok := d.prepare(out, depth, expanded)
+	if !ok {
+		return expandDFS(prefix, out, depth, expanded, pruned), 0
+	}
+	v.races(d, out, limit, expanded, pruned)
+	return d.children(prefix, out, limit)
+}
+
+// dporDFS runs a DPOR-reduced DFS of prog for at most runs schedules,
+// replaying every prefix from the root, and hands each run to step,
+// which returns the run's children. The run's views are valid only
+// during the call.
+func dporDFS(prog Program, runs int, step func(prefix []kernel.Choice, out runOut) [][]kernel.Choice) {
+	e := newExecutor(Options{DPOR: true}.withDefaults())
+	defer e.close()
+	stack := [][]kernel.Choice{nil}
+	seen := map[string]bool{}
+	for n := 0; n < runs && len(stack) > 0; {
+		prefix := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if key := string(appendScheduleKey(nil, prefix)); !seen[key] {
+			seen[key] = true
+			n++
+			out := e.run(prog, kernel.Replay(prefix))
+			stack = append(stack, step(prefix, out)...)
+			e.release(out)
+		}
+	}
+}
+
+// racePassCounts summarizes what compareRacePasses exercised.
+type racePassCounts struct {
+	runs, children, maxBranchPoints int
+}
+
+func (c *racePassCounts) add(o racePassCounts) {
+	c.runs += o.runs
+	c.children += o.children
+	c.maxBranchPoints = max(c.maxBranchPoints, o.maxBranchPoints)
+}
+
+// compareRacePassSettings runs compareRacePasses at the depth bounds the
+// repo's searches use (T8's 12, the default 40, 64 as one bitset word
+// holds) and with no bound, each with Prune on and off.
+func compareRacePassSettings(prog Program, runs int) (racePassCounts, error) {
+	var total racePassCounts
+	for _, depth := range []int{12, 40, 64, 1 << 20} {
+		for _, prune := range []bool{false, true} {
+			c, err := compareRacePasses(prog, depth, prune, runs)
+			if err != nil {
+				return total, fmt.Errorf("depth %d, prune %v: %w", depth, prune, err)
+			}
+			total.add(c)
+		}
+	}
+	return total, nil
+}
+
+// TestRacePassMatchesVectorClocks holds the bitset race pass to the
+// vector-clock reference on runs of the T4 suite and of the hunt's deep
+// Figure-1 and 20-process monitor scenarios: both must propose the same
+// children, block and prune the same siblings, and leave the same
+// sleep-set memory. The synth corpus cases are in racepass_test.go.
+func TestRacePassMatchesVectorClocks(t *testing.T) {
+	type input struct {
+		name string
+		prog Program
+		runs int
+	}
+	inputs := []input{
+		{"figure1-deep", deepFigure1Program(), 60},
+		{"monitor20", monitor20Program(), 20},
+	}
+	for _, suite := range solutions.All() {
+		for _, problem := range problems.AllProblems() {
+			prog, _, err := solutions.StandardProgram(suite, problem, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs = append(inputs, input{suite.Mechanism + "/" + problem, Program(prog), 20})
+		}
+	}
+	var total racePassCounts
+	for _, in := range inputs {
+		c, err := compareRacePassSettings(in.prog, in.runs)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		total.add(c)
+	}
+	// The comparison means something only if races were proposed and
+	// some run needed more than one bitset word.
+	if total.children == 0 || total.maxBranchPoints <= 64 {
+		t.Fatalf("weak comparison: %d runs, %d children, at most %d branch points in a run",
+			total.runs, total.children, total.maxBranchPoints)
+	}
+	t.Logf("%d runs, %d children, up to %d branch points in a run", total.runs, total.children, total.maxBranchPoints)
+}
+
+// compareRacePasses runs a DPOR DFS of prog at the given depth bound,
+// with and without Prune, and expands every run with both race passes,
+// each on its own dporState. It reports the first run whose children,
+// blocked count or pruned count differ, or sleep-set memory that
+// differs at the end.
+func compareRacePasses(prog Program, depth int, prune bool, runs int) (racePassCounts, error) {
+	bits, vc := newDPORState(), newDPORState()
+	var ref vcPass
+	var bitsExp, vcExp map[uint64]bool
+	if prune {
+		bitsExp, vcExp = map[uint64]bool{}, map[uint64]bool{}
+	}
+	var counts racePassCounts
+	var err error
+	dporDFS(prog, runs, func(prefix []kernel.Choice, out runOut) [][]kernel.Choice {
+		if err != nil {
+			return nil
+		}
+		var bp, vp int
+		got, gotBlocked := bits.expand(prefix, out, depth, bitsExp, &bp)
+		want, wantBlocked := ref.expand(vc, prefix, out, depth, vcExp, &vp)
+		if !reflect.DeepEqual(got, want) || gotBlocked != wantBlocked || bp != vp {
+			err = fmt.Errorf("run %d (prefix of %d choices): bitset pass gave %d children, %d blocked, %d pruned; vector clocks %d, %d, %d",
+				counts.runs, len(prefix), len(got), gotBlocked, bp, len(want), wantBlocked, vp)
+			return nil
+		}
+		counts.runs++
+		counts.children += len(got)
+		points := 0
+		for _, b := range bits.bit {
+			if b >= 0 {
+				points++
+			}
+		}
+		counts.maxBranchPoints = max(counts.maxBranchPoints, points)
+		return got
+	})
+	if err == nil && (!reflect.DeepEqual(bits.groupSeen, vc.groupSeen) || !reflect.DeepEqual(bits.stateSeen, vc.stateSeen)) {
+		err = fmt.Errorf("sleep-set memory diverged after %d runs", counts.runs)
+	}
+	return counts, err
+}
+
+// recordedRun is a run's prefix and outcome, copied out of its slot.
+type recordedRun struct {
+	prefix []kernel.Choice
+	out    runOut
+}
+
+// recordDPORRuns records the first runs of a pruned DPOR DFS of prog at
+// the given depth bound, the settings the hunt explores with.
+func recordDPORRuns(prog Program, depth, runs int) []recordedRun {
+	d := newDPORState()
+	expanded := map[uint64]bool{}
+	pruned := 0
+	var rec []recordedRun
+	dporDFS(prog, runs, func(prefix []kernel.Choice, out runOut) [][]kernel.Choice {
+		rec = append(rec, recordedRun{prefix: prefix, out: runOut{
+			schedule: slices.Clone(out.schedule),
+			fps:      slices.Clone(out.fps),
+			visible:  slices.Clone(out.visible),
+			deps:     slices.Clone(out.deps),
+			readyIDs: slices.Clone(out.readyIDs),
+			causes:   slices.Clone(out.causes),
+		}})
+		children, _ := d.expand(prefix, out, depth, expanded, &pruned)
+		return children
+	})
+	return rec
+}
+
+// BenchmarkDPORRacePass is the DPOR race analysis as its own layer: one
+// op is one expand, on a driver's long-lived dporState, of a run
+// recorded once from the hunt's deep Figure-1 or 20-process monitor
+// scenario, at the default depth bound 40 or with none. The recorded
+// runs are expanded in turn, each once before timing, so the sleep-set
+// memory is warm as it is deep into a search. The -vc rows run the
+// vector-clock reference (vcPass) the bitset pass replaced.
+func BenchmarkDPORRacePass(b *testing.B) {
+	for _, sc := range []struct {
+		name string
+		prog Program
+	}{{"figure1-deep", deepFigure1Program()}, {"monitor20", monitor20Program()}} {
+		for _, bound := range []struct {
+			name  string
+			depth int
+		}{{"depth40", 40}, {"nobound", 1 << 20}} {
+			runs := recordDPORRuns(sc.prog, bound.depth, 64)
+			var ref vcPass
+			for _, pass := range []struct {
+				suffix string
+				expand func(d *dporState, r recordedRun, expanded map[uint64]bool, pruned *int)
+			}{
+				{"", func(d *dporState, r recordedRun, expanded map[uint64]bool, pruned *int) {
+					d.expand(r.prefix, r.out, bound.depth, expanded, pruned)
+				}},
+				{"-vc", func(d *dporState, r recordedRun, expanded map[uint64]bool, pruned *int) {
+					ref.expand(d, r.prefix, r.out, bound.depth, expanded, pruned)
+				}},
+			} {
+				b.Run(sc.name+"/"+bound.name+pass.suffix, func(b *testing.B) {
+					d := newDPORState()
+					expanded := map[uint64]bool{}
+					pruned := 0
+					for _, r := range runs {
+						pass.expand(d, r, expanded, &pruned)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						pass.expand(d, runs[i%len(runs)], expanded, &pruned)
+					}
+				})
+			}
+		}
 	}
 }

@@ -31,16 +31,17 @@
 //
 // # Parallelism and determinism
 //
-// Run judges every outcome on one driver goroutine, in the canonical
+// Run takes every verdict on one driver goroutine, in the canonical
 // order: ascending seed for the random phase, LIFO frontier order for DFS.
 // Every run is deterministic given its policy, so the Result — Schedule,
 // Runs, Stats and the rest — is the same for every Options.Workers value.
 // Only the random phase runs schedules in parallel: its seeds are known up
 // front, so Workers goroutines, the driver included, claim them from one
-// cursor, and the driver runs the next unclaimed seed itself whenever the
-// one it must judge next is still running elsewhere. The DFS phase runs on
-// the driver alone, since each run's children come from the run before.
-// Workers: 1 runs the same random-phase loop with no helper goroutines.
+// cursor and judge each where it ran, and the driver runs the next
+// unclaimed seed itself whenever the verdict it must take next is still
+// being made elsewhere. The DFS phase runs on the driver alone, since each
+// run's children come from the run before. Workers: 1 runs the same
+// random-phase loop with no helper goroutines.
 package explore
 
 import (
@@ -71,7 +72,9 @@ import (
 // must be indistinguishable from one on a fresh kernel.
 type Program func(k kernel.Kernel, r *trace.Recorder)
 
-// Oracle judges a completed run's trace.
+// Oracle judges a completed run's trace. The random phase calls it from
+// every worker goroutine at once, so it must be safe for concurrent use;
+// a pure function of the trace is.
 type Oracle func(tr trace.Trace) []problems.Violation
 
 // Result describes one exploration outcome.
@@ -248,27 +251,37 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// judge converts one run into a Result if it is a finding. Findings are
-// handed out as copies: runOut's slices are views into recycled executor
-// state, and a Result outlives the run that produced it.
-func judge(out runOut, oracle Oracle, runs int) (Result, bool) {
+// verdict judges one run: it is a finding if it ended in a kernel error
+// (the oracle is not consulted then) or if its violations are not empty.
+// Like the run's other views, a streamed verdict is valid only until the
+// slot is released.
+func verdict(out runOut, oracle Oracle) ([]problems.Violation, bool) {
 	if out.err != nil {
-		return finding(out, nil, out.err, runs), true
+		return nil, true
 	}
-	if vs := out.violations(oracle); len(vs) > 0 {
-		// Copied: a streamed verdict lives in the slot's buffer.
-		return finding(out, slices.Clone(vs), nil, runs), true
-	}
-	return Result{}, false
+	vs := out.violations(oracle)
+	return vs, len(vs) > 0
 }
 
-func finding(out runOut, vs []problems.Violation, err error, runs int) Result {
+// judge converts one run into a Result if it is a finding.
+func judge(out runOut, oracle Oracle, runs int) (Result, bool) {
+	vs, found := verdict(out, oracle)
+	if !found {
+		return Result{}, false
+	}
+	return finding(out, vs, runs), true
+}
+
+// finding is the Result of a run verdict found to be a finding. It holds
+// copies: runOut's slices are views into recycled executor state, and a
+// Result outlives the run that produced it.
+func finding(out runOut, vs []problems.Violation, runs int) Result {
 	return Result{
 		Found:      true,
 		Schedule:   append([]kernel.Choice(nil), out.schedule...),
 		Trace:      append(trace.Trace(nil), out.tr...),
-		Violations: vs,
-		Err:        err,
+		Violations: slices.Clone(vs),
+		Err:        out.err,
 		Runs:       runs,
 	}
 }

@@ -1,18 +1,20 @@
 // The exploration engine's search loops and the executor they share.
 //
-// Both phases have a canonical order in which schedules are judged —
+// Both phases have a canonical order in which verdicts are taken —
 // ascending seed for the random phase, LIFO frontier order for DFS — and
-// one driver goroutine judges every outcome in that order. Because every
+// one driver goroutine takes every verdict in that order. Because every
 // schedule is deterministic given its policy, the reported Result —
 // Schedule, Runs, Violations, Stats — is independent of the worker count.
 //
 // The random phase runs on Options.Workers goroutines. Its schedules are
 // known up front, so every worker, the driver included, claims seeds from
-// one atomic cursor and runs them on private kernels. When the seed the
-// driver must judge next is still running elsewhere, the driver runs the
-// next unclaimed seed itself rather than wait; it blocks only when nothing
-// is left to claim. Runs past a finding are wasted work, never a different
-// answer, and randomLead bounds how many there can be.
+// one atomic cursor, runs them on private kernels and judges each where
+// it ran; a clean run's slot goes back to the pool at once. When the
+// verdict the driver must take next is still being made elsewhere, the
+// driver runs the next unclaimed seed itself rather than wait; it blocks
+// only when nothing is left to claim. Runs past a finding are wasted
+// work, never a different answer, and randomLead bounds how many there
+// can be.
 //
 // The DFS phase runs on the driver alone. Each run's children come from
 // the run before, LIFO order pushes them above anything a helper could
@@ -82,7 +84,9 @@ type runSlot struct {
 
 // executor runs schedules on recycled slots, attaching a streaming
 // checker when Options.Stream is set. It is safe for concurrent use; each
-// run executes on a private slot.
+// run executes on a private slot. A slot, and the SimKernel confined to
+// it, passes between goroutines only under the freelist's lock or, for a
+// random-phase finding, through the seed ring's atomic publish.
 type executor struct {
 	maxSteps  int64
 	newStream func() problems.StreamChecker
@@ -223,27 +227,30 @@ func (e *executor) runFrom(prog Program, snap *kernel.Snapshot, prefix trace.Tra
 }
 
 // randomLead is how many seeds per worker the random phase's claims may
-// run ahead of judging. A claimed seed holds a slot until it is
-// judged, so the lead bounds both the slots a phase holds and the runs
-// wasted past a finding at randomLead×Workers.
+// run ahead of the driver, which takes verdicts in seed order. It bounds
+// the runs wasted past a finding at randomLead×Workers, and the slots a
+// phase holds at Workers plus the findings it has not reached.
 const randomLead = 4
 
-// randSlot holds one random-phase outcome. seq, stored after out, is the
-// 1-based seed the outcome belongs to.
+// randSlot holds one random-phase verdict. seq, stored last, is the
+// 1-based seed the verdict belongs to. A finding keeps its run (out, vs)
+// and the run's slot until the driver takes it or the phase ends.
 type randSlot struct {
-	seq atomic.Int64
-	out runOut
+	seq   atomic.Int64
+	found bool
+	out   runOut
+	vs    []problems.Violation
 }
 
 // seedRing is the random phase's shared state. Workers claim seeds from
-// cursor and publish each outcome in slot seed mod lead. A seed is claimed
-// only while fewer than lead claimed seeds are unjudged, so its slot is
+// cursor and publish each verdict in slot seed mod lead. A seed is claimed
+// only while fewer than lead claimed seeds are untaken, so its slot is
 // always free.
 type seedRing struct {
 	n, lead int64
 	slots   []randSlot
 	cursor  atomic.Int64
-	judged  atomic.Int64 // written by the driver only
+	taken   atomic.Int64 // verdicts the driver has taken; written by the driver only
 	stop    atomic.Bool
 
 	// Slow path: a helper parked on a full lead, or the driver waiting on
@@ -262,7 +269,7 @@ func (r *seedRing) claim() int64 {
 		if c >= r.n {
 			return r.n
 		}
-		if c-r.judged.Load() >= r.lead {
+		if c-r.taken.Load() >= r.lead {
 			return -1
 		}
 		if r.cursor.CompareAndSwap(c, c+1) {
@@ -273,9 +280,19 @@ func (r *seedRing) claim() int64 {
 
 func (r *seedRing) published(i int64) bool { return r.slots[i%r.lead].seq.Load() == i+1 }
 
-func (r *seedRing) publish(i int64, out runOut) {
+// runSeed runs seed i+1 and judges it where it ran. A clean run's slot
+// goes back to the pool at once; a finding keeps its slot for the
+// driver.
+func (r *seedRing) runSeed(i int64, e *executor, prog Program, oracle Oracle, policy *kernel.RandomPolicy) {
+	policy.Seed(i + 1)
+	out := e.run(prog, policy)
+	vs, found := verdict(out, oracle)
+	if !found {
+		e.release(out)
+		out, vs = runOut{}, nil
+	}
 	s := &r.slots[i%r.lead]
-	s.out = out
+	s.found, s.out, s.vs = found, out, vs
 	s.seq.Store(i + 1)
 	r.wake()
 }
@@ -302,14 +319,15 @@ func (r *seedRing) wake() {
 }
 
 // randomPhase samples seeds 1..RandomRuns. Every worker, the driver
-// included, claims seeds from one cursor; the driver judges in seed
-// order, so the first finding is always the lowest-seed finding, whatever
-// the worker count. When the seed it must judge next is still running on
-// a helper, the driver runs the next unclaimed seed itself and checks
-// again; it blocks only when nothing is left to claim. Each worker
-// reseeds one kernel.RandomPolicy per claimed seed: the kernel consults
-// its policy only inside Run, so a slot still holding the policy after
-// its run never draws from it again.
+// included, claims seeds from one cursor and judges each seed it ran;
+// the driver takes the verdicts in seed order, so the first finding is
+// always the lowest-seed finding, whatever the worker count. When the
+// verdict it must take next is still being made on a helper, the driver
+// runs the next unclaimed seed itself and checks again; it blocks only
+// when nothing is left to claim. Each worker reseeds one
+// kernel.RandomPolicy per claimed seed: the kernel consults its policy
+// only inside Run, so a slot still holding the policy after its run never
+// draws from it again.
 func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *tracker) (Result, bool) {
 	n := opts.RandomRuns
 	if n == 0 {
@@ -320,7 +338,7 @@ func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *trac
 	r := &seedRing{n: int64(n), lead: int64(randomLead * workers)}
 	r.slots = make([]randSlot, r.lead)
 	r.cond.L = &r.mu
-	room := func() bool { return r.stop.Load() || r.cursor.Load()-r.judged.Load() < r.lead }
+	room := func() bool { return r.stop.Load() || r.cursor.Load()-r.taken.Load() < r.lead }
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
@@ -334,40 +352,38 @@ func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *trac
 				case i < 0:
 					r.sleep(room)
 				default:
-					policy.Seed(i + 1)
-					r.publish(i, e.run(prog, policy))
+					r.runSeed(i, e, prog, oracle, policy)
 				}
 			}
 		}()
 	}
 	// Stop the helpers before returning so no goroutine outlives the
 	// phase (in-flight runs are bounded by MaxSteps), then return to the
-	// pool the slots of runs left unjudged past a finding.
+	// pool the slots of findings the driver did not take.
 	defer func() {
 		r.stop.Store(true)
 		r.wake()
 		wg.Wait()
-		for i := r.judged.Load(); i < min(r.cursor.Load(), r.n); i++ {
-			e.release(r.slots[i%r.lead].out)
+		for i := r.taken.Load(); i < min(r.cursor.Load(), r.n); i++ {
+			if s := &r.slots[i%r.lead]; s.found {
+				e.release(s.out)
+			}
 		}
 	}()
 	policy := kernel.Random(0)
 	for next := int64(0); next < r.n; next++ {
 		for !r.published(next) {
 			if i := r.claim(); i >= 0 && i < r.n {
-				policy.Seed(i + 1)
-				r.publish(i, e.run(prog, policy))
+				r.runSeed(i, e, prog, oracle, policy)
 			} else {
 				r.sleep(func() bool { return r.published(next) })
 			}
 		}
-		out := r.slots[next%r.lead].out
 		t.ran()
-		if res, found := judge(out, oracle, t.st.Runs); found {
-			return res, true
+		if s := &r.slots[next%r.lead]; s.found {
+			return finding(s.out, s.vs, t.st.Runs), true
 		}
-		e.release(out)
-		r.judged.Store(next + 1)
+		r.taken.Store(next + 1)
 		r.wake()
 	}
 	return Result{}, false

@@ -41,12 +41,10 @@ func (sp *simProc) runBody() (d decision) {
 		sp.inBody = false
 		if r := recover(); r != nil && r != errShutdown {
 			k := sp.kernel
-			k.mu.Lock()
 			if k.panicked == nil {
 				k.panicked = r
 			}
-			k.finishLocked()
-			k.mu.Unlock()
+			k.finish()
 		}
 	}()
 	sp.fn(sp.proc)
@@ -55,8 +53,7 @@ func (sp *simProc) runBody() (d decision) {
 
 // await yields d to Run and suspends sp until Run resumes it. A resume
 // after the run is over, or a stop, unwinds sp: its pending kernel
-// operation panics errShutdown, which runBody recovers. finished is read
-// without the lock: the coroutine switch orders it after every write.
+// operation panics errShutdown, which runBody recovers.
 func (sp *simProc) await(d decision) {
 	if !sp.suspend(d) || sp.kernel.finished {
 		panic(errShutdown)

@@ -45,11 +45,11 @@ func WithDepTrace() SimOption {
 	return func(k *SimKernel) { k.depTrace = true }
 }
 
-// noteDepLocked records an access to obj by the step in progress.
+// noteDep records an access to obj by the step in progress.
 // Consecutive duplicate accesses are collapsed. Recording is suppressed
 // while a snapshot prefix is re-driven: those records were pre-filled
 // from the snapshot (WithRestore).
-func (k *SimKernel) noteDepLocked(obj uint64) {
+func (k *SimKernel) noteDep(obj uint64) {
 	if !k.depTrace || k.restore != nil {
 		return
 	}
@@ -62,8 +62,7 @@ func (k *SimKernel) noteDepLocked(obj uint64) {
 
 // NoteTraceDep records a trace-cell access by the step in progress; the
 // trace recorder calls it whenever an event is recorded, alongside
-// MarkStepVisible. Unlocked by the same cooperative-discipline argument
-// as NowCooperative.
+// MarkStepVisible.
 func (k *SimKernel) NoteTraceDep() {
 	if !k.depTrace || k.restore != nil {
 		return
@@ -79,8 +78,6 @@ func (k *SimKernel) NoteTraceDep() {
 // order. Empty unless WithDepTrace is enabled. Same aliasing contract
 // as ChoicesView.
 func (k *SimKernel) DepAccesses() []DepAccess {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	return k.deps
 }
 
@@ -90,8 +87,6 @@ func (k *SimKernel) DepAccesses() []DepAccess {
 // decisions' Ready counts. Empty unless WithDepTrace is enabled. Same
 // aliasing contract as ChoicesView.
 func (k *SimKernel) ReadySetIDs() []int32 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	return k.readyIDs
 }
 
@@ -100,7 +95,5 @@ func (k *SimKernel) ReadySetIDs() []int32 {
 // aligned with ChoicesView. Empty unless WithDepTrace is enabled. Same
 // aliasing contract as ChoicesView.
 func (k *SimKernel) ReadyCauses() []int32 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	return k.causes
 }

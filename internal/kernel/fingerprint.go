@@ -62,28 +62,21 @@ func fpContribution(sp *simProc) uint64 {
 	return fpMix(h)
 }
 
-// touchFPLocked re-hashes sp after a state transition, swapping its old
+// touchFP re-hashes sp after a state transition, swapping its old
 // contribution out of the kernel's running fingerprint.
-func (k *SimKernel) touchFPLocked(sp *simProc) {
+func (k *SimKernel) touchFP(sp *simProc) {
 	c := fpContribution(sp)
 	k.fp ^= sp.fpContrib ^ c
 	sp.fpContrib = c
 }
 
-// fingerprintLocked reports the state hash at the current instant: the
-// XOR of process contributions plus the virtual clock.
-func (k *SimKernel) fingerprintLocked() uint64 {
-	return k.fp ^ fpMix(uint64(k.now)*fpSaltClock)
-}
-
-// Fingerprint reports the current state hash. Two simulations that have
+// Fingerprint reports the state hash at the current instant: the XOR of
+// process contributions plus the virtual clock. Two simulations that have
 // reached fingerprint-equal states have (up to hash collision and the
 // caveats above) the same scheduler-visible state and therefore the same
 // reachable behaviors.
 func (k *SimKernel) Fingerprint() uint64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.fingerprintLocked()
+	return k.fp ^ fpMix(uint64(k.now)*fpSaltClock)
 }
 
 // RunFingerprint hashes the entire run so far: a chain over the state
@@ -95,8 +88,6 @@ func (k *SimKernel) Fingerprint() uint64 {
 // program that drifted since the recording is detected even when the
 // replay happens to stay in range at every step.
 func (k *SimKernel) RunFingerprint() uint64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	fps := k.fps
 	if len(fps) > len(k.choices) {
 		fps = fps[:len(k.choices)]

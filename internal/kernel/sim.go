@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 )
 
 // procState is the scheduling state of a simulated process.
@@ -174,11 +173,21 @@ var errShutdown = errors.New("kernel: simulation shut down")
 // unwound and its deferred calls have run; without WithRecycle no
 // coroutine outlives Run, so repeated simulation runs do not accumulate
 // goroutines.
+//
+// A SimKernel has no lock: it is confined to its owner, the goroutine
+// that spawns its processes, calls Run and reads the results. Every
+// method runs either on that goroutine or on the one process coroutine
+// Run has resumed, and only one of them runs at a time. iter.Pull's
+// switches between them are happens-before edges, annotated for the race
+// detector too, so the race detector checks every kernel access without
+// a lock to see. An owner may hand a kernel to another goroutine between
+// runs, but only through synchronization of its own (package explore's
+// slot freelist hands slots over under its lock); two goroutines must
+// never use one kernel at once.
 type SimKernel struct {
 	policy   Policy
 	maxSteps int64
 
-	mu       sync.Mutex
 	now      int64
 	nextID   int
 	readySeq int64 // monotonically increasing readiness stamp
@@ -313,8 +322,6 @@ type local struct {
 // values. Whatever a program keeps here it must reset on every run,
 // since a run cut short (deadlock, step limit, Stop) leaves it mid-use.
 func (k *SimKernel) Local(key any) any {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	for _, l := range k.locals {
 		if l.key == key {
 			return l.val
@@ -326,8 +333,6 @@ func (k *SimKernel) Local(key any) any {
 // SetLocal stores val under key in the kernel's slot-local storage (see
 // Local), replacing any value already stored there.
 func (k *SimKernel) SetLocal(key, val any) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	for i := range k.locals {
 		if k.locals[i].key == key {
 			k.locals[i].val = val
@@ -376,8 +381,6 @@ func (k *SimKernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (k *SimKernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	k.nextID++
 	id := k.nextID
 	var sp *simProc
@@ -420,42 +423,36 @@ func (k *SimKernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	}
 	k.procs = append(k.procs, sp)
 	k.stepVisible = true // the spawning step changed the ready set
-	k.noteDepLocked(objProc(id))
-	k.markReadyLocked(sp)
+	k.noteDep(objProc(id))
+	k.markReady(sp)
 	return p
 }
 
-// markReadyLocked appends sp to the ready set with a fresh readiness stamp.
+// markReady appends sp to the ready set with a fresh readiness stamp.
 // Stamps increase monotonically and removal preserves order, so k.ready is
 // always sorted by readyAt without any per-step sorting.
-func (k *SimKernel) markReadyLocked(sp *simProc) {
+func (k *SimKernel) markReady(sp *simProc) {
 	sp.state = stateRunnable
 	k.readySeq++
 	sp.readyAt = k.readySeq
 	sp.readyCause = int32(k.steps) - 1
 	k.ready = append(k.ready, sp)
-	k.touchFPLocked(sp)
+	k.touchFP(sp)
 }
 
 // Now implements Kernel: the virtual clock, in ticks.
 func (k *SimKernel) Now() Time {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	return k.now
 }
 
 // Steps reports how many scheduling decisions the kernel has made.
 func (k *SimKernel) Steps() int64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	return k.steps
 }
 
 // Choices returns the scheduling decisions made so far, in order. The
 // slice is a copy; it is the input to Replay-based exploration.
 func (k *SimKernel) Choices() []Choice {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	out := make([]Choice, len(k.choices))
 	copy(out, k.choices)
 	return out
@@ -466,8 +463,6 @@ func (k *SimKernel) Choices() []Choice {
 // until the next Reset. The zero-copy sibling of Choices for the
 // exploration hot path.
 func (k *SimKernel) ChoicesView() []Choice {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	return k.choices
 }
 
@@ -475,8 +470,6 @@ func (k *SimKernel) ChoicesView() []Choice {
 // aligned with ChoicesView: element i is the hash of the scheduler state
 // from which choice i was made. Same aliasing contract as ChoicesView.
 func (k *SimKernel) StepFingerprints() []uint64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if len(k.fps) > len(k.choices) {
 		return k.fps[:len(k.choices)]
 	}
@@ -488,19 +481,15 @@ func (k *SimKernel) StepFingerprints() []uint64 {
 // event) as opposed to a pure yield. Aligned with ChoicesView; same
 // aliasing contract.
 func (k *SimKernel) StepVisibility() []bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	return k.visible
 }
 
 // Stop requests that the run finish at the next scheduling step, as if
 // the program had completed: Run returns nil with the partial history.
-// Streaming oracles use it to cut violating runs short. Safe to call from
-// a running process or (pointlessly, but harmlessly) after Run returned.
+// Streaming oracles use it to cut violating runs short. Call it from a
+// running process or (pointlessly, but harmlessly) after Run returned.
 func (k *SimKernel) Stop() {
-	k.mu.Lock()
 	k.stopRequested = true
-	k.mu.Unlock()
 }
 
 // Reset returns the kernel to its pristine pre-spawn state, retaining
@@ -515,8 +504,6 @@ func (k *SimKernel) Stop() {
 // Proc handles and slices obtained from the view accessors become
 // invalid.
 func (k *SimKernel) Reset(opts ...SimOption) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	k.now = 0
 	k.nextID = 0
 	k.readySeq = 0
@@ -550,14 +537,12 @@ func (k *SimKernel) Reset(opts ...SimOption) {
 // the storage. Call it after Run has returned; the kernel must not be
 // used after Close.
 func (k *SimKernel) Close() {
-	k.mu.Lock()
 	sps := k.procs
 	if k.recycle {
 		sps = k.procPool // every process the kernel created (see spawn)
 	}
 	k.procPool, k.procs = nil, nil
 	k.locals = nil
-	k.mu.Unlock()
 	for _, sp := range sps {
 		sp.release()
 	}
@@ -573,26 +558,17 @@ func (sp *simProc) release() {
 	}
 }
 
-// NowCooperative reads the virtual clock without locking. Safe under the
-// cooperative discipline: exactly one process runs at a time and the
-// clock only advances inside schedule(), which runs before the coroutine
-// switch that resumes the next process. iter.Pull's switches order every
-// access, for the race detector too. The trace recorder uses it to stamp
-// events without a lock acquisition.
-func (k *SimKernel) NowCooperative() Time { return k.now }
-
 // MarkStepVisible marks the scheduling step in progress as visible to the
 // DFS pruner (see StepVisibility). It must be called from the running
 // process; the trace recorder calls it when an event is recorded, since
 // recorded events are exactly what the exploration oracles can observe.
-// Unlocked by the same cooperative-discipline argument as NowCooperative.
 func (k *SimKernel) MarkStepVisible() { k.stepVisible = true }
 
-// finishLocked marks the run over. Every process still suspended in a
+// finish marks the run over. Every process still suspended in a
 // kernel operation is unwound by Run before it returns (see unwind), and
 // a kernel operation issued during the unwind panics errShutdown (see
-// checkLiveLocked).
-func (k *SimKernel) finishLocked() { k.finished = true }
+// checkLive).
+func (k *SimKernel) finish() { k.finished = true }
 
 // Run implements Kernel: it runs the spawned processes until the run is
 // over and returns the outcome. Run must be called exactly once.
@@ -608,13 +584,10 @@ func (k *SimKernel) finishLocked() { k.finished = true }
 // panics, the run ends there: the other processes unwind, and Run
 // re-raises the panic with its original value.
 func (k *SimKernel) Run() error {
-	k.mu.Lock()
 	if k.started {
-		k.mu.Unlock()
 		return fmt.Errorf("kernel: SimKernel.Run called twice")
 	}
 	k.started = true
-	k.mu.Unlock()
 
 	next, fin, err := k.schedule(nil)
 	for !fin {
@@ -649,10 +622,9 @@ func (k *SimKernel) unwind() {
 // schedule performs one scheduling decision on the caller's stack. self
 // is the process giving up the processor (nil for the initial dispatch
 // from Run). It returns the process to resume, or fin=true with the run
-// outcome when the run is over — in which case finishLocked has marked
+// outcome when the run is over — in which case finish has marked
 // the run finished, and Run unwinds the live processes and returns err.
 func (k *SimKernel) schedule(self *simProc) (next *simProc, fin bool, err error) {
-	k.mu.Lock()
 	// Close out the previous step's visibility record (the running
 	// process has handed control back, so stepVisible is final).
 	if len(k.visible) < len(k.choices) {
@@ -661,27 +633,23 @@ func (k *SimKernel) schedule(self *simProc) (next *simProc, fin bool, err error)
 	if k.stopRequested {
 		// Early exit on request (e.g. a streaming oracle found its
 		// violation): finish cleanly with the partial history.
-		k.finishLocked()
-		k.mu.Unlock()
+		k.finish()
 		return nil, true, nil
 	}
 	if k.steps >= k.maxSteps {
-		k.finishLocked()
-		k.mu.Unlock()
+		k.finish()
 		return nil, true, fmt.Errorf("kernel: step limit (%d) exceeded; possible livelock", k.maxSteps)
 	}
-	if !k.anyNonDaemonLiveLocked() {
+	if !k.anyNonDaemonLive() {
 		// Every real process finished; shut down remaining daemons.
-		k.finishLocked()
-		k.mu.Unlock()
+		k.finish()
 		return nil, true, nil
 	}
 	if len(k.ready) == 0 {
 		// Try to advance virtual time to the earliest sleeper.
-		if !k.wakeSleepersLocked() {
-			live := k.parkedNamesLocked()
-			k.finishLocked()
-			k.mu.Unlock()
+		if !k.wakeSleepers() {
+			live := k.parkedNames()
+			k.finish()
 			return nil, true, fmt.Errorf("%w: %s", ErrDeadlock, strings.Join(live, ", "))
 		}
 	}
@@ -695,8 +663,7 @@ func (k *SimKernel) schedule(self *simProc) (next *simProc, fin bool, err error)
 			// prefix is exhausted.
 			c := k.restore.Choices[k.steps]
 			if c.Ready != len(k.ready) || c.Picked < 0 || c.Picked >= len(k.ready) {
-				k.finishLocked()
-				k.mu.Unlock()
+				k.finish()
 				return nil, true, fmt.Errorf("kernel: snapshot restore diverged at step %d: snapshot has %d ready (picked %d), observed %d ready",
 					k.steps, c.Ready, c.Picked, len(k.ready))
 			}
@@ -705,18 +672,16 @@ func (k *SimKernel) schedule(self *simProc) (next *simProc, fin bool, err error)
 			k.ready = append(k.ready[:c.Picked], k.ready[c.Picked+1:]...)
 			next.state = stateRunning
 			next.schedCount++
-			k.touchFPLocked(next)
+			k.touchFP(next)
 			k.stepVisible = false
 			k.running = next
-			k.mu.Unlock()
 			return next, false, nil
 		}
 		// Prefix exhausted: the re-driven state must hash to the
 		// snapshot's capture-point fingerprint, or the program diverged
 		// from the run the snapshot was taken from.
-		if got := k.fingerprintLocked(); got != k.restore.Fp {
-			k.finishLocked()
-			k.mu.Unlock()
+		if got := k.Fingerprint(); got != k.restore.Fp {
+			k.finish()
 			return nil, true, fmt.Errorf("kernel: snapshot restore diverged: state fingerprint %#x after re-driving %d steps, snapshot has %#x",
 				got, k.restore.Depth, k.restore.Fp)
 		}
@@ -732,7 +697,7 @@ func (k *SimKernel) schedule(self *simProc) (next *simProc, fin bool, err error)
 		readyProcs[i] = sp.proc
 	}
 	// The fingerprint at the decision point, before anything runs.
-	k.fps = append(k.fps, k.fingerprintLocked())
+	k.fps = append(k.fps, k.Fingerprint())
 	if k.markFn != nil {
 		k.marks = append(k.marks, k.markFn())
 	}
@@ -743,8 +708,7 @@ func (k *SimKernel) schedule(self *simProc) (next *simProc, fin bool, err error)
 	}
 	idx := k.policy.Pick(readyProcs)
 	if idx < 0 || idx >= len(k.ready) {
-		k.finishLocked()
-		k.mu.Unlock()
+		k.finish()
 		return nil, true, fmt.Errorf("kernel: policy picked %d of %d ready processes", idx, len(readyProcs))
 	}
 	k.choices = append(k.choices, Choice{Ready: len(readyProcs), Picked: idx})
@@ -756,15 +720,14 @@ func (k *SimKernel) schedule(self *simProc) (next *simProc, fin bool, err error)
 	k.ready = append(k.ready[:idx], k.ready[idx+1:]...)
 	next.state = stateRunning
 	next.schedCount++
-	k.touchFPLocked(next)
+	k.touchFP(next)
 	k.stepVisible = false
 	k.running = next
-	k.mu.Unlock()
 	return next, false, nil
 }
 
 // handoff gives up the processor: sp (which has already recorded its new
-// state under k.mu) makes the next scheduling decision and suspends
+// state) makes the next scheduling decision and suspends
 // until Run resumes it. If the scheduler picked sp itself (possible after
 // a yield), it keeps running with no coroutine switch at all.
 func (sp *simProc) handoff() {
@@ -775,10 +738,10 @@ func (sp *simProc) handoff() {
 	sp.await(decision{next: next, err: err})
 }
 
-// wakeSleepersLocked advances the clock to the earliest wake time and
+// wakeSleepers advances the clock to the earliest wake time and
 // readies every sleeper due at that time. It reports whether any process
 // was woken.
-func (k *SimKernel) wakeSleepersLocked() bool {
+func (k *SimKernel) wakeSleepers() bool {
 	var earliest int64
 	found := false
 	for _, sp := range k.procs {
@@ -795,16 +758,16 @@ func (k *SimKernel) wakeSleepersLocked() bool {
 	}
 	for _, sp := range k.procs {
 		if sp.state == stateSleeping && sp.wakeAt <= k.now {
-			k.markReadyLocked(sp)
+			k.markReady(sp)
 			sp.readyCause = -1 // woken by the clock, not by a step
 		}
 	}
 	return true
 }
 
-// anyNonDaemonLiveLocked reports whether a non-daemon process has not yet
+// anyNonDaemonLive reports whether a non-daemon process has not yet
 // terminated.
-func (k *SimKernel) anyNonDaemonLiveLocked() bool {
+func (k *SimKernel) anyNonDaemonLive() bool {
 	for _, sp := range k.procs {
 		if !sp.daemon && sp.state != stateDead {
 			return true
@@ -813,9 +776,9 @@ func (k *SimKernel) anyNonDaemonLiveLocked() bool {
 	return false
 }
 
-// parkedNamesLocked lists live non-daemon processes (all necessarily
+// parkedNames lists live non-daemon processes (all necessarily
 // parked when called) for the deadlock report.
-func (k *SimKernel) parkedNamesLocked() []string {
+func (k *SimKernel) parkedNames() []string {
 	var names []string
 	for _, sp := range k.procs {
 		if !sp.daemon && sp.state != stateDead {
@@ -825,51 +788,45 @@ func (k *SimKernel) parkedNamesLocked() []string {
 	return names
 }
 
-// checkLiveLocked unwinds the calling process if the run is already over
+// checkLive unwinds the calling process if the run is already over
 // — this catches kernel operations issued while a process stack is being
 // unwound (e.g. from a deferred cleanup).
-func (k *SimKernel) checkLiveLocked() {
+func (k *SimKernel) checkLive() {
 	if k.finished {
-		k.mu.Unlock()
 		panic(errShutdown)
 	}
 }
 
 func (sp *simProc) park() {
 	k := sp.kernel
-	k.mu.Lock()
-	k.checkLiveLocked()
+	k.checkLive()
 	k.stepVisible = true
-	k.noteDepLocked(objProc(sp.proc.id))
+	k.noteDep(objProc(sp.proc.id))
 	if sp.permit {
 		sp.permit = false
-		k.touchFPLocked(sp)
-		k.mu.Unlock()
+		k.touchFP(sp)
 		return
 	}
 	sp.state = stateParked
-	k.touchFPLocked(sp)
-	k.mu.Unlock()
+	k.touchFP(sp)
 	sp.handoff()
 }
 
 func (sp *simProc) unpark() {
 	k := sp.kernel
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if k.finished {
 		return
 	}
 	k.stepVisible = true
-	k.noteDepLocked(objProc(sp.proc.id))
+	k.noteDep(objProc(sp.proc.id))
 	switch sp.state {
 	case stateParked:
-		k.markReadyLocked(sp)
+		k.markReady(sp)
 	case stateDead:
 		// no-op
 	default:
 		sp.permit = true
-		k.touchFPLocked(sp)
+		k.touchFP(sp)
 	}
 }
 
@@ -878,23 +835,19 @@ func (sp *simProc) yield() {
 	// only the yielder's position in the ready order, which the state
 	// fingerprint deliberately ignores.
 	k := sp.kernel
-	k.mu.Lock()
-	k.checkLiveLocked()
-	k.markReadyLocked(sp)
-	k.mu.Unlock()
+	k.checkLive()
+	k.markReady(sp)
 	sp.handoff()
 }
 
 func (sp *simProc) sleep(ticks int64) {
 	k := sp.kernel
-	k.mu.Lock()
-	k.checkLiveLocked()
+	k.checkLive()
 	k.stepVisible = true
-	k.noteDepLocked(objProc(sp.proc.id))
+	k.noteDep(objProc(sp.proc.id))
 	sp.state = stateSleeping
 	sp.wakeAt = k.now + ticks
-	k.touchFPLocked(sp)
-	k.mu.Unlock()
+	k.touchFP(sp)
 	sp.handoff()
 }
 
@@ -902,13 +855,11 @@ func (sp *simProc) sleep(ticks int64) {
 // decision; the caller yields it to Run.
 func (sp *simProc) exited() decision {
 	k := sp.kernel
-	k.mu.Lock()
-	k.checkLiveLocked()
+	k.checkLive()
 	sp.state = stateDead
 	k.stepVisible = true
-	k.noteDepLocked(objProc(sp.proc.id))
-	k.touchFPLocked(sp)
-	k.mu.Unlock()
+	k.noteDep(objProc(sp.proc.id))
+	k.touchFP(sp)
 	next, _, err := k.schedule(sp)
 	return decision{next: next, err: err}
 }

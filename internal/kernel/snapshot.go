@@ -43,8 +43,6 @@ type Snapshot struct {
 // records the state fingerprint *at* decision point depth, which was
 // only observed if a decision was made there.
 func (k *SimKernel) SnapshotAt(depth int) (*Snapshot, error) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if k.started && !k.finished {
 		return nil, errors.New("kernel: SnapshotAt mid-run; snapshots are only legal between runs")
 	}
@@ -153,19 +151,15 @@ func (k *SimKernel) Restore(s *Snapshot, opts ...SimOption) {
 // point; the sampled values are retrievable via DecisionMarks, aligned
 // with ChoicesView. The exploration engine points it at the trace
 // recorder's event count, so snapshots know the recorder position at
-// each decision. The callback runs under the kernel lock on the
-// scheduling goroutine — keep it trivial. It persists across Reset; nil
-// removes it.
+// each decision. The callback runs inside the scheduler, wherever the
+// scheduling decision is made — keep it trivial. It persists across
+// Reset; nil removes it.
 func (k *SimKernel) SetDecisionMark(fn func() int) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	k.markFn = fn
 }
 
 // DecisionMarks returns the sampled decision marks, aligned with
 // ChoicesView. Same aliasing contract as ChoicesView.
 func (k *SimKernel) DecisionMarks() []int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	return k.marks
 }

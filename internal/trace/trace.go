@@ -88,13 +88,13 @@ func (e Event) String() string {
 }
 
 // cooperativeKernel is the part of kernel.SimKernel the recorder's
-// unsynchronized fast path relies on: a clock readable without a lock
-// (exactly one process runs at a time, so recording is already
-// serialized by the kernel's coroutine switches, which iter.Pull also
-// reports to the race detector as happens-before edges) and the
-// step-visibility hook the exploration pruner consumes.
+// unsynchronized fast path relies on: the step-visibility and
+// dependency hooks the exploration engine consumes. Only the SimKernel
+// has them, and it is confined to one goroutine at a time (exactly one
+// process runs, and the kernel's coroutine switches, which iter.Pull
+// reports to the race detector as happens-before edges, order every
+// record call), so recording on it needs no lock.
 type cooperativeKernel interface {
-	NowCooperative() kernel.Time
 	MarkStepVisible()
 	NoteTraceDep()
 }
@@ -177,16 +177,16 @@ func (r *Recorder) ResumeFrom(prefix Trace) {
 }
 
 // LenCooperative reports the number of recorded events without locking —
-// safe under the SimKernel's cooperative discipline by the same argument
-// as the kernel's NowCooperative. The kernel's decision-mark hook
-// (SetDecisionMark) uses it from inside the scheduler.
+// safe on a SimKernel, whose record calls are all ordered by its
+// coroutine switches (see cooperativeKernel). The kernel's decision-mark
+// hook (SetDecisionMark) uses it from inside the scheduler.
 func (r *Recorder) LenCooperative() int { return len(r.events) }
 
 func (r *Recorder) record(p *kernel.Proc, kind Kind, op string, arg int64, note string) Event {
 	if r.replayed < r.replay {
 		// Restored-run suppression: the re-driven prefix re-records
 		// events already in the buffer, so serve the canned event.
-		// Unsynchronized by the cooperative-discipline argument
+		// Unsynchronized, as on the cooperative fast path below
 		// (ResumeFrom requires a cooperative kernel).
 		e := r.events[r.replayed]
 		r.replayed++
@@ -194,11 +194,11 @@ func (r *Recorder) record(p *kernel.Proc, kind Kind, op string, arg int64, note 
 	}
 	if r.coop != nil {
 		// Cooperative fast path: exactly one process runs at a time and
-		// the kernel's coroutine switches order every access, so neither
-		// the recorder's lock nor the kernel clock's is needed.
+		// the kernel's coroutine switches order every access, so the
+		// recorder's lock is not needed.
 		r.coop.MarkStepVisible()
 		r.coop.NoteTraceDep()
-		return r.append(p, r.coop.NowCooperative(), kind, op, arg, note)
+		return r.append(p, r.k.Now(), kind, op, arg, note)
 	}
 	var t kernel.Time
 	if r.k != nil {
