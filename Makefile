@@ -31,7 +31,7 @@ lint:
 	$(GO) run ./cmd/synclint ./...
 
 # bench runs the E1 exploration benchmarks — throughput variants, the
-# checkpointed-DFS batch/stream rows, and the prune/DPOR
+# deep-DFS batch/stream rows, and the prune/DPOR
 # schedules-to-finding/-exhaustion hunts — plus the simulated kernel's
 # context-switch benchmark, the random policy's reseed-and-pick cost
 # (BenchmarkRandomPolicy), the synth derived oracle's cost per judged

@@ -122,11 +122,8 @@ func BenchmarkE1ExploreThroughput(b *testing.B) {
 // 80 intervals, no artificial yields), whose runs produce long traces
 // relative to their scheduling steps. That trace density is what deep
 // hunts look like: the per-run cost is dominated by recording and
-// judging the operation history. The engine forks each sibling schedule
-// from a checkpoint at its branch point: prefix events are served canned
-// from the snapshot and the per-step scheduling pipeline is skipped, so
-// only the suffix pays full freight. The forks, saved and replayed
-// counters report how much of the prefix work the checkpoints served.
+// judging the operation history. Every DFS run replays its prefix from
+// the root.
 func benchDeepDFS(b *testing.B, opts explore.Options) {
 	suite, _ := solutions.ByMechanism("monitor")
 	cfg := problems.RWConfig{Readers: 12, Writers: 8, Rounds: 4}
@@ -136,26 +133,20 @@ func benchDeepDFS(b *testing.B, opts explore.Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	total := 0
-	var last explore.StatsCore
 	for i := 0; i < b.N; i++ {
 		res := explore.Run(prog, problems.CheckReadersPriority, opts)
 		if res.Found {
 			b.Fatal("unexpected finding")
 		}
 		total += res.Runs
-		last = res.Stats
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "schedules/sec")
-	b.ReportMetric(float64(last.CheckpointForks), "forks/hunt")
-	b.ReportMetric(float64(last.SavedSteps), "saved-steps/hunt")
-	b.ReportMetric(float64(last.ReplayedSteps), "replayed-steps/hunt")
 }
 
-// BenchmarkE1CheckpointDFS runs checkpointed DFS on the deep clean
-// scenario with the batch oracle (`batch`) and with incremental judging
-// (`stream`). Both execute the same schedule budget and return the same
-// Result.
-func BenchmarkE1CheckpointDFS(b *testing.B) {
+// BenchmarkE1DeepDFS runs DFS on the deep clean scenario with the batch
+// oracle (`batch`) and with incremental judging (`stream`). Both execute
+// the same schedule budget and return the same Result.
+func BenchmarkE1DeepDFS(b *testing.B) {
 	const budget = 64
 	inc, ok := problems.IncrementalOracleFor(problems.NameReadersPriority)
 	if !ok {

@@ -382,14 +382,18 @@ func TestIngestLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// Malformed load reports are rejected: syntax and type errors with the
-// input line, semantic histogram errors with the field path.
-func TestIngestLoadRejectsMalformed(t *testing.T) {
-	good := `{"schema":"repro-load/v1","runs":[{"mechanism":"m","problem":"p","arrival":"poisson",
+// goodLoad is a minimal valid load report: one run of one class.
+const goodLoad = `{"schema":"repro-load/v1","runs":[{"mechanism":"m","problem":"p","arrival":"poisson",
 "seed":1,"elapsed_ns":1,"issued":1,"completed":1,"throughput_ops_sec":1,"judged":false,
 "classes":[{"name":"use","issued":1,"completed":1,"completed_share":1,"issued_share":1,
 "wait":{"count":1,"p50_ns":5,"p90_ns":5,"p99_ns":5,"max_ns":5,"mean_ns":5,"buckets":[{"index":5,"count":1}]},
 "total":{"count":1,"p50_ns":5,"p90_ns":5,"p99_ns":5,"max_ns":5,"mean_ns":5,"buckets":[{"index":5,"count":1}]}}]}]}`
+
+// Malformed load reports are rejected: syntax and type errors with the
+// input line, semantic histogram errors with the field path.
+func TestIngestLoadRejectsMalformed(t *testing.T) {
+	good := goodLoad
+	use := good[strings.Index(good, `{"name":"use"`) : len(good)-len("]}]}")] // the one class
 	cases := []struct {
 		name string
 		in   string
@@ -409,6 +413,11 @@ func TestIngestLoadRejectsMalformed(t *testing.T) {
 "total"`, 1), "quantiles not monotone"},
 		{"class-sum", strings.Replace(good, `"issued":1,"completed":1,"throughput`, `"issued":1,"completed":0,"throughput`, 1),
 			"classes sum to"},
+		// A second class of the same name once made the load gate
+		// compare it with the first, so an archive regressed against
+		// itself.
+		{"class-duplicate", strings.Replace(good, `"classes":[`, `"classes":[`+use+",", 1),
+			`classes[1].name: duplicate "use"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -595,6 +604,43 @@ func FuzzBenchText(f *testing.F) {
 		}
 		if merged, err := marshal(mergeReports(r, r)); err != nil || !bytes.Equal(merged, out) {
 			t.Fatalf("report merged into itself differs (err %v):\n%s\nwant\n%s", err, merged, out)
+		}
+	})
+}
+
+// FuzzLoadIngest fuzzes the load-report boundary: no input panics,
+// an archive ingestLoad accepts re-ingests byte for byte, and the load
+// gate compares an accepted archive with itself without a REGRESSION,
+// even at tolerance 1; its one allowed error is that no run has a gated
+// metric to compare. It is seeded with a one-run report and a two-line
+// NDJSON soak (a snapshot, then the final report).
+func FuzzLoadIngest(f *testing.F) {
+	oneLine := strings.ReplaceAll(goodLoad, "\n", " ")
+	snap := strings.Replace(oneLine, `"seed":1`, `"snapshot_seq":1,"seed":1`, 1)
+	f.Add([]byte(goodLoad))
+	f.Add([]byte(snap + "\n" + oneLine + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out, err := ingestLoad(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if again, err := ingestLoad(bytes.NewReader(out)); err != nil || !bytes.Equal(again, out) {
+			t.Fatalf("accepted archive does not re-ingest byte for byte (err %v):\n%s\nwant\n%s", err, again, out)
+		}
+		path := filepath.Join(t.TempDir(), "archive.json")
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var w strings.Builder
+		ok, err := compareLoadReports(path, path, 1, &w)
+		if err != nil {
+			if !strings.Contains(err.Error(), "no load runs with a gated metric in common") {
+				t.Fatalf("accepted archive compared with itself: %v", err)
+			}
+			return
+		}
+		if !ok || strings.Contains(w.String(), "REGRESSION") {
+			t.Fatalf("accepted archive regresses against itself:\n%s\narchive:\n%s", w.String(), out)
 		}
 	})
 }

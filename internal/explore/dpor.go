@@ -126,10 +126,9 @@ func (d *dporState) addStateSeen(fp uint64, p int32) bool {
 // expand is DPOR's replacement for expandDFS: it analyzes the completed
 // run's dependency trace and returns only the backtrack points the
 // detected races demand, sorted like expandDFS's output (ascending
-// branch depth, so checkpoint registration and LIFO pop order are
-// unchanged). blocked counts the sibling alternatives within the node's
-// own suffix that plain branching would have pushed and the reduction
-// did not.
+// branch depth, so LIFO pop order is unchanged). blocked counts the
+// sibling alternatives within the node's own suffix that plain branching
+// would have pushed and the reduction did not.
 func (d *dporState) expand(prefix []kernel.Choice, out runOut, depth int, expanded map[uint64]bool, pruned *int) ([][]kernel.Choice, int) {
 	limit, ok := d.prepare(out, depth, expanded)
 	if !ok {

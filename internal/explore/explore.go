@@ -22,10 +22,9 @@
 // branch on (one at or past Options.DFSDepth, or past the 4096 steps the
 // DPOR race pass walks); StatsCore.CutRuns counts the runs that did.
 //
-// There is one engine. Every run executes on a recycled kernel slot, and
-// every DFS run forks from a checkpoint of the run that pushed it when
-// one is live (checkpoint.go) instead of replaying its prefix from the
-// root. Neither changes what is judged, only what it costs. The
+// There is one engine. Every run executes on a recycled kernel slot,
+// which changes what a run costs, never what is judged, and every DFS run
+// replays its prefix from the root, as stateless search does. The
 // reductions (Prune, DPOR) do change which schedules run; Options.Audit
 // checks them against the unreduced search.
 //
@@ -112,9 +111,7 @@ type Result struct {
 	// snapshot, byte-identical across Workers settings like the rest of
 	// the Result. The live observability fields (wall clock, throughput,
 	// pool occupancy) exist only in the Stats snapshots delivered to
-	// Options.Progress. The CheckpointForks, SavedSteps, and
-	// ReplayedSteps counters measure how much prefix work the DFS phase's
-	// checkpoints saved (checkpoint.go).
+	// Options.Progress.
 	Stats StatsCore
 	// Err is set when the finding is a kernel error (deadlock, livelock)
 	// rather than an oracle violation, or when the Options.Audit
@@ -169,10 +166,9 @@ type Options struct {
 	// branch group only (persistent sets). A sleep-set memory suppresses
 	// re-proposing a process already scheduled from the same branch
 	// group. The reduction composes with Prune (proposal points are
-	// fingerprint-deduped), Stream, Shrink, and checkpointing (backtrack
-	// points register against checkpoint branch groups), and all
-	// decisions are made on the driver in canonical order, so the Result
-	// stays byte-identical at every Workers count. Like Prune the
+	// fingerprint-deduped), Stream and Shrink, and all decisions are made
+	// on the driver in canonical order, so the Result stays
+	// byte-identical at every Workers count. Like Prune the
 	// dependency relation is a conservative heuristic; Audit is the
 	// cross-check. Result.Stats reports BacktrackPoints and DPORBlocked.
 	// A reduced search that exhausts has judged one schedule of every
@@ -215,15 +211,9 @@ type Options struct {
 	// Deprecated: every run recycles its kernel slot; Pool is read
 	// nowhere and will be removed.
 	Pool bool
-	// Deprecated: the DFS phase always forks from checkpoints; Checkpoint
-	// is read nowhere and will be removed.
+	// Deprecated: the DFS phase replays every prefix from the root;
+	// Checkpoint is read nowhere and will be removed.
 	Checkpoint bool
-
-	// ckptLimit overrides the checkpoint budget (ckptBudget) for tests:
-	// 0 keeps it, a small value starves the registry, and a negative
-	// value keeps no checkpoints, so every DFS run replays its prefix
-	// from the root.
-	ckptLimit int
 }
 
 func (o Options) withDefaults() Options {
@@ -244,9 +234,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers < 1 {
 		o.Workers = 1
-	}
-	if o.ckptLimit == 0 {
-		o.ckptLimit = ckptBudget
 	}
 	return o
 }

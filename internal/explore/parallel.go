@@ -16,10 +16,9 @@
 // work, never a different answer, and randomLead bounds how many there
 // can be.
 //
-// The DFS phase runs on the driver alone. Each run's children come from
-// the run before, LIFO order pushes them above anything a helper could
-// have claimed ahead, and the driver forks most runs from checkpoints
-// (checkpoint.go) a helper would have to replay from the root; measured
+// The DFS phase runs on the driver alone. Each run replays its prefix
+// from the root, its children come from the run before, and LIFO order
+// pushes them above anything a helper could have claimed ahead; measured
 // speculation cost more CPU than it saved (DESIGN.md §6.5).
 //
 // All schedule-space pruning (fingerprint dedup, the invisible-step rule,
@@ -132,9 +131,6 @@ func (e *executor) acquire() *runSlot {
 	}
 	s := &runSlot{k: kernel.NewSim(kopts...)}
 	s.r = trace.NewRecorder(s.k)
-	// Sample the recorder position at every decision point so the driver
-	// can capture checkpoints from this slot (kernel.SnapshotAt).
-	s.k.SetDecisionMark(s.r.LenCooperative)
 	e.mu.Lock()
 	e.all = append(e.all, s)
 	e.mu.Unlock()
@@ -148,24 +144,6 @@ func (e *executor) acquire() *runSlot {
 		})
 	}
 	return s
-}
-
-// runProg runs prog on the slot's reset kernel and returns the outcome
-// as views into the slot's buffers.
-func (s *runSlot) runProg(prog Program) runOut {
-	prog(s.k, s.r)
-	err := s.k.Run()
-	return runOut{
-		schedule: s.k.ChoicesView(),
-		tr:       s.r.Snapshot(),
-		err:      err,
-		fps:      s.k.StepFingerprints(),
-		visible:  s.k.StepVisibility(),
-		deps:     s.k.DepAccesses(),
-		readyIDs: s.k.ReadySetIDs(),
-		causes:   s.k.ReadyCauses(),
-		slot:     s,
-	}
 }
 
 // release returns out's slot to the freelist. Call only once every view
@@ -186,7 +164,8 @@ func (e *executor) close() {
 	}
 }
 
-// run executes prog once under the given policy. Safe to call from
+// run executes prog once under the given policy on a recycled slot and
+// returns the outcome as views into the slot's buffers. Safe to call from
 // multiple goroutines concurrently.
 func (e *executor) run(prog Program, policy kernel.Policy) runOut {
 	s := e.acquire()
@@ -196,34 +175,19 @@ func (e *executor) run(prog Program, policy kernel.Policy) runOut {
 		s.stream.Reset()
 		s.vs = s.vs[:0]
 	}
-	return s.runProg(prog)
-}
-
-// runFrom executes prog resuming from a checkpoint: the kernel re-drives
-// the snapshot's choice prefix in restore mode (per-step pipeline
-// skipped), the recorder serves the prefix events from the snapshot, and
-// the streaming checker, if any, is brought to the fork point by
-// re-feeding it the prefix. tail schedules the decisions past the
-// snapshot. By determinism the outcome is byte-identical to running the
-// full schedule by replay from the root; only the cost differs.
-func (e *executor) runFrom(prog Program, snap *kernel.Snapshot, prefix trace.Trace, tail kernel.Policy) runOut {
-	s := e.acquire()
-	s.k.Reset(kernel.WithPolicy(tail), kernel.WithRestore(snap))
-	s.r.Reset()
-	s.r.ResumeFrom(prefix)
-	if s.stream != nil {
-		s.stream.Reset()
-		s.vs = s.vs[:0]
-		for _, ev := range prefix {
-			// Checkpoints are only registered from violation-free runs,
-			// so re-feeding cannot fire the checker; collect defensively
-			// anyway rather than dropping a finding.
-			if vs := s.stream.Observe(ev); len(vs) > 0 {
-				s.vs = append(s.vs, vs...)
-			}
-		}
+	prog(s.k, s.r)
+	err := s.k.Run()
+	return runOut{
+		schedule: s.k.ChoicesView(),
+		tr:       s.r.Snapshot(),
+		err:      err,
+		fps:      s.k.StepFingerprints(),
+		visible:  s.k.StepVisibility(),
+		deps:     s.k.DepAccesses(),
+		readyIDs: s.k.ReadySetIDs(),
+		causes:   s.k.ReadyCauses(),
+		slot:     s,
 	}
-	return s.runProg(prog)
 }
 
 // randomLead is how many seeds per worker the random phase's claims may
@@ -470,14 +434,13 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 	if prune {
 		expanded = map[uint64]bool{}
 	}
-	// The DPOR state (sleep-set memory and analysis scratch) and the
-	// checkpoint registry are per-scan like the pruner's maps, so the
-	// audit's reference pass shares nothing with the reduced pass.
+	// The DPOR state (sleep-set memory and analysis scratch) is per-scan
+	// like the pruner's maps, so the audit's reference pass shares
+	// nothing with the reduced pass.
 	var dp *dporState
 	if dpor {
 		dp = newDPORState()
 	}
-	reg := newCkptRegistry(opts.ckptLimit)
 	pruned := 0
 	var keyBuf []byte
 	var first Result
@@ -487,43 +450,16 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 		stack = stack[:len(stack)-1]
 		t.st.Frontier = len(stack)
 
-		// Build the node's binary key so that its branch-point prefix —
-		// the node minus its final (branching) choice — is the leading
-		// keyBuf[:branchEnd] bytes: appendScheduleKey is concatenative.
-		n := len(prefix)
-		keyBuf = keyBuf[:0]
-		branchEnd := 0
-		if n > 0 {
-			keyBuf = appendScheduleKey(keyBuf, prefix[:n-1])
-			branchEnd = len(keyBuf)
-			keyBuf = appendScheduleKey(keyBuf, prefix[n-1:])
-		}
-		// Consume the node's checkpoint slot before the dedup check:
-		// duplicate prefixes were counted as pending siblings when their
-		// parent registered, so every pop pays one slot either way.
-		var ent *ckptEntry
-		if n > 0 {
-			ent = reg.take(keyBuf[:branchEnd])
-		}
+		keyBuf = appendScheduleKey(keyBuf[:0], prefix)
 		if seen[string(keyBuf)] {
 			continue
 		}
 		seen[string(keyBuf)] = true
 
-		var out runOut
-		if ent != nil {
-			out = e.runFrom(prog, ent.snap, ent.events, kernel.Replay(prefix[ent.depth:]))
-		} else {
-			out = e.run(prog, kernel.Replay(prefix))
-		}
+		out := e.run(prog, kernel.Replay(prefix))
 		dfsRuns++
 		if cut(out.schedule, opts.DFSDepth, dpor) {
 			t.st.CutRuns++
-		}
-		if ent != nil {
-			t.forked(ent.depth, n-ent.depth)
-		} else {
-			t.replayed(n)
 		}
 		t.st.Pruned = pruned
 		t.ran()
@@ -552,9 +488,6 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 			t.st.DPORBlocked += blocked
 		} else {
 			children = expandDFS(prefix, out, opts.DFSDepth, expanded, &pruned)
-		}
-		if !isFinding && out.err == nil {
-			reg.registerRun(out, children)
 		}
 		e.release(out)
 		stack = append(stack, children...)

@@ -25,21 +25,13 @@ type StatsCore struct {
 	// ShrinkLen is the length of the best minimized schedule so far; 0
 	// until the shrink phase starts.
 	ShrinkLen int
-	// CheckpointForks is the number of DFS runs that forked from a
-	// checkpoint instead of replaying their prefix from the root
-	// (checkpoint.go). The driver runs every DFS schedule itself, so it is
-	// Workers-independent.
+	// Deprecated: every DFS run replays its prefix from the root, so
+	// CheckpointForks, SavedSteps and ReplayedSteps are always 0. They
+	// will be removed.
 	CheckpointForks int
-	// SavedSteps counts prefix steps served from a checkpoint across all
-	// forked runs: steps the scheduler re-drove with the per-step
-	// pipeline — policy consultation, choice/fingerprint/visibility/mark
-	// recording, trace appends — skipped.
+	// Deprecated: always 0; see CheckpointForks.
 	SavedSteps int64
-	// ReplayedSteps counts prefix steps executed through the full
-	// pipeline: the whole prefix of DFS runs that found no usable
-	// checkpoint, plus the post-checkpoint suffix of the prefix of
-	// forked runs. Dense checkpoint hits show up as SavedSteps >>
-	// ReplayedSteps.
+	// Deprecated: always 0; see CheckpointForks.
 	ReplayedSteps int64
 	// BacktrackPoints counts the backtrack nodes partial-order reduction
 	// pushed onto the DFS frontier: the persistent-set branches the
@@ -133,21 +125,6 @@ func (t *tracker) shrank(bestLen int) {
 	t.emit()
 }
 
-// forked records one DFS run that forked from a checkpoint: saved prefix
-// steps were served from the snapshot, replayed steps ran the full
-// pipeline.
-func (t *tracker) forked(saved, replayed int) {
-	t.st.CheckpointForks++
-	t.st.SavedSteps += int64(saved)
-	t.st.ReplayedSteps += int64(replayed)
-}
-
-// replayed records one DFS run that replayed its whole prefix from the
-// root (no usable checkpoint).
-func (t *tracker) replayed(prefix int) {
-	t.st.ReplayedSteps += int64(prefix)
-}
-
 func (t *tracker) emit() {
 	if t.progress == nil {
 		return
@@ -170,9 +147,6 @@ func (t *tracker) deterministic(res *Result) StatsCore {
 		Pruned:          res.Pruned,
 		ShrinkRuns:      res.ShrinkRuns,
 		ShrinkLen:       len(res.MinSchedule),
-		CheckpointForks: t.st.CheckpointForks,
-		SavedSteps:      t.st.SavedSteps,
-		ReplayedSteps:   t.st.ReplayedSteps,
 		BacktrackPoints: t.st.BacktrackPoints,
 		DPORBlocked:     t.st.DPORBlocked,
 		CutRuns:         t.st.CutRuns,

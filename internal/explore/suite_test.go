@@ -91,30 +91,12 @@ func TestPruneAuditT4Suite(t *testing.T) {
 	}
 }
 
-// Pruned exploration is identical across worker counts (its pruning
-// decisions are driver-side and canonical-order), and stream judging
-// reaches the batch oracle's finding. That recycled kernels match fresh
-// ones is TestResetReusedTracesIdentical's job.
+// Stream judging reaches the batch oracle's finding. That pruned
+// exploration is identical across worker counts is
+// TestParallelMatchesSequential's job, and that recycled kernels match
+// fresh ones TestResetReusedTracesIdentical's.
 func TestPoolAndPruneDeterminism(t *testing.T) {
-	oracle := Oracle(problems.CheckReadersPriority)
 	base := Options{RandomRuns: 100, DFSRuns: 400, DFSDepth: 24}
-
-	t.Run("prune-workers-independent", func(t *testing.T) {
-		opts := base
-		opts.Prune = true
-		opts.Workers = 1
-		seq := Run(figure1Program(), oracle, opts)
-		opts.Workers = 8
-		par := Run(figure1Program(), oracle, opts)
-		if seq.Found != par.Found || seq.Runs != par.Runs || seq.Pruned != par.Pruned ||
-			!reflect.DeepEqual(seq.Schedule, par.Schedule) {
-			t.Fatalf("pruned result depends on Workers:\n  w=1: found=%v runs=%d pruned=%d\n  w=8: found=%v runs=%d pruned=%d",
-				seq.Found, seq.Runs, seq.Pruned, par.Found, par.Runs, par.Pruned)
-		}
-		if !seq.Found {
-			t.Fatalf("pruned search found nothing in %d runs", seq.Runs)
-		}
-	})
 
 	t.Run("stream-matches-batch-judging", func(t *testing.T) {
 		inc, ok := problems.IncrementalOracleFor(problems.NameReadersPriority)

@@ -46,11 +46,9 @@ func WithDepTrace() SimOption {
 }
 
 // noteDep records an access to obj by the step in progress.
-// Consecutive duplicate accesses are collapsed. Recording is suppressed
-// while a snapshot prefix is re-driven: those records were pre-filled
-// from the snapshot (WithRestore).
+// Consecutive duplicate accesses are collapsed.
 func (k *SimKernel) noteDep(obj uint64) {
-	if !k.depTrace || k.restore != nil {
+	if !k.depTrace {
 		return
 	}
 	step := int32(k.steps) - 1
@@ -64,7 +62,7 @@ func (k *SimKernel) noteDep(obj uint64) {
 // trace recorder calls it whenever an event is recorded, alongside
 // MarkStepVisible.
 func (k *SimKernel) NoteTraceDep() {
-	if !k.depTrace || k.restore != nil {
+	if !k.depTrace {
 		return
 	}
 	step := int32(k.steps) - 1

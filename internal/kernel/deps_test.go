@@ -1,17 +1,39 @@
 package kernel
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
-// collectDeps runs snapProgram under policy with dependency tracing and
+// depProgram spawns a small interleaving-rich program: three processes
+// yielding, parking, and sleeping. events collects the observable
+// execution order.
+func depProgram(k *SimKernel, events *[]string) {
+	mark := func(p *Proc, what string) { *events = append(*events, p.Name()+":"+what) }
+	var waiter *Proc
+	waiter = k.Spawn("waiter", func(p *Proc) {
+		mark(p, "park")
+		p.Park()
+		mark(p, "woke")
+	})
+	k.Spawn("worker", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			mark(p, "step")
+			p.Yield()
+		}
+		waiter.Unpark()
+		mark(p, "unparked")
+	})
+	k.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(5)
+		mark(p, "awake")
+	})
+}
+
+// collectDeps runs depProgram under policy with dependency tracing and
 // returns the recorded artifacts.
 func collectDeps(t *testing.T, policy Policy) ([]DepAccess, []int32, []int32, []Choice) {
 	t.Helper()
 	k := NewSim(WithPolicy(policy), WithDepTrace())
 	var events []string
-	snapProgram(k, &events)
+	depProgram(k, &events)
 	if err := k.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -111,67 +133,16 @@ func TestDepTraceRelationProperties(t *testing.T) {
 	}
 }
 
-// The same schedule must produce the same dependency trace no matter how
-// it is driven — replayed from the root or restored from a snapshot at
-// any depth. This is the stability DPOR's driver-side analysis relies on
-// when checkpointed forks skip prefix replay.
-func TestDepTraceStableAcrossSnapshotRestore(t *testing.T) {
-	k := NewSim(WithPolicy(Random(42)), WithDepTrace())
-	var events []string
-	k.SetDecisionMark(func() int { return len(events) })
-	snapProgram(k, &events)
-	if err := k.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	schedule := k.Choices()
-	baseDeps := append([]DepAccess(nil), k.DepAccesses()...)
-	baseReady := append([]int32(nil), k.ReadySetIDs()...)
-	baseCauses := append([]int32(nil), k.ReadyCauses()...)
-
-	for depth := 1; depth < len(schedule); depth++ {
-		snap, err := k.SnapshotAt(depth)
-		if err != nil {
-			t.Fatalf("SnapshotAt(%d): %v", depth, err)
-		}
-		k2 := NewSim(WithDepTrace())
-		var events2 []string
-		k2.Restore(snap, WithPolicy(Replay(schedule[depth:])))
-		k2.SetDecisionMark(func() int { return len(events2) })
-		snapProgram(k2, &events2)
-		if err := k2.Run(); err != nil {
-			t.Fatalf("depth %d: restored run: %v", depth, err)
-		}
-		if got := k2.DepAccesses(); !reflect.DeepEqual(got, baseDeps) {
-			t.Fatalf("depth %d: dependency trace diverged\nbase:     %v\nrestored: %v", depth, baseDeps, got)
-		}
-		if got := k2.ReadySetIDs(); !reflect.DeepEqual(got, baseReady) {
-			t.Fatalf("depth %d: ready-set ids diverged", depth)
-		}
-		if got := k2.ReadyCauses(); !reflect.DeepEqual(got, baseCauses) {
-			t.Fatalf("depth %d: ready causes diverged", depth)
-		}
-	}
-}
-
 // Dependency tracing is opt-in and absent by default: without
-// WithDepTrace the accessors stay empty and the snapshot carries no
-// dependency payload.
+// WithDepTrace the accessors stay empty.
 func TestDepTraceOptIn(t *testing.T) {
 	k := NewSim(WithPolicy(FIFO()))
 	var events []string
-	k.SetDecisionMark(func() int { return len(events) })
-	snapProgram(k, &events)
+	depProgram(k, &events)
 	if err := k.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if len(k.DepAccesses()) != 0 || len(k.ReadySetIDs()) != 0 || len(k.ReadyCauses()) != 0 {
 		t.Fatalf("dependency records present without WithDepTrace")
-	}
-	snap, err := k.SnapshotAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.ReadyIDs != nil || snap.Causes != nil || snap.Deps != nil {
-		t.Fatalf("snapshot carries dependency payload without WithDepTrace")
 	}
 }

@@ -214,16 +214,6 @@ type SimKernel struct {
 	// set to the Policy without a per-step allocation.
 	readyScratch []*Proc
 
-	// restore, when non-nil, makes schedule re-drive the snapshot's
-	// choice prefix in restore mode (see WithRestore); cleared when the
-	// prefix is exhausted and validated, and by Reset.
-	restore *Snapshot
-
-	// markFn, when set, is sampled at every decision point into marks,
-	// aligned with choices (see SetDecisionMark).
-	markFn func() int
-	marks  []int
-
 	// depTrace enables dependency-trace recording (WithDepTrace): deps
 	// holds the per-step object accesses, readyIDs the flattened ready
 	// set at each decision, and causes the readying step of each pick
@@ -517,8 +507,6 @@ func (k *SimKernel) Reset(opts ...SimOption) {
 	k.fps = k.fps[:0]
 	k.stepVisible = false
 	k.visible = k.visible[:0]
-	k.restore = nil
-	k.marks = k.marks[:0]
 	k.deps = k.deps[:0]
 	k.readyIDs = k.readyIDs[:0]
 	k.causes = k.causes[:0]
@@ -653,40 +641,6 @@ func (k *SimKernel) schedule(self *simProc) (next *simProc, fin bool, err error)
 			return nil, true, fmt.Errorf("%w: %s", ErrDeadlock, strings.Join(live, ", "))
 		}
 	}
-	if k.restore != nil {
-		if k.steps < int64(k.restore.Depth) {
-			// Restore re-drive: follow the snapshot's prefix directly.
-			// The per-step pipeline is skipped — no policy consultation
-			// and no choice/fingerprint/visibility/mark appends; those
-			// records were pre-filled from the snapshot (WithRestore), so
-			// the close-out append above naturally stays idle until the
-			// prefix is exhausted.
-			c := k.restore.Choices[k.steps]
-			if c.Ready != len(k.ready) || c.Picked < 0 || c.Picked >= len(k.ready) {
-				k.finish()
-				return nil, true, fmt.Errorf("kernel: snapshot restore diverged at step %d: snapshot has %d ready (picked %d), observed %d ready",
-					k.steps, c.Ready, c.Picked, len(k.ready))
-			}
-			k.steps++
-			next = k.ready[c.Picked]
-			k.ready = append(k.ready[:c.Picked], k.ready[c.Picked+1:]...)
-			next.state = stateRunning
-			next.schedCount++
-			k.touchFP(next)
-			k.stepVisible = false
-			k.running = next
-			return next, false, nil
-		}
-		// Prefix exhausted: the re-driven state must hash to the
-		// snapshot's capture-point fingerprint, or the program diverged
-		// from the run the snapshot was taken from.
-		if got := k.Fingerprint(); got != k.restore.Fp {
-			k.finish()
-			return nil, true, fmt.Errorf("kernel: snapshot restore diverged: state fingerprint %#x after re-driving %d steps, snapshot has %#x",
-				got, k.restore.Depth, k.restore.Fp)
-		}
-		k.restore = nil
-	}
 	// k.ready is already in deterministic order (ascending readiness
 	// stamp); expose it to the policy through the reusable scratch.
 	if cap(k.readyScratch) < len(k.ready) {
@@ -698,9 +652,6 @@ func (k *SimKernel) schedule(self *simProc) (next *simProc, fin bool, err error)
 	}
 	// The fingerprint at the decision point, before anything runs.
 	k.fps = append(k.fps, k.Fingerprint())
-	if k.markFn != nil {
-		k.marks = append(k.marks, k.markFn())
-	}
 	if k.depTrace {
 		for _, sp := range k.ready {
 			k.readyIDs = append(k.readyIDs, int32(sp.proc.id))

@@ -258,6 +258,12 @@ func (rr *RunReport) validate() error {
 		if err := c.validate(); err != nil {
 			return fmt.Errorf("classes[%d].%w", j, err)
 		}
+		// The load gate matches a run's classes by name.
+		for _, prev := range rr.Classes[:j] {
+			if prev.Name == c.Name {
+				return fmt.Errorf("classes[%d].name: duplicate %q", j, c.Name)
+			}
+		}
 		sum += c.Completed
 	}
 	if sum != rr.Completed {

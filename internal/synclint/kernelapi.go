@@ -10,15 +10,10 @@ import (
 //     that captures an enclosing function's Proc would park, yield, or
 //     unpark on behalf of the wrong process;
 //  2. kernel operations are meaningless after Run returns — the
-//     scheduler has shut down, so a Spawn after Run can never execute;
-//  3. SnapshotAt and Restore operate on whole runs — capture requires a
-//     finished run and restore re-arms the kernel for the next one — so
-//     calling either from inside a spawned process body (while the
-//     scheduler is mid-run) can only observe or clobber a half-built
-//     run.
+//     scheduler has shut down, so a Spawn after Run can never execute.
 var KernelAPIAnalyzer = &Analyzer{
 	Name: "kernelapi",
-	Doc:  "*kernel.Proc captured across a Spawn boundary, kernel ops after Run returns, or Snapshot/Restore from inside a run",
+	Doc:  "*kernel.Proc captured across a Spawn boundary, or kernel ops after Run returns",
 	run:  runKernelAPI,
 }
 
@@ -31,47 +26,8 @@ func runKernelAPI(pass *Pass) {
 			}
 			checkProcCapture(pass, fd)
 			checkPostRun(pass, fd)
-			checkSnapshotBetweenRuns(pass, fd)
 		}
 	}
-}
-
-// checkSnapshotBetweenRuns reports SnapshotAt and Restore calls inside a
-// spawned process body. Both are between-runs operations: SnapshotAt
-// reads the finished run's decision history and Restore re-arms the
-// kernel for the next run, so from inside a running process either one
-// races the very run it executes in. (Non-spawn closures run on the
-// declaring process and inherit its context.)
-func checkSnapshotBetweenRuns(pass *Pass, fd *ast.FuncDecl) {
-	var walk func(n ast.Node, inSpawn bool)
-	walk = func(n ast.Node, inSpawn bool) {
-		if n == nil {
-			return
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && inSpawn {
-				if name, n := sel.Sel.Name, len(call.Args); (name == "SnapshotAt" && n == 1) ||
-					(name == "Restore" && n >= 1) {
-					pass.reportf(call.Pos(), "%s inside a spawned process body: snapshots capture and restore whole runs, legal only between runs", name)
-				}
-			}
-			if classifyCall(call).Class == OpSpawn {
-				for _, a := range call.Args {
-					if lit, ok := a.(*ast.FuncLit); ok {
-						walk(lit.Body, true)
-						continue
-					}
-					walk(a, inSpawn)
-				}
-				walk(call.Fun, inSpawn)
-				return
-			}
-		}
-		for _, c := range childNodes(n) {
-			walk(c, inSpawn)
-		}
-	}
-	walk(fd.Body, false)
 }
 
 // procParams returns the names of *kernel.Proc parameters of a function

@@ -373,41 +373,6 @@ func Nested(k *Kernel) {
 	wantFinding(t, findings, "captures p")
 }
 
-// SnapshotAt and Restore are between-runs operations: inside a spawned
-// process body they race the very run they execute in.
-func TestKernelAPISnapshotInsideSpawn(t *testing.T) {
-	findings, _ := runOne(t, KernelAPIAnalyzer, `
-package fixture
-
-func SnapshotMidRun(k *Kernel) {
-	k.Spawn("worker", func(p *Proc) {
-		s, _ := k.SnapshotAt(3) // mid-run: the decision history is still being written
-		k.Restore(s)
-	})
-	k.Run()
-}
-`)
-	wantFinding(t, findings, "SnapshotAt inside a spawned process body")
-	wantFinding(t, findings, "Restore inside a spawned process body")
-}
-
-func TestKernelAPISnapshotBetweenRuns(t *testing.T) {
-	findings, _ := runOne(t, KernelAPIAnalyzer, `
-package fixture
-
-func SnapshotAfterRun(k *Kernel) {
-	k.Spawn("worker", func(p *Proc) { p.Yield() })
-	k.Run()
-	s, _ := k.SnapshotAt(3)
-	k.Reset()
-	k.Restore(s)
-	k.Spawn("worker", func(p *Proc) { p.Yield() })
-	k.Run()
-}
-`)
-	wantClean(t, findings)
-}
-
 func TestAllowAnnotations(t *testing.T) {
 	// Line-level, function-level, and file-level suppressions.
 	src := `

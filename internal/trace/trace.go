@@ -121,11 +121,6 @@ type Recorder struct {
 	mu     sync.Mutex
 	seq    int64
 	events []Event
-
-	// Restored-run suppression (ResumeFrom): the next replay record
-	// calls are served from the pre-filled prefix instead of appended.
-	replay   int // record calls to suppress
-	replayed int // record calls suppressed so far
 }
 
 // NewRecorder creates a Recorder stamping events with k's clock. A nil
@@ -152,46 +147,9 @@ func (r *Recorder) Reset() {
 	defer r.mu.Unlock()
 	r.seq = 0
 	r.events = r.events[:0]
-	r.replay = 0
-	r.replayed = 0
 }
-
-// ResumeFrom primes a freshly Reset recorder with the event prefix of a
-// restored run (kernel.WithRestore): the prefix is copied into the
-// buffer, and the next len(prefix) record calls — the re-driven user
-// code re-recording exactly those events — are served from it instead of
-// being appended, without consulting the clock, the observer, or the
-// kernel's visibility hook. Call it between Reset and the run, on a
-// recorder bound to a cooperative kernel; Reset clears any pending
-// suppression.
-func (r *Recorder) ResumeFrom(prefix Trace) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events = append(r.events[:0], prefix...)
-	r.seq = 0
-	if n := len(prefix); n > 0 {
-		r.seq = prefix[n-1].Seq
-	}
-	r.replay = len(prefix)
-	r.replayed = 0
-}
-
-// LenCooperative reports the number of recorded events without locking —
-// safe on a SimKernel, whose record calls are all ordered by its
-// coroutine switches (see cooperativeKernel). The kernel's decision-mark
-// hook (SetDecisionMark) uses it from inside the scheduler.
-func (r *Recorder) LenCooperative() int { return len(r.events) }
 
 func (r *Recorder) record(p *kernel.Proc, kind Kind, op string, arg int64, note string) Event {
-	if r.replayed < r.replay {
-		// Restored-run suppression: the re-driven prefix re-records
-		// events already in the buffer, so serve the canned event.
-		// Unsynchronized, as on the cooperative fast path below
-		// (ResumeFrom requires a cooperative kernel).
-		e := r.events[r.replayed]
-		r.replayed++
-		return e
-	}
 	if r.coop != nil {
 		// Cooperative fast path: exactly one process runs at a time and
 		// the kernel's coroutine switches order every access, so the
