@@ -89,12 +89,13 @@ func benchExploreThroughput(b *testing.B, opts explore.Options) {
 }
 
 // BenchmarkE1ExploreThroughput tracks the exploration engine's speed for
-// the random and DFS phases separately, at the default Workers (which
-// follows GOMAXPROCS, so `-cpu 1,2,4` sweeps the scaling curve) and with
-// Workers pinned to 1 (the -seq rows). Only the random phase runs on
-// several workers, so with `-cpu` the random rows scale and the DFS rows,
-// which run on the driver alone at any Workers, do not. Results are
-// identical across worker counts by construction; only throughput moves.
+// the random and DFS phases separately and together, at the default
+// Workers (which follows GOMAXPROCS, so `-cpu 1,2,4` sweeps the scaling
+// curve) and with Workers pinned to 1 (the -seq rows). The random+dfs
+// rows have the shape syncfuzz explores, a random phase and then a DFS;
+// above Workers 1 the driver runs the DFS while helpers sample the seeds.
+// Results are identical across worker counts by construction; only
+// throughput moves.
 func BenchmarkE1ExploreThroughput(b *testing.B) {
 	const budget = 64
 	b.Run("random", func(b *testing.B) {
@@ -108,6 +109,12 @@ func BenchmarkE1ExploreThroughput(b *testing.B) {
 	})
 	b.Run("dfs-seq", func(b *testing.B) {
 		benchExploreThroughput(b, explore.Options{RandomRuns: -1, DFSRuns: budget, Workers: 1})
+	})
+	b.Run("random+dfs", func(b *testing.B) {
+		benchExploreThroughput(b, explore.Options{RandomRuns: budget, DFSRuns: budget})
+	})
+	b.Run("random+dfs-seq", func(b *testing.B) {
+		benchExploreThroughput(b, explore.Options{RandomRuns: budget, DFSRuns: budget, Workers: 1})
 	})
 	// Fingerprint pruning (Options.Prune) collapses the DFS frontier;
 	// schedules/sec also reflects that fewer (deduped) schedules need

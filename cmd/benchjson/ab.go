@@ -29,6 +29,8 @@ import (
 	"math"
 	"os"
 	"slices"
+	"strings"
+	"unicode"
 )
 
 // abMetric is one BENCHMARK.json end-to-end metric.
@@ -78,9 +80,10 @@ func readABMetrics(path string) ([]abMetric, error) {
 }
 
 // readABRuns parses the NDJSON runs, rejecting a malformed line with its
-// line number: bad JSON, an unknown side, a pair number below 1, a
-// result without metrics, or a second run for the same workload, seed,
-// pair and side.
+// line number: bad JSON, a workload name with a space or control
+// character, an unknown side, a pair number below 1, a negative count, a
+// result without metrics or with a negative metric value, or a second run
+// for the same workload, seed, pair and side.
 func readABRuns(data []byte) ([]abRun, error) {
 	var runs []abRun
 	seen := map[string]int{}
@@ -95,12 +98,25 @@ func readABRuns(data []byte) ([]abRun, error) {
 		switch {
 		case r.Workload == "":
 			return nil, fmt.Errorf("line %d: no workload", i+1)
+		case strings.ContainsFunc(r.Workload, func(c rune) bool { return unicode.IsSpace(c) || unicode.IsControl(c) }):
+			return nil, fmt.Errorf("line %d: workload %q has a space or control character", i+1, r.Workload)
 		case r.Side != "base" && r.Side != "change":
 			return nil, fmt.Errorf("line %d: side %q, want base or change", i+1, r.Side)
 		case r.Pair < 1:
 			return nil, fmt.Errorf("line %d: pair %d, want 1 or more", i+1, r.Pair)
+		case r.Result.Attempted < 0 || r.Result.Failed < 0:
+			return nil, fmt.Errorf("line %d: negative count (attempted %d, failed %d)", i+1, r.Result.Attempted, r.Result.Failed)
 		case len(r.Result.Metrics) == 0:
 			return nil, fmt.Errorf("line %d: result has no metrics", i+1)
+		}
+		neg, negative := "", false // the first negative metric by name
+		for name, m := range r.Result.Metrics {
+			if m.Value < 0 && (!negative || name < neg) {
+				neg, negative = name, true
+			}
+		}
+		if negative {
+			return nil, fmt.Errorf("line %d: metric %q is %g, want 0 or more", i+1, neg, r.Result.Metrics[neg].Value)
 		}
 		k := fmt.Sprintf("%s seed %d pair %d %s", r.Workload, r.Seed, r.Pair, r.Side)
 		if prev, dup := seen[k]; dup {
@@ -152,6 +168,8 @@ func compareAB(m abMetric, base, change []float64) abStat {
 		}
 	}
 	bm, cm := st.base[1], st.change[1]
+	// NaN or +Inf when bm is 0, or +Inf past the float64 range; the
+	// report prints no ratio then.
 	st.ratio = cm / bm
 	gap := cm - bm // how far the change moved the better way
 	if lower {
@@ -187,6 +205,11 @@ func abReport(metricsPath, runsPath string, w io.Writer) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("%s: %v", runsPath, err)
 	}
+	return reportAB(metrics, runs, w), nil
+}
+
+// reportAB writes abReport's comparison of runs to w.
+func reportAB(metrics []abMetric, runs []abRun, w io.Writer) bool {
 	type group struct {
 		workload string
 		seed     int64
@@ -246,7 +269,11 @@ func abReport(metricsPath, runsPath string, w io.Writer) (bool, error) {
 			}
 			st := compareAB(m, base, change)
 			q := func(v [3]float64) string { return fmt.Sprintf("%.6g [%.6g-%.6g]", v[1], v[0], v[2]) }
-			fmt.Fprintf(w, "  %-18s %-34s %-34s %7.4f %6s  %s\n", m.Name, q(st.base), q(st.change), st.ratio,
+			ratio := "-" // a zero base median has no ratio
+			if !math.IsNaN(st.ratio) && !math.IsInf(st.ratio, 0) {
+				ratio = fmt.Sprintf("%.4f", st.ratio)
+			}
+			fmt.Fprintf(w, "  %-18s %-34s %-34s %7s %6s  %s\n", m.Name, q(st.base), q(st.change), ratio,
 				fmt.Sprintf("%d/%d", st.wins, st.n), st.verdict)
 			if st.verdict == "worse" {
 				ok = false
@@ -270,5 +297,5 @@ func abReport(metricsPath, runsPath string, w io.Writer) (bool, error) {
 			ok = false
 		}
 	}
-	return ok, nil
+	return ok
 }

@@ -89,6 +89,9 @@ func TestReadABRunsRejectsMalformed(t *testing.T) {
 		{"duplicate", good + "\n" + abLine("fuzz", 2, "base", 1, true) + "\n" + good, "line 3: fuzz seed 1 pair 1 base run already on line 1"},
 		{"type", strings.Replace(good, `"pair":1`, `"pair":"1"`, 1), "line 1:"},
 		{"empty", "\n\n", "no runs"},
+		{"negative-metric", good + "\n" + abLine("fuzz", 1, "change", -5, true), `line 2: metric "throughput_per_s" is -5, want 0 or more`},
+		{"negative-count", strings.Replace(good, `"failed":0`, `"failed":-1`, 1), "line 1: negative count (attempted 10, failed -1)"},
+		{"workload-space", strings.Replace(good, `"fuzz"`, `"fuzz\nhunt"`, 1), `line 1: workload "fuzz\nhunt" has a space or control character`},
 	}
 	for _, c := range cases {
 		_, err := readABRuns([]byte(c.in))
@@ -142,4 +145,72 @@ func TestABReport(t *testing.T) {
 	if ok, err := abReport(spec, runs, &out); err != nil || ok || !strings.Contains(out.String(), "pair 2 change: run not correct") {
 		t.Fatalf("abReport with a failed run = %v, %v\n%s", ok, err, out.String())
 	}
+}
+
+// A zero base median has no ratio: the report prints "-" where the
+// ratio of zero to zero used to print NaN.
+func TestABReportZeroBase(t *testing.T) {
+	metrics := []abMetric{{Name: "throughput_per_s", Better: "higher", Bound: 0.25}}
+	var lines []string
+	for p := 1; p <= 3; p++ {
+		lines = append(lines, abLine("fuzz", p, "base", 0, true), abLine("fuzz", p, "change", 0, true))
+	}
+	runs, err := readABRuns([]byte(strings.Join(lines, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	reportAB(metrics, runs, &out)
+	if !strings.Contains(out.String(), "0 [0-0]                                  -    0/3  within bound") {
+		t.Fatalf("zero base median printed a ratio:\n%s", out.String())
+	}
+}
+
+// FuzzABIngest fuzzes benchjson's -ab input, readABRuns then the report
+// abReport prints, on BENCHMARK.json's end-to-end metrics: no input
+// panics, the same bytes give the same report, and no line the report
+// makes itself (the indented ones; a workload name holds no space)
+// prints NaN or Inf.
+func FuzzABIngest(f *testing.F) {
+	metrics, err := readABMetrics("../../BENCHMARK.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	full := `{"workload":"fuzz","seed":1,"pair":1,"side":"base","result":{"correct":true,"attempted":4214,"failed":0,"metrics":{`
+	for i, m := range metrics {
+		if i > 0 {
+			full += ","
+		}
+		full += fmt.Sprintf(`%q:{"value":%d,"unit":"x"}`, m.Name, i+1)
+	}
+	full += "}}}"
+	var pairs []string
+	for p := 1; p <= 4; p++ {
+		pairs = append(pairs, abLine("fuzz", p, "base", 100+float64(p), true), abLine("fuzz", p, "change", 120, p != 3))
+	}
+	f.Add([]byte(strings.Join(pairs, "\n") + "\n"))
+	f.Add([]byte(full + "\n" + strings.Replace(full, `"base"`, `"change"`, 1) + "\n"))
+	f.Add([]byte(abLine("hunt", 1, "base", 0, true) + "\n" + abLine("hunt", 1, "change", 0, true) + "\n"))
+	f.Add([]byte(abLine("hunt", 1, "base", 0, true) + "\n" + abLine("hunt", 1, "change", -5, true) + "\n"))
+	f.Add([]byte(abLine("load", 1, "base", 5e-324, true) + "\n" + abLine("load", 1, "change", 1e308, true) + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runs, err := readABRuns(data)
+		if err != nil {
+			return
+		}
+		var a, b strings.Builder
+		okA := reportAB(metrics, runs, &a)
+		again, err := readABRuns(data)
+		if err != nil {
+			t.Fatalf("second read of the same bytes failed: %v", err)
+		}
+		if okB := reportAB(metrics, again, &b); okA != okB || a.String() != b.String() {
+			t.Fatalf("the same bytes gave two reports (%v, %v):\n%s\n%s", okA, okB, a.String(), b.String())
+		}
+		for _, line := range strings.Split(a.String(), "\n") {
+			if strings.HasPrefix(line, "  ") && (strings.Contains(line, "NaN") || strings.Contains(line, "Inf")) {
+				t.Fatalf("report prints a non-finite number:\n%s", a.String())
+			}
+		}
+	})
 }

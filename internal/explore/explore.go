@@ -34,13 +34,15 @@
 // order: ascending seed for the random phase, LIFO frontier order for DFS.
 // Every run is deterministic given its policy, so the Result — Schedule,
 // Runs, Stats and the rest — is the same for every Options.Workers value.
-// Only the random phase runs schedules in parallel: its seeds are known up
-// front, so Workers goroutines, the driver included, claim them from one
-// cursor and judge each where it ran, and the driver runs the next
-// unclaimed seed itself whenever the verdict it must take next is still
-// being made elsewhere. The DFS phase runs on the driver alone, since each
-// run's children come from the run before. Workers: 1 runs the same
-// random-phase loop with no helper goroutines.
+// The random phase's seeds are known up front, so Workers−1 helper
+// goroutines claim them from one cursor and judge each where it ran. The
+// DFS runs on the driver alone, since each run's children come from the
+// run before, and it reads no random verdict, so the driver runs it while
+// the helpers sample: between DFS nodes it takes their verdicts in seed
+// order, a random finding stops the DFS and is the Result, and once the
+// DFS is done the driver joins the remaining seeds. The DFS Result counts
+// only when every seed is clean. Workers: 1 has no helper and keeps the
+// phases in order: every seed, then the DFS.
 package explore
 
 import (
@@ -72,8 +74,8 @@ import (
 type Program func(k kernel.Kernel, r *trace.Recorder)
 
 // Oracle judges a completed run's trace. The random phase calls it from
-// every worker goroutine at once, so it must be safe for concurrent use;
-// a pure function of the trace is.
+// every worker goroutine at once, and the DFS beside it, so it must be
+// safe for concurrent use; a pure function of the trace is.
 type Oracle func(tr trace.Trace) []problems.Violation
 
 // Result describes one exploration outcome.
@@ -89,8 +91,9 @@ type Result struct {
 	// Violations are the oracle findings for that run.
 	Violations []problems.Violation
 	// Runs is the number of schedules judged, counting the violating one.
-	// Random-phase runs that other workers executed past the finding are
-	// not counted, so Runs is identical for every Workers setting.
+	// Random-phase runs that other workers executed past the finding, and
+	// the runs of a DFS that a random finding cut short, are not counted,
+	// so Runs is identical for every Workers setting.
 	Runs int
 	// Pruned counts sibling schedules the DFS phase skipped via
 	// fingerprint pruning; always 0 unless Options.Prune. Like Runs it is
@@ -145,10 +148,11 @@ type Options struct {
 	// the default, 100000. A run that exceeds it ends with a kernel error,
 	// which is a finding (Violations nil, Err set).
 	MaxSteps int64
-	// Workers is the number of goroutines executing random-phase
-	// schedules, the driver included; the DFS phase always runs on the
-	// driver alone. 0 means runtime.GOMAXPROCS(0). The Result is the same
-	// for every value (see the package comment).
+	// Workers is the number of goroutines executing schedules, the driver
+	// included. Workers−1 helpers sample the random phase's seeds; the DFS
+	// phase runs on the driver alone, overlapping the random phase when
+	// there is a helper. 0 means runtime.GOMAXPROCS(0). The Result is the
+	// same for every value (see the package comment).
 	Workers int
 	// Prune enables schedule-space pruning in the DFS phase: decision
 	// points whose kernel-state fingerprint was already branched from are
@@ -304,15 +308,22 @@ func runPhases(e *executor, prog Program, oracle Oracle, opts Options, t *tracke
 	}
 	e.release(out)
 
-	// Phase 1: seeded random sampling.
-	if res, found := randomPhase(e, prog, oracle, opts, t); found {
+	// Phase 1: seeded random sampling. Phase 2: bounded DFS over choice
+	// prefixes; running Replay(prefix) extends the prefix FIFO, and the
+	// recorded choices tell us where alternatives exist. With helpers to
+	// sample seeds, the driver runs phase 2 meanwhile (overlap).
+	r := startRandom(e, prog, oracle, opts, t)
+	if r == nil {
+		return dfsPhase(e, prog, oracle, opts, t, nil)
+	}
+	defer r.stop()
+	if r.helpers > 0 && opts.DFSRuns > 0 {
+		return overlap(r, opts, t)
+	}
+	if res, found := r.finish(t); found {
 		return res
 	}
-
-	// Phase 2: bounded DFS over choice prefixes. Running Replay(prefix)
-	// extends the prefix FIFO, and the recorded choices tell us where
-	// alternatives exist.
-	return dfsPhase(e, prog, oracle, opts, t)
+	return dfsPhase(e, prog, oracle, opts, t, nil)
 }
 
 // Replay re-executes prog under the given schedule and returns its trace

@@ -243,6 +243,11 @@ func TestDFSBudgetExact(t *testing.T) {
 	}
 }
 
+// overlapFinding explores the deep Figure-1 scenario (deepFigure1Program)
+// behind a random phase of five clean seeds, so above Workers 1 the DFS
+// that finds the anomaly, at run 118, overlaps the random phase.
+var overlapFinding = Options{RandomRuns: 5, DFSRuns: 2000, Prune: true, DPOR: true, Shrink: true}
+
 // The determinism contract: Run returns the same Result — every field,
 // Stats and MinSchedule included — at Workers 2, 4, 8 and GOMAXPROCS as
 // at Workers 1. The rows cover
@@ -251,7 +256,11 @@ func TestDFSBudgetExact(t *testing.T) {
 // pruned, DPOR-reduced and both, each on a finding and on a clean
 // solution, a stream-judged and shrunk DFS-only finding, and the
 // syncfuzz option set (stream-judged, pruned, DPOR-reduced, shrunk) on a
-// program that finds in the random phase and on a clean one.
+// program that finds in the random phase and on a clean one. Above
+// Workers 1 the DFS overlaps the random phase; two rows make its Result
+// count: a DFS finding after a clean random phase (the deep Figure-1
+// scenario, found at run 118) and an audited clean search that exhausts
+// at run 179.
 func TestParallelMatchesSequential(t *testing.T) {
 	figure1 := Program(func(k kernel.Kernel, r *trace.Recorder) {
 		rwScenario(pathexprsol.NewReadersPriority())(k, r)
@@ -299,6 +308,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 			Options{RandomRuns: 30, DFSRuns: 60}, ""},
 		{"syncfuzz-random-finding", figure1, problems.CheckReadersPriority, syncfuzz, "random"},
 		{"syncfuzz-clean", monitor, problems.CheckReadersPriority, syncfuzz, ""},
+		{"random-clean-dfs-finding", deepFigure1Program(), problems.CheckReadersPriority, overlapFinding, "dfs"},
+		{"random-audit-clean", monitor, problems.CheckReadersPriority,
+			Options{RandomRuns: 30, DFSRuns: 400, DFSDepth: 24, Prune: true, DPOR: true, Audit: true}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -431,7 +443,8 @@ func TestAuditCatchesPruneMiss(t *testing.T) {
 // only a finding keeps its slot until the driver takes it. A slow batch
 // oracle keeps the workers judging while others claim: a phase that
 // pinned each slot until the driver judged it in seed order would hold
-// up to randomLead×Workers.
+// up to randomLead×Workers. The DFS that overlaps the phase holds the
+// driver's one slot, so the search stays within Workers slots.
 func TestRandomPhasePoolBounded(t *testing.T) {
 	monitor := Program(func(k kernel.Kernel, r *trace.Recorder) {
 		rwScenario(monitorsol.NewReadersPriority())(k, r)
@@ -441,16 +454,17 @@ func TestRandomPhasePoolBounded(t *testing.T) {
 		}
 		return problems.CheckReadersPriority(tr)
 	}
-	const workers = 4
-	peak := 0
-	res := Run(monitor, slow, Options{RandomRuns: 200, Workers: workers,
-		Progress: func(s Stats) { peak = max(peak, s.PoolSlots) }})
-	if res.Found {
-		t.Fatalf("unexpected finding: %v err=%v", res.Violations, res.Err)
-	}
-	if peak > workers {
-		t.Fatalf("random phase created %d pooled slots for %d seeds, want at most Workers = %d",
-			peak, res.Runs-1, workers)
+	for _, workers := range []int{2, 4} {
+		peak := 0
+		res := Run(monitor, slow, Options{RandomRuns: 200, DFSRuns: 50, Prune: true, DPOR: true, Workers: workers,
+			Progress: func(s Stats) { peak = max(peak, s.PoolSlots) }})
+		if res.Found {
+			t.Fatalf("workers=%d: unexpected finding: %v err=%v", workers, res.Violations, res.Err)
+		}
+		if peak > workers {
+			t.Fatalf("workers=%d: search created %d pooled slots for %d runs, want at most Workers",
+				workers, peak, res.Runs)
+		}
 	}
 }
 
@@ -458,18 +472,45 @@ func TestRandomPhasePoolBounded(t *testing.T) {
 // kernel's shutdown path unwinds processes abandoned on deadlock, the
 // exploration engine waits for its helpers before returning, and Run
 // releases the coroutines its recycled kernels keep between runs
-// (executor.close -> SimKernel.Close).
+// (executor.close -> SimKernel.Close). The second program deadlocks only
+// when b runs first: its FIFO baseline is clean, a random seed finds the
+// deadlock, and the DFS overlapping the random phase, which flips the
+// first choice last, is cut short by that finding.
 func TestExplorationNoGoroutineLeak(t *testing.T) {
-	perRun := Program(func(k kernel.Kernel, r *trace.Recorder) {
+	stuck := Program(func(k kernel.Kernel, r *trace.Recorder) {
 		k.Spawn("stuck1", func(p *kernel.Proc) { p.Park() })
 		k.Spawn("stuck2", func(p *kernel.Proc) { p.Yield(); p.Park() })
 	})
+	bFirst := Program(func(k kernel.Kernel, r *trace.Recorder) {
+		first := ""
+		k.Spawn("a", func(p *kernel.Proc) {
+			if first == "" {
+				first = "a"
+			}
+			for range 16 {
+				p.Yield()
+			}
+		})
+		k.Spawn("b", func(p *kernel.Proc) {
+			if first == "" {
+				first = "b"
+			}
+			if first == "b" {
+				p.Park()
+			}
+		})
+	})
+	never := func(trace.Trace) []problems.Violation { return nil }
 	base := runtime.NumGoroutine()
 	for i := 0; i < 1000; i++ {
-		res := Run(perRun, func(trace.Trace) []problems.Violation { return nil },
-			Options{RandomRuns: 2, DFSRuns: 2, Workers: 4})
+		res := Run(stuck, never, Options{RandomRuns: 2, DFSRuns: 2, Workers: 4})
 		if !res.Found || !errors.Is(res.Err, kernel.ErrDeadlock) {
 			t.Fatalf("run %d: res = %+v", i, res)
+		}
+		opts := Options{RandomRuns: 4, DFSRuns: 1000, Workers: 4}
+		res = Run(bFirst, never, opts)
+		if !res.Found || !errors.Is(res.Err, kernel.ErrDeadlock) || res.Runs > 1+opts.RandomRuns {
+			t.Fatalf("overlapped run %d: res = %+v, want a random-phase deadlock", i, res)
 		}
 	}
 	// Unwinding is asynchronous: give stragglers a moment to exit.

@@ -15,7 +15,7 @@ import (
 // Budgets, step bounds and the streaming oracle stay with the caller,
 // which knows its scenario.
 func BindFlags(fs *flag.FlagSet, o *Options) {
-	fs.IntVar(&o.Workers, "workers", o.Workers, "goroutines running random-phase schedules (0 = all cores; results are identical for any value)")
+	fs.IntVar(&o.Workers, "workers", o.Workers, "goroutines running schedules: helpers sample random seeds while the driver runs the DFS (0 = all cores; results are identical for any value)")
 	fs.BoolVar(&o.Prune, "prune", o.Prune, "prune the DFS via kernel-state fingerprints (fewer schedules to a finding, so reported run counts shrink)")
 	fs.BoolVar(&o.DPOR, "dpor", o.DPOR, "reduce the DFS by dynamic partial-order reduction (fewer schedules to the same findings; reports backtrack points and commuting siblings skipped)")
 	fs.BoolVar(&o.Audit, "audit", o.Audit, "run the DFS budget again unreduced and fail if -prune or -dpor missed a violation rule (turns neither on)")

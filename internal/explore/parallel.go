@@ -6,20 +6,26 @@
 // schedule is deterministic given its policy, the reported Result —
 // Schedule, Runs, Violations, Stats — is independent of the worker count.
 //
-// The random phase runs on Options.Workers goroutines. Its schedules are
-// known up front, so every worker, the driver included, claims seeds from
-// one atomic cursor, runs them on private kernels and judges each where
-// it ran; a clean run's slot goes back to the pool at once. When the
-// verdict the driver must take next is still being made elsewhere, the
-// driver runs the next unclaimed seed itself rather than wait; it blocks
-// only when nothing is left to claim. Runs past a finding are wasted
-// work, never a different answer, and randomLead bounds how many there
-// can be.
+// The random phase runs on Options.Workers−1 helper goroutines beside the
+// driver. Its schedules are known up front, so every worker claims seeds
+// from one atomic cursor, runs them on private kernels and judges each
+// where it ran; a clean run's slot goes back to the pool at once. Runs
+// past a finding are wasted work, never a different answer, and
+// randomLead bounds how many there can be.
 //
 // The DFS phase runs on the driver alone. Each run replays its prefix
 // from the root, its children come from the run before, and LIFO order
 // pushes them above anything a helper could have claimed ahead; measured
-// speculation cost more CPU than it saved (DESIGN.md §6.5).
+// speculation cost more CPU than it saved (DESIGN.md §6.5). But the DFS
+// reads no random verdict, so while the helpers sample seeds the driver
+// runs the DFS (overlap), on a tracker of its own, and takes the published
+// random verdicts in seed order between DFS nodes. A random finding stops
+// the DFS and is the Result; once the DFS is done the driver joins the
+// remaining seeds, running the next unclaimed seed itself whenever the
+// verdict it must take next is still being made elsewhere. The DFS Result
+// counts only when every seed is clean. At Workers 1 there is no helper,
+// so the driver samples every seed before it starts the DFS, and a random
+// finding pays for no DFS run.
 //
 // All schedule-space pruning (fingerprint dedup, the invisible-step rule,
 // DPOR) happens on the driver in canonical order, so pruning decisions are
@@ -206,16 +212,22 @@ type randSlot struct {
 	vs    []problems.Violation
 }
 
-// seedRing is the random phase's shared state. Workers claim seeds from
+// seedRing is the random phase over seeds 1..n. Workers claim seeds from
 // cursor and publish each verdict in slot seed mod lead. A seed is claimed
 // only while fewer than lead claimed seeds are untaken, so its slot is
-// always free.
+// always free. The driver opens the phase (startRandom), takes verdicts in
+// seed order (take, finish) and ends it (stop).
 type seedRing struct {
+	e       *executor
+	prog    Program
+	oracle  Oracle
 	n, lead int64
+	helpers int // goroutines claiming seeds beside the driver
+	wg      sync.WaitGroup
 	slots   []randSlot
 	cursor  atomic.Int64
 	taken   atomic.Int64 // verdicts the driver has taken; written by the driver only
-	stop    atomic.Bool
+	stopped atomic.Bool
 
 	// Slow path: a helper parked on a full lead, or the driver waiting on
 	// a seed a helper is still running. sleepers lets wake skip the lock
@@ -223,6 +235,44 @@ type seedRing struct {
 	mu       sync.Mutex
 	cond     sync.Cond
 	sleepers atomic.Int32
+}
+
+// startRandom opens the random phase and starts its helpers,
+// min(Workers, RandomRuns)−1 goroutines that claim seeds and judge each
+// where it ran until every seed is claimed or the phase stops. It returns
+// nil when there is no random phase. Each worker reseeds one
+// kernel.RandomPolicy per claimed seed: the kernel consults its policy only
+// inside Run, so a slot still holding the policy after its run never draws
+// from it again.
+func startRandom(e *executor, prog Program, oracle Oracle, opts Options, t *tracker) *seedRing {
+	n := opts.RandomRuns
+	if n == 0 {
+		return nil
+	}
+	t.phase("random")
+	workers := min(opts.Workers, n)
+	r := &seedRing{e: e, prog: prog, oracle: oracle, n: int64(n), lead: int64(randomLead * workers), helpers: workers - 1}
+	r.slots = make([]randSlot, r.lead)
+	r.cond.L = &r.mu
+	room := func() bool { return r.stopped.Load() || r.cursor.Load()-r.taken.Load() < r.lead }
+	r.wg.Add(r.helpers)
+	for range r.helpers {
+		go func() {
+			defer r.wg.Done()
+			policy := kernel.Random(0)
+			for !r.stopped.Load() {
+				switch i := r.claim(); {
+				case i == r.n:
+					return
+				case i < 0:
+					r.sleep(room)
+				default:
+					r.runSeed(i, policy)
+				}
+			}
+		}()
+	}
+	return r
 }
 
 // claim takes the next unclaimed seed. It returns -1 while the lead is
@@ -247,12 +297,12 @@ func (r *seedRing) published(i int64) bool { return r.slots[i%r.lead].seq.Load()
 // runSeed runs seed i+1 and judges it where it ran. A clean run's slot
 // goes back to the pool at once; a finding keeps its slot for the
 // driver.
-func (r *seedRing) runSeed(i int64, e *executor, prog Program, oracle Oracle, policy *kernel.RandomPolicy) {
+func (r *seedRing) runSeed(i int64, policy *kernel.RandomPolicy) {
 	policy.Seed(i + 1)
-	out := e.run(prog, policy)
-	vs, found := verdict(out, oracle)
+	out := r.e.run(r.prog, policy)
+	vs, found := verdict(out, r.oracle)
 	if !found {
-		e.release(out)
+		r.e.release(out)
 		out, vs = runOut{}, nil
 	}
 	s := &r.slots[i%r.lead]
@@ -282,67 +332,12 @@ func (r *seedRing) wake() {
 	}
 }
 
-// randomPhase samples seeds 1..RandomRuns. Every worker, the driver
-// included, claims seeds from one cursor and judges each seed it ran;
-// the driver takes the verdicts in seed order, so the first finding is
-// always the lowest-seed finding, whatever the worker count. When the
-// verdict it must take next is still being made on a helper, the driver
-// runs the next unclaimed seed itself and checks again; it blocks only
-// when nothing is left to claim. Each worker reseeds one
-// kernel.RandomPolicy per claimed seed: the kernel consults its policy
-// only inside Run, so a slot still holding the policy after its run never
-// draws from it again.
-func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *tracker) (Result, bool) {
-	n := opts.RandomRuns
-	if n == 0 {
-		return Result{}, false
-	}
-	t.phase("random")
-	workers := min(opts.Workers, n)
-	r := &seedRing{n: int64(n), lead: int64(randomLead * workers)}
-	r.slots = make([]randSlot, r.lead)
-	r.cond.L = &r.mu
-	room := func() bool { return r.stop.Load() || r.cursor.Load()-r.taken.Load() < r.lead }
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			policy := kernel.Random(0)
-			for !r.stop.Load() {
-				switch i := r.claim(); {
-				case i == r.n:
-					return
-				case i < 0:
-					r.sleep(room)
-				default:
-					r.runSeed(i, e, prog, oracle, policy)
-				}
-			}
-		}()
-	}
-	// Stop the helpers before returning so no goroutine outlives the
-	// phase (in-flight runs are bounded by MaxSteps), then return to the
-	// pool the slots of findings the driver did not take.
-	defer func() {
-		r.stop.Store(true)
-		r.wake()
-		wg.Wait()
-		for i := r.taken.Load(); i < min(r.cursor.Load(), r.n); i++ {
-			if s := &r.slots[i%r.lead]; s.found {
-				e.release(s.out)
-			}
-		}
-	}()
-	policy := kernel.Random(0)
-	for next := int64(0); next < r.n; next++ {
-		for !r.published(next) {
-			if i := r.claim(); i >= 0 && i < r.n {
-				r.runSeed(i, e, prog, oracle, policy)
-			} else {
-				r.sleep(func() bool { return r.published(next) })
-			}
-		}
+// take takes the verdicts already published, in seed order, up to the
+// first seed still unpublished, and returns the first finding among them:
+// the lowest-seed finding, whatever the worker count. It neither runs nor
+// waits for a seed.
+func (r *seedRing) take(t *tracker) (Result, bool) {
+	for next := r.taken.Load(); next < r.n && r.published(next); next++ {
 		t.ran()
 		if s := &r.slots[next%r.lead]; s.found {
 			return finding(s.out, s.vs, t.st.Runs), true
@@ -351,6 +346,84 @@ func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *trac
 		r.wake()
 	}
 	return Result{}, false
+}
+
+// done reports whether every seed's verdict has been taken, all clean.
+func (r *seedRing) done() bool { return r.taken.Load() == r.n }
+
+// finish takes the remaining verdicts in seed order and returns the first
+// finding. When the verdict it must take next is still being made on a
+// helper, the driver runs the next unclaimed seed itself and checks again;
+// it blocks only when nothing is left to claim.
+func (r *seedRing) finish(t *tracker) (Result, bool) {
+	var policy *kernel.RandomPolicy
+	for {
+		if res, found := r.take(t); found || r.done() {
+			return res, found
+		}
+		next := r.taken.Load()
+		if i := r.claim(); i >= 0 && i < r.n {
+			if policy == nil {
+				policy = kernel.Random(0)
+			}
+			r.runSeed(i, policy)
+		} else {
+			r.sleep(func() bool { return r.published(next) })
+		}
+	}
+}
+
+// stop ends the phase. It stops the helpers and waits for them, so no
+// goroutine outlives the phase (in-flight runs are bounded by MaxSteps),
+// then returns to the pool the slots of findings the driver did not take.
+func (r *seedRing) stop() {
+	r.stopped.Store(true)
+	r.wake()
+	r.wg.Wait()
+	for i := r.taken.Load(); i < min(r.cursor.Load(), r.n); i++ {
+		if s := &r.slots[i%r.lead]; s.found {
+			r.e.release(s.out)
+		}
+	}
+}
+
+// overlap runs the DFS phase on the driver while the helpers sample seeds.
+// The DFS reads no random verdict, so it runs on a tracker of its own that
+// counts from 1+RandomRuns, where a DFS after a clean random phase starts.
+// Between DFS nodes the driver takes the published verdicts in seed
+// order; a finding stops the DFS at the next node boundary and is the
+// Result. Once the DFS is done, the driver joins the remaining seeds. The
+// DFS Result counts only when every seed is clean: the driver then adopts
+// the DFS tracker and emits one "dfs" snapshot, mid-DFS if the random
+// phase ends first.
+func overlap(r *seedRing, opts Options, t *tracker) Result {
+	dt := t.silent()
+	dt.st.Runs += opts.RandomRuns
+	var rres Result
+	found, adopted := false, false
+	adopt := func() {
+		adopted = true
+		dt.progress = t.progress
+		dt.emit()
+	}
+	res := dfsPhase(r.e, r.prog, r.oracle, opts, dt, func() bool {
+		if !found && !adopted {
+			if rres, found = r.take(t); !found && r.done() {
+				adopt()
+			}
+		}
+		return found
+	})
+	if !found && !adopted {
+		if rres, found = r.finish(t); !found {
+			adopt()
+		}
+	}
+	if found {
+		return rres
+	}
+	t.st = dt.st
+	return res
 }
 
 // auditSet summarizes what a DFS pass found, for the Audit cross-check:
@@ -373,13 +446,15 @@ func (s auditSet) addRun(out runOut, oracle Oracle) {
 
 // dfsPhase enumerates choice prefixes in LIFO frontier order with an
 // explicit DFS-run budget, dispatching to the audit harness when a
-// reduction is on and Options.Audit asks for the cross-check.
-func dfsPhase(e *executor, prog Program, oracle Oracle, opts Options, t *tracker) Result {
+// reduction is on and Options.Audit asks for the cross-check. stop, when
+// not nil, is asked before every DFS node; once it returns true the search
+// ends at once and its Result is to be discarded.
+func dfsPhase(e *executor, prog Program, oracle Oracle, opts Options, t *tracker, stop func() bool) Result {
 	t.phase("dfs")
 	if opts.Audit && (opts.Prune || opts.DPOR) {
-		return dfsAudit(e, prog, oracle, opts, t)
+		return dfsAudit(e, prog, oracle, opts, t, stop)
 	}
-	res, _ := dfsScan(e, prog, oracle, opts, t, opts.Prune, opts.DPOR, false)
+	res, _ := dfsScan(e, prog, oracle, opts, t, opts.Prune, opts.DPOR, false, stop)
 	return res
 }
 
@@ -389,13 +464,14 @@ func dfsPhase(e *executor, prog Program, oracle Oracle, opts Options, t *tracker
 // unreduced frontier surfaced any violation rule the reduced search
 // missed. On success the result is exactly what a plain reduced DFS
 // would have reported (collect mode behaves identically up to the first
-// finding).
-func dfsAudit(e *executor, prog Program, oracle Oracle, opts Options, t *tracker) Result {
+// finding). A stop that fires during the reduced pass also ends the
+// reference pass before its first run.
+func dfsAudit(e *executor, prog Program, oracle Oracle, opts Options, t *tracker, stop func() bool) Result {
 	// The reference pass uses a silent tracker: its runs are not part of
 	// the canonical counter stream the Result (and Progress) reports.
 	ref0 := t.silent()
-	res, got := dfsScan(e, prog, oracle, opts, t, opts.Prune, opts.DPOR, true)
-	_, ref := dfsScan(e, prog, oracle, opts, ref0, false, false, true)
+	res, got := dfsScan(e, prog, oracle, opts, t, opts.Prune, opts.DPOR, true, stop)
+	_, ref := dfsScan(e, prog, oracle, opts, ref0, false, false, true, stop)
 	var missing []string
 	for rule := range ref {
 		if !got[rule] {
@@ -416,8 +492,9 @@ func dfsAudit(e *executor, prog Program, oracle Oracle, opts Options, t *tracker
 // recording every finding's rule (for the audit) instead of returning
 // at the first one. The returned Result is the first finding either
 // way, so collect=false and collect=true agree on everything a caller
-// of Run can observe.
-func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker, prune, dpor, collect bool) (Result, auditSet) {
+// of Run can observe. stop is dfsPhase's hook: once it returns true the
+// scan returns at once, before its next node.
+func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker, prune, dpor, collect bool, stop func() bool) (Result, auditSet) {
 	found := auditSet{}
 	if opts.DFSRuns <= 0 {
 		return Result{Runs: t.st.Runs}, found
@@ -446,6 +523,9 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 	var first Result
 	dfsRuns := 0 // explicit budget counter: at most DFSRuns schedules execute
 	for dfsRuns < opts.DFSRuns && len(stack) > 0 {
+		if stop != nil && stop() {
+			return Result{}, found
+		}
 		prefix := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		t.st.Frontier = len(stack)
@@ -466,6 +546,7 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 		res, isFinding := judge(out, oracle, t.st.Runs)
 		if isFinding {
 			if !collect {
+				e.release(out) // judge copied what the Result keeps
 				res.Pruned = pruned
 				return res, found
 			}

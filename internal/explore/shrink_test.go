@@ -153,50 +153,76 @@ func TestResultStatsDeterministic(t *testing.T) {
 	}
 }
 
-// Progress snapshots arrive in phase order with monotonic counters, and
-// observing them does not change the Result.
+// Progress snapshots arrive in phase order with monotonic counters, the
+// final one equals the Result's Stats, and observing them does not change
+// the Result. Above Workers 1 the DFS overlaps the random phase on a
+// tracker of its own, and the driver adopts it with a "dfs" snapshot once
+// the random phase ends clean: mid-DFS on the deep Figure-1 rows, whose
+// five seeds end first, and after the DFS on the two-process row, whose
+// DFS exhausts in a few runs while one helper samples 300 seeds.
 func TestProgressCallback(t *testing.T) {
-	var snaps []Stats
-	opts := Options{RandomRuns: 300, DFSRuns: 600, Shrink: true, Workers: 1}
-	opts.Progress = func(s Stats) { snaps = append(snaps, s) }
-	res := Run(figure1Program(), problems.CheckReadersPriority, opts)
-	if !res.Found {
-		t.Fatalf("found nothing in %d runs", res.Runs)
-	}
-	if len(snaps) == 0 {
-		t.Fatal("Progress never called")
-	}
-	phaseRank := map[string]int{"baseline": 0, "random": 1, "dfs": 2, "shrink": 3, "done": 4}
-	lastRank, lastRuns, lastShrink := -1, 0, 0
-	sawShrink := false
-	for i, s := range snaps {
-		rank, ok := phaseRank[s.Phase]
-		if !ok {
-			t.Fatalf("snapshot %d: unknown phase %q", i, s.Phase)
-		}
-		if rank < lastRank {
-			t.Fatalf("snapshot %d: phase %q after rank %d", i, s.Phase, lastRank)
-		}
-		if s.Runs < lastRuns || s.ShrinkRuns < lastShrink {
-			t.Fatalf("snapshot %d: counters went backwards: %+v", i, s)
-		}
-		lastRank, lastRuns, lastShrink = rank, s.Runs, s.ShrinkRuns
-		if s.Phase == "shrink" {
-			sawShrink = true
-		}
-	}
-	if !sawShrink {
-		t.Fatal("no shrink-phase snapshot observed")
-	}
-	final := snaps[len(snaps)-1]
-	if final.Phase != "done" || final.Runs != res.Runs || final.ShrinkRuns != res.ShrinkRuns {
-		t.Fatalf("final snapshot %+v does not match Result (runs=%d shrinkRuns=%d)",
-			final, res.Runs, res.ShrinkRuns)
-	}
-	// The same exploration without Progress returns the same Result.
-	quiet := opts
-	quiet.Progress = nil
-	if again := Run(figure1Program(), problems.CheckReadersPriority, quiet); !reflect.DeepEqual(again, res) {
-		t.Fatalf("Progress observation changed the Result:\n  with:    %+v\n  without: %+v", res, again)
+	twoProcs := Program(func(k kernel.Kernel, r *trace.Recorder) {
+		k.Spawn("a", func(p *kernel.Proc) { p.Yield() })
+		k.Spawn("b", func(p *kernel.Proc) { p.Yield() })
+	})
+	for _, tc := range []struct {
+		name    string
+		prog    Program
+		opts    Options
+		workers int
+		found   bool
+		wantDFS bool
+	}{
+		{"random-finding", figure1Program(), Options{RandomRuns: 300, DFSRuns: 600, Shrink: true}, 1, true, false},
+		{"overlap-workers-2", deepFigure1Program(), overlapFinding, 2, true, true},
+		{"overlap-workers-4", deepFigure1Program(), overlapFinding, 4, true, true},
+		{"overlap-dfs-ends-first", twoProcs, Options{RandomRuns: 300, DFSRuns: 100}, 2, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var snaps []Stats
+			opts := tc.opts
+			opts.Workers = tc.workers
+			opts.Progress = func(s Stats) { snaps = append(snaps, s) }
+			res := Run(tc.prog, problems.CheckReadersPriority, opts)
+			if res.Found != tc.found {
+				t.Fatalf("found = %v after %d runs, want %v", res.Found, res.Runs, tc.found)
+			}
+			if len(snaps) == 0 {
+				t.Fatal("Progress never called")
+			}
+			phaseRank := map[string]int{"baseline": 0, "random": 1, "dfs": 2, "shrink": 3, "done": 4}
+			lastRank, lastRuns, lastShrink := -1, 0, 0
+			sawDFS, sawShrink := false, false
+			for i, s := range snaps {
+				rank, ok := phaseRank[s.Phase]
+				if !ok {
+					t.Fatalf("snapshot %d: unknown phase %q", i, s.Phase)
+				}
+				if rank < lastRank {
+					t.Fatalf("snapshot %d: phase %q after rank %d", i, s.Phase, lastRank)
+				}
+				if s.Runs < lastRuns || s.ShrinkRuns < lastShrink {
+					t.Fatalf("snapshot %d: counters went backwards: %+v", i, s)
+				}
+				lastRank, lastRuns, lastShrink = rank, s.Runs, s.ShrinkRuns
+				sawDFS = sawDFS || s.Phase == "dfs"
+				sawShrink = sawShrink || s.Phase == "shrink"
+			}
+			if sawShrink != tc.found {
+				t.Fatalf("shrink-phase snapshot observed: %v, want %v", sawShrink, tc.found)
+			}
+			if sawDFS != tc.wantDFS {
+				t.Fatalf("dfs-phase snapshot observed: %v, want %v", sawDFS, tc.wantDFS)
+			}
+			if final := snaps[len(snaps)-1]; final.StatsCore != res.Stats || final.Runs != res.Runs {
+				t.Fatalf("final snapshot %+v does not match Result (runs=%d stats=%+v)", final, res.Runs, res.Stats)
+			}
+			// The same exploration without Progress returns the same Result.
+			quiet := opts
+			quiet.Progress = nil
+			if again := Run(tc.prog, problems.CheckReadersPriority, quiet); !reflect.DeepEqual(again, res) {
+				t.Fatalf("Progress observation changed the Result:\n  with:    %+v\n  without: %+v", res, again)
+			}
+		})
 	}
 }

@@ -99,11 +99,11 @@ func newTracker(e *executor, opts Options) *tracker {
 	return &tracker{e: e, progress: opts.Progress, start: time.Now()}
 }
 
-// silent returns a tracker sharing e but emitting no progress — for
-// reference passes (Audit) whose runs are not part of the canonical
-// counter stream.
+// silent returns a copy of t that emits no progress — for reference
+// passes (Audit) whose runs are not part of the canonical counter stream,
+// and for a DFS that overlaps the random phase until the driver adopts it.
 func (t *tracker) silent() *tracker {
-	return &tracker{e: t.e, st: t.st}
+	return &tracker{e: t.e, start: t.start, st: t.st}
 }
 
 // phase marks a phase transition.
