@@ -38,9 +38,12 @@ lint:
 # run (BenchmarkSynthCheck), one generated run on a recycled kernel slot
 # per mechanism (BenchmarkSynthRun; 0 allocs/op), interval pairing's,
 # for one process in series and for 256 requests in flight
-# (BenchmarkIntervalsReconstruction), and DPOR's race pass, one expand
-# of a recorded hunt run at depth 40 and with no bound, beside the
-# vector-clock reference it replaced (BenchmarkDPORRacePass). It
+# (BenchmarkIntervalsReconstruction), the exclusion judge's overlap scan
+# on a closed-loop readers/writers trace and on 8-way overlap, beside
+# the all-pairs scan it replaced (BenchmarkOverlappingPairs), and DPOR's
+# race pass, one expand of a recorded hunt run at depth 40 and with no
+# bound, beside the vector-clock reference it replaced
+# (BenchmarkDPORRacePass). It
 # archives the numbers (ns/op, B/op, allocs/op, schedules/sec,
 # schedules-to-finding and schedules-to-exhaustion per variant;
 # switches/sec for the kernel) into BENCH_explore.json. An exhaustion
@@ -51,7 +54,7 @@ lint:
 # BENCHTIME=1x) for a smoke run. -p 1 runs one package's benchmarks at a
 # time, so no package's build or benchmark competes with another's timed
 # loop for the CPUs.
-BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch|BenchmarkRandomPolicy|BenchmarkSynthCheck|BenchmarkSynthRun|BenchmarkIntervalsReconstruction|BenchmarkDPORRacePass
+BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch|BenchmarkRandomPolicy|BenchmarkSynthCheck|BenchmarkSynthRun|BenchmarkIntervalsReconstruction|BenchmarkOverlappingPairs|BenchmarkDPORRacePass
 BENCHPKGS := . ./internal/kernel ./internal/synth ./internal/trace ./internal/explore
 bench:
 	$(GO) test -p 1 -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime $(BENCHTIME) -count 1 $(BENCHPKGS) \

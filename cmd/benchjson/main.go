@@ -183,7 +183,9 @@ func ingestBench(r io.Reader, dest string) ([]byte, error) {
 // the same name and cpu count are replaced in place (keeping the
 // baseline's ordering), new ones are appended, and untouched baseline
 // lines survive. Header fields follow the fresh run, which describes
-// the machine that produced the newest numbers.
+// the machine that produced the newest numbers, except the package list:
+// the merged report holds lines of the baseline's packages and the fresh
+// run's, so it lists both.
 func mergeReports(base, fresh Report) Report {
 	type key struct {
 		name string
@@ -195,6 +197,14 @@ func mergeReports(base, fresh Report) Report {
 		byKey[key{b.Name, b.CPUs}] = b
 	}
 	merged := fresh
+	merged.Package = base.Package
+	for _, pkg := range strings.Split(fresh.Package, ", ") {
+		if merged.Package == "" {
+			merged.Package = pkg
+		} else if pkg != "" && !slices.Contains(strings.Split(merged.Package, ", "), pkg) {
+			merged.Package += ", " + pkg
+		}
+	}
 	merged.Benchmarks = nil
 	for _, b := range base.Benchmarks {
 		k := key{b.Name, b.CPUs}

@@ -126,17 +126,18 @@ func TestSplitCPUSuffix(t *testing.T) {
 }
 
 // Merging a fresh run into a baseline replaces matching lines in place,
-// appends new ones, and keeps everything the fresh run did not touch.
+// appends new ones, and keeps everything the fresh run did not touch,
+// the baseline's packages included.
 func TestMergeReports(t *testing.T) {
 	base := Report{
-		GoOS: "linux", CPU: "old-cpu",
+		GoOS: "linux", CPU: "old-cpu", Package: "repro, repro/internal/kernel",
 		Benchmarks: []Benchmark{
 			{Name: "BenchmarkA", CPUs: 8, Iterations: 10, Metrics: map[string]float64{"schedules/sec": 100}},
 			{Name: "BenchmarkB", CPUs: 8, Iterations: 20, Metrics: map[string]float64{"schedules/sec": 200}},
 		},
 	}
 	fresh := Report{
-		GoOS: "linux", CPU: "new-cpu",
+		GoOS: "linux", CPU: "new-cpu", Package: "repro/internal/trace, repro",
 		Benchmarks: []Benchmark{
 			{Name: "BenchmarkB", CPUs: 8, Iterations: 30, Metrics: map[string]float64{"schedules/sec": 250}},
 			{Name: "BenchmarkC", CPUs: 8, Iterations: 40, Metrics: map[string]float64{"schedules/sec": 300}},
@@ -145,6 +146,9 @@ func TestMergeReports(t *testing.T) {
 	m := mergeReports(base, fresh)
 	if m.CPU != "new-cpu" {
 		t.Fatalf("header should follow the fresh run: %+v", m)
+	}
+	if want := "repro, repro/internal/kernel, repro/internal/trace"; m.Package != want {
+		t.Fatalf("merged pkg = %q, want %q", m.Package, want)
 	}
 	names := make([]string, len(m.Benchmarks))
 	for i, b := range m.Benchmarks {
@@ -368,6 +372,8 @@ func TestIngestLoadRoundTrip(t *testing.T) {
 	in := `{"schema":"repro-load/v1","runs":[{"mechanism":"monitor","problem":"fcfs",
 	"arrival":"poisson","rate_per_sec":1000,"seed":1,"elapsed_ns":5000000,
 	"issued":2,"completed":2,"throughput_ops_sec":400,"judged":false,
+	"lag":{"count":2,"p50_ns":40,"p90_ns":50,"p99_ns":50,"max_ns":50,"mean_ns":45,
+	"buckets":[{"index":40,"count":1},{"index":44,"count":1}]},
 	"classes":[{"name":"use","issued":2,"completed":2,"completed_share":1,"issued_share":1,
 	"wait":{"count":2,"p50_ns":40,"p90_ns":50,"p99_ns":50,"max_ns":50,"mean_ns":45,
 	"buckets":[{"index":40,"count":1},{"index":44,"count":1}]},
@@ -382,9 +388,11 @@ func TestIngestLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// goodLoad is a minimal valid load report: one run of one class.
+// goodLoad is a minimal valid load report: one open-loop run of one
+// class, with its generator lag.
 const goodLoad = `{"schema":"repro-load/v1","runs":[{"mechanism":"m","problem":"p","arrival":"poisson",
 "seed":1,"elapsed_ns":1,"issued":1,"completed":1,"throughput_ops_sec":1,"judged":false,
+"lag":{"count":1,"p50_ns":5,"p90_ns":5,"p99_ns":5,"max_ns":5,"mean_ns":5,"buckets":[{"index":5,"count":1}]},
 "classes":[{"name":"use","issued":1,"completed":1,"completed_share":1,"issued_share":1,
 "wait":{"count":1,"p50_ns":5,"p90_ns":5,"p99_ns":5,"max_ns":5,"mean_ns":5,"buckets":[{"index":5,"count":1}]},
 "total":{"count":1,"p50_ns":5,"p90_ns":5,"p99_ns":5,"max_ns":5,"mean_ns":5,"buckets":[{"index":5,"count":1}]}}]}]}`
@@ -418,6 +426,12 @@ func TestIngestLoadRejectsMalformed(t *testing.T) {
 		// itself.
 		{"class-duplicate", strings.Replace(good, `"classes":[`, `"classes":[`+use+",", 1),
 			`classes[1].name: duplicate "use"`},
+		{"lag-over-issued", strings.Replace(good, `"lag":{"count":1`, `"lag":{"count":3`, 1),
+			"runs[0].lag: count 3 exceeds issued operations 1"},
+		{"lag-missing", strings.Replace(good, `"lag":{"count":1,"p50_ns":5,"p90_ns":5,"p99_ns":5,"max_ns":5,"mean_ns":5,"buckets":[{"index":5,"count":1}]},`, "", 1),
+			"runs[0].lag: count 0, want one per issued arrival (1)"},
+		{"lag-closed-loop", strings.Replace(good, `"arrival":"poisson"`, `"arrival":"closed"`, 1),
+			"runs[0].lag: present on a closed-loop run"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -435,6 +449,7 @@ func loadReportJSON(t *testing.T, tput float64, p99 int64) string {
 	t.Helper()
 	return fmt.Sprintf(`{"schema":"repro-load/v1","runs":[{"mechanism":"monitor","problem":"fcfs",
 "arrival":"poisson","seed":1,"elapsed_ns":1000,"issued":1,"completed":1,"throughput_ops_sec":%g,"judged":false,
+"lag":{"count":1,"p50_ns":5,"p90_ns":5,"p99_ns":5,"max_ns":5,"mean_ns":5,"buckets":[{"index":5,"count":1}]},
 "classes":[{"name":"use","issued":1,"completed":1,"completed_share":1,"issued_share":1,
 "wait":{"count":1,"p50_ns":%d,"p90_ns":%d,"p99_ns":%d,"max_ns":%d,"mean_ns":1,"buckets":[{"index":5,"count":1}]},
 "total":{"count":1,"p50_ns":%d,"p90_ns":%d,"p99_ns":%d,"max_ns":%d,"mean_ns":1,"buckets":[{"index":5,"count":1}]}}]}]}`,
@@ -612,13 +627,19 @@ func FuzzBenchText(f *testing.F) {
 // an archive ingestLoad accepts re-ingests byte for byte, and the load
 // gate compares an accepted archive with itself without a REGRESSION,
 // even at tolerance 1; its one allowed error is that no run has a gated
-// metric to compare. It is seeded with a one-run report and a two-line
-// NDJSON soak (a snapshot, then the final report).
+// metric to compare. It is seeded with a one-run report, a two-line
+// NDJSON soak (a snapshot, then the final report), and a report whose
+// open-loop run carries a generator lag beside a closed-loop run without
+// one.
 func FuzzLoadIngest(f *testing.F) {
 	oneLine := strings.ReplaceAll(goodLoad, "\n", " ")
 	snap := strings.Replace(oneLine, `"seed":1`, `"snapshot_seq":1,"seed":1`, 1)
 	f.Add([]byte(goodLoad))
 	f.Add([]byte(snap + "\n" + oneLine + "\n"))
+	run := goodLoad[strings.Index(goodLoad, `{"mechanism"`) : len(goodLoad)-len("]}")]
+	lagLine := run[strings.Index(run, `"lag"`):strings.Index(run, `"classes"`)]
+	closed := strings.Replace(strings.Replace(run, lagLine, "", 1), `"arrival":"poisson"`, `"arrival":"closed"`, 1)
+	f.Add([]byte(`{"schema":"repro-load/v1","runs":[` + run + "," + closed + "]}"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := ingestLoad(bytes.NewReader(data))
 		if err != nil {

@@ -51,6 +51,7 @@ import (
 	"repro/internal/solutions"
 	"repro/internal/synclint/xcheck"
 	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -377,11 +378,9 @@ func renderT5() (string, t5Outcome) {
 	}
 	ivs := tr.MustIntervals()
 	overlappingReads := 0
-	for i := 0; i < len(ivs); i++ {
-		for j := i + 1; j < len(ivs); j++ {
-			if ivs[i].Op == "read" && ivs[j].Op == "read" && ivs[i].OverlapsExecution(ivs[j]) {
-				overlappingReads++
-			}
+	for _, pair := range trace.OverlappingPairs(ivs) {
+		if pair[0].Op == problems.OpRead && pair[1].Op == problems.OpRead {
+			overlappingReads++
 		}
 	}
 	fmt.Fprintf(&b, "  operations executed:        %d\n", len(ivs))

@@ -20,7 +20,8 @@ type RealKernel struct {
 	wg     sync.WaitGroup
 
 	closeOnce sync.Once
-	closed    chan struct{} // closed by Close; parked processes then unwind
+	closed    chan struct{}  // closed by Close; parked processes then unwind
+	daemons   sync.WaitGroup // live daemons; Quiesce waits on it
 
 	mu      sync.Mutex
 	started bool
@@ -84,7 +85,11 @@ func (k *RealKernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	}
 	p.impl = rp
 	if daemon {
-		go fn(p)
+		k.daemons.Add(1)
+		go func() {
+			defer k.daemons.Done()
+			fn(p)
+		}()
 		return p
 	}
 	k.wg.Add(1)
@@ -124,12 +129,17 @@ func (k *RealKernel) Now() Time { return int64(time.Since(k.start)) }
 // in Park — stuck non-daemons left behind by a watchdog timeout, and
 // daemon servers parked waiting for requests that will never come — is
 // unwound (its goroutine exits, running deferred calls) instead of
-// leaking for the life of the host program. Processes that subsequently
-// reach a Park unwind there too. Unlike SimKernel.Run's unwind this is
-// asynchronous: the goroutines exit after Close returns. It is safe
-// because the mechanism discipline forbids holding a lock another
-// process may need while parked. Call Close after Run has returned; the
-// kernel must not be used afterwards. Close is idempotent.
+// leaking for the life of the host program. A process that reaches a Park
+// after Close unwinds there too, except that a permit already granted to
+// it is honoured once: its first Park after Close returns if a permit is
+// pending, so a server handed a finished client's last message still
+// handles it, and every later Park unwinds. Processes that keep waking
+// each other therefore stop as well. Unlike SimKernel.Run's unwind this
+// is asynchronous: the goroutines exit after Close returns (Quiesce
+// waits for the daemons). It is safe because the mechanism discipline
+// forbids holding a lock another process may need while parked. Call
+// Close after Run has returned; the kernel must not be used afterwards.
+// Close is idempotent.
 //
 // A process spinning without ever parking cannot be unwound (goroutines
 // are not preemptively killable); the watchdog reports it, Close cannot
@@ -138,9 +148,21 @@ func (k *RealKernel) Close() {
 	k.closeOnce.Do(func() { close(k.closed) })
 }
 
+// Quiesce closes the kernel and waits until every daemon has returned or
+// unwound at a Park, so nothing a daemon records on behalf of a finished
+// process (a server logging the release it was just sent) is still in
+// flight when the caller reads it. Call Quiesce after Run has returned
+// nil, when no process is left that could wake a daemon; a daemon that
+// neither parks nor returns (one looping on Sleep) keeps it waiting.
+func (k *RealKernel) Quiesce() {
+	k.Close()
+	k.daemons.Wait()
+}
+
 type realProc struct {
 	kernel *RealKernel
 	permit chan struct{}
+	closed bool // a Park has seen the kernel closed; only the process touches it
 }
 
 func (rp *realProc) park() {
@@ -149,7 +171,16 @@ func (rp *realProc) park() {
 	case <-rp.kernel.closed:
 		// The kernel was abandoned: unwind this process instead of
 		// waiting for a permit that will never come. Goexit runs deferred
-		// calls, so the spawn wrapper's wg.Done still fires.
+		// calls, so the spawn wrapper's wg.Done still fires. On the first
+		// Park after Close a pending permit wins, once (see Close).
+		if !rp.closed {
+			rp.closed = true
+			select {
+			case <-rp.permit:
+				return
+			default:
+			}
+		}
 		runtime.Goexit()
 	}
 }

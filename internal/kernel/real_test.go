@@ -151,6 +151,67 @@ func TestRealDaemonsAbandonedCleanly(t *testing.T) {
 	waitGoroutines(t, base+4)
 }
 
+// Quiesce waits for a daemon still working on a finished client's
+// behalf, as a server records the release it was just handed: the
+// daemon's pending permit wins over the close on its first Park after
+// it, and Quiesce returns once the daemon has unwound at its next Park.
+func TestRealQuiesceJoinsDaemons(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		k := NewReal(WithWatchdog(5 * time.Second))
+		var recorded atomic.Bool
+		server := k.SpawnDaemon("server", func(p *Proc) {
+			for {
+				p.Park()
+				time.Sleep(2 * time.Millisecond) // still busy when the client is done
+				recorded.Store(true)
+			}
+		})
+		k.Spawn("client", func(p *Proc) { server.Unpark() })
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		k.Quiesce()
+		if !recorded.Load() {
+			t.Fatal("Quiesce returned before the server finished its work")
+		}
+		k.Quiesce() // idempotent, like Close
+	}
+	waitGoroutines(t, base+1)
+}
+
+// A process that finds a permit pending at every Park (here it grants
+// itself one, as processes that keep waking each other do) still stops
+// after Close: a pending permit wins only on its first Park after Close,
+// so it unwinds instead of running on, and Quiesce returns.
+func TestRealClosedPermitLoopUnwinds(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		k := NewReal(WithWatchdog(5 * time.Second))
+		k.SpawnDaemon("self-waking", func(p *Proc) {
+			for {
+				p.Unpark()
+				p.Park()
+			}
+		})
+		k.Spawn("client", func(p *Proc) { p.Yield() })
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		quiet := make(chan struct{})
+		go func() {
+			k.Quiesce()
+			close(quiet)
+		}()
+		select {
+		case <-quiet:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Quiesce did not return: the daemon kept taking pending permits after Close")
+		}
+	}
+	waitGoroutines(t, base)
+}
+
 // Close is idempotent, and a process that parks only after Close unwinds
 // immediately instead of blocking forever.
 func TestRealCloseIdempotent(t *testing.T) {

@@ -11,22 +11,28 @@
 // regardless of backlog — latency is measured from the intended arrival
 // time, so queueing delay is never hidden by coordinated omission — and
 // closed-loop traffic from a fixed client population with think time.
+// The open-loop generator reaches each instant within microseconds: it
+// sleeps on the runtime's timers, then in the OS, then yields (see
+// waitUntil). Runtime timers alone wake an idle process about half a
+// millisecond late, and open-loop latency would measure that timer
+// rather than the mechanism. How late each arrival was spawned is
+// recorded in Result.Lag.
 //
 // The sim↔real loop: a run can record its history into the ordinary
 // trace.Recorder and have it judged by the same problem oracles the
-// exploration engine uses. Exclusion and resource-safety constraints are
-// exact on real traces and are checked here; FCFS/priority ordering
-// constraints are only exact on deterministic traces and remain the
-// simulator's job. A property proven over every schedule in simulation
-// is thereby continuously spot-checked under real concurrency (and,
-// in CI, under the race detector).
+// exploration engine uses, once every kernel daemon is quiescent (a csp
+// server records on its clients' behalf). Exclusion and resource-safety
+// constraints are exact on real traces and are checked here;
+// FCFS/priority ordering constraints are only exact on deterministic
+// traces and remain the simulator's job. A property proven over every
+// schedule in simulation is thereby continuously spot-checked under real
+// concurrency (and, in CI, under the race detector).
 package load
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -104,8 +110,8 @@ type Config struct {
 	// histograms are consistent merged copies (quantiles of a non-empty
 	// class are never 0 — see Histogram.Record's publication order).
 	// Zero, or a nil OnSnapshot, disables snapshots. The callback runs on
-	// a kernel daemon while the run is in flight; it must not block for
-	// long and must not touch the kernel.
+	// a goroutine of its own while the run is in flight; it must not block
+	// for long and must not touch the kernel.
 	SnapshotEvery time.Duration
 	OnSnapshot    func(*Result)
 }
@@ -202,6 +208,11 @@ type Result struct {
 	Completed int64
 	Classes   []ClassResult
 
+	// Lag is how late the open-loop generator spawned each arrival: the
+	// spawn instant minus the intended instant, one observation per
+	// issued operation. Nil for closed-loop runs.
+	Lag *Histogram
+
 	// SnapshotSeq is 0 for a final result and the 1-based snapshot index
 	// for incremental results delivered via Config.OnSnapshot.
 	SnapshotSeq int
@@ -277,19 +288,24 @@ func Run(cfg Config) (*Result, error) {
 		eng.deadlineNs = cfg.Duration.Nanoseconds()
 	}
 
-	eng.spawnSnapshotter()
+	stopSnapshots := eng.startSnapshotter()
 	if cfg.Arrival.Open() {
 		eng.spawnGenerator()
 	} else {
 		eng.spawnClients()
 	}
 	kernelErr := k.Run()
-	eng.snapMu.Lock()
-	eng.snapDone = true // no snapshot callbacks past this point
-	eng.snapMu.Unlock()
+	stopSnapshots() // no snapshot callbacks past this point
 
 	res := eng.collect(kernelErr, 0)
 	if rec != nil {
+		if kernelErr == nil {
+			// A daemon may still be recording for a finished client: the
+			// csp synth server records a release's Exit after the
+			// client's rendezvous has returned. Judge once every daemon
+			// has reached its next Park.
+			k.Quiesce()
+		}
 		tr := rec.Events()
 		res.Judged = true
 		res.TraceEvents = len(tr)
@@ -312,6 +328,12 @@ func (e *engine) collect(kernelErr error, snapshotSeq int) *Result {
 		KernelErr:   kernelErr,
 		SnapshotSeq: snapshotSeq,
 	}
+	if e.cfg.Arrival.Open() {
+		// Before the classes: the generator counts an arrival issued
+		// before it records its lag, so lag count <= issued holds.
+		res.Lag = &Histogram{}
+		res.Lag.Merge(&e.lag)
+	}
 	for _, c := range e.w.classes {
 		cr := ClassResult{
 			Name:  c.name,
@@ -333,31 +355,33 @@ func (e *engine) collect(kernelErr error, snapshotSeq int) *Result {
 	return res
 }
 
-// spawnSnapshotter starts the soak daemon: every SnapshotEvery of kernel
-// time it hands an incremental Result to OnSnapshot. A daemon process does
-// not block run termination; snapMu/snapDone fence the callback against
-// the final collection so a late-firing snapshot can never interleave
-// with the caller's post-run reporting.
-func (e *engine) spawnSnapshotter() {
+// startSnapshotter starts the soak snapshotter, a goroutine outside the
+// kernel: every SnapshotEvery it hands an incremental Result to
+// OnSnapshot. The returned stop ends it and waits for a callback in
+// progress, so none can interleave with the caller's post-run reporting.
+func (e *engine) startSnapshotter() (stop func()) {
 	cfg := e.cfg
 	if cfg.SnapshotEvery <= 0 || cfg.OnSnapshot == nil {
-		return
+		return func() {}
 	}
-	ticks := cfg.SnapshotEvery.Nanoseconds() / cfg.Tick.Nanoseconds()
-	if ticks < 1 {
-		ticks = 1
-	}
-	e.k.SpawnDaemon("soak-snapshot", func(p *kernel.Proc) {
+	ticker := time.NewTicker(cfg.SnapshotEvery)
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
 		for seq := 1; ; seq++ {
-			p.Sleep(ticks)
-			res := e.collect(nil, seq)
-			e.snapMu.Lock()
-			if !e.snapDone {
-				cfg.OnSnapshot(res)
+			select {
+			case <-ticker.C:
+			case <-quit:
+				return
 			}
-			e.snapMu.Unlock()
+			cfg.OnSnapshot(e.collect(nil, seq))
 		}
-	})
+	}()
+	return func() {
+		ticker.Stop()
+		close(quit)
+		<-exited
+	}
 }
 
 // engine holds the shared issuing state of one run.
@@ -369,9 +393,7 @@ type engine struct {
 	deadlineNs int64        // kernel-clock issue deadline
 	opSeq      atomic.Int64
 	clients    []clientState
-
-	snapMu   sync.Mutex // fences OnSnapshot against final collection
-	snapDone bool
+	lag        Histogram // open loop: spawn instant minus intended instant
 }
 
 type clientState struct {
@@ -402,8 +424,45 @@ func (e *engine) pickClass(rng *rand.Rand) *class {
 // exact.
 const genBatchCycles = 64
 
+// Margins of the open-loop generator's wait for an arrival (waitUntil).
+const (
+	// coarseMargin is where the runtime sleep hands over: an idle
+	// process's runtime timers fire up to a millisecond late, so they
+	// cover only the part of a gap beyond this.
+	coarseMargin = 2 * time.Millisecond
+	// yieldWindow is where the OS sleep hands over to yielding.
+	yieldWindow = 300 * time.Microsecond
+)
+
+// waitUntil returns at the kernel instant at, or at once if it has
+// passed, in three steps: a runtime sleep through the part of the gap
+// beyond coarseMargin, an OS sleep (sleepUntil) to yieldWindow before
+// the instant, and yields through the rest. Runtime sleeps alone wake
+// about half a millisecond late, which open-loop latency would then
+// measure; yielding through whole gaps costs a CPU (twice the process
+// CPU time at 2000 arrivals/s, DESIGN §8).
+func (e *engine) waitUntil(gp *kernel.Proc, at int64) {
+	now := e.k.Now()
+	if gap := at - now - coarseMargin.Nanoseconds(); gap > 0 {
+		gp.Sleep(gap / e.cfg.Tick.Nanoseconds())
+		now = e.k.Now()
+	}
+	if until := at - yieldWindow.Nanoseconds(); now < until {
+		// Yield first: the arrival just spawned is queued on this
+		// thread's processor, and while the thread blocks in the OS it
+		// would wait for an idle thread to wake and take it.
+		gp.Yield()
+		sleepUntil(gp, until)
+		now = e.k.Now()
+	}
+	for now < at {
+		gp.Yield()
+		now = e.k.Now()
+	}
+}
+
 // spawnGenerator issues open-loop traffic: a generator process walks the
-// deterministic arrival schedule, sleeping until each intended instant
+// deterministic arrival schedule, waiting until each intended instant
 // and spawning a fresh process per arrival. Arrivals never wait for
 // earlier operations to finish — that is what makes the loop open.
 //
@@ -421,7 +480,6 @@ func (e *engine) spawnGenerator() {
 	e.k.Spawn("loadgen", func(gp *kernel.Proc) {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		g := newGapper(cfg.Arrival, cfg.RatePerSec, cfg.BurstSize, cfg.DiurnalPeriod, rng)
-		tickNs := cfg.Tick.Nanoseconds()
 		n := 1
 		if e.w.balanced {
 			n = len(e.w.classes)
@@ -479,14 +537,13 @@ func (e *engine) spawnGenerator() {
 					c = e.pickClass(rng)
 				}
 				at := cycleAt[i]
-				// Sleep until the intended instant; if the generator is
+				// Wait for the intended instant; if the generator is
 				// behind schedule it spawns immediately (the backlog is
 				// charged to the operation's latency via at).
-				if now := e.k.Now(); at > now {
-					gp.Sleep((at-now)/tickNs + 1)
-				}
+				e.waitUntil(gp, at)
 				seq := e.opSeq.Add(1)
 				c.issued.Add(1)
+				e.lag.Record(e.k.Now() - at)
 				e.k.Spawn(c.name, func(p *kernel.Proc) {
 					c.do(p, at, seq)
 					c.completed.Add(1)

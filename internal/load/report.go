@@ -58,6 +58,10 @@ type RunReport struct {
 
 	Classes []ClassReport `json:"classes"`
 
+	// Lag is how late the open-loop generator spawned each arrival
+	// (spawn instant minus intended instant); absent for closed loop.
+	Lag *LatencySummary `json:"lag,omitempty"`
+
 	// Closed-loop fairness between identical clients.
 	ClientCompleted []int64 `json:"client_completed,omitempty"`
 	JainIndex       float64 `json:"jain_index,omitempty"`
@@ -153,6 +157,10 @@ func (r *Result) Report() RunReport {
 	if r.KernelErr != nil {
 		rr.KernelError = r.KernelErr.Error()
 	}
+	if r.Lag != nil {
+		lag := Summarize(r.Lag)
+		rr.Lag = &lag
+	}
 	for _, c := range r.Classes {
 		cr := ClassReport{
 			Name:      c.Name,
@@ -240,7 +248,8 @@ func (rr *RunReport) validate() error {
 	if rr.Problem == "" {
 		return fmt.Errorf("problem: empty")
 	}
-	if _, err := ParseArrival(rr.Arrival); err != nil {
+	arrival, err := ParseArrival(rr.Arrival)
+	if err != nil {
 		return fmt.Errorf("arrival: %v", err)
 	}
 	if rr.Issued < 0 || rr.Completed < 0 || rr.Completed > rr.Issued {
@@ -269,8 +278,36 @@ func (rr *RunReport) validate() error {
 	if sum != rr.Completed {
 		return fmt.Errorf("completed: run total %d but classes sum to %d", rr.Completed, sum)
 	}
+	if err := rr.validateLag(arrival); err != nil {
+		return fmt.Errorf("lag: %w", err)
+	}
 	if rr.JainIndex < 0 || rr.JainIndex > 1.0000001 {
 		return fmt.Errorf("jain_index: %v outside [0,1]", rr.JainIndex)
+	}
+	return nil
+}
+
+// validateLag checks the generator-lag histogram: closed loops have
+// none, it holds at most one observation per issued arrival, and a final
+// open-loop report holds exactly one. A run the watchdog cut (kernel
+// error) is exempt from the last rule: its generator may have been
+// between counting an arrival and recording its lag.
+func (rr *RunReport) validateLag(arrival ArrivalKind) error {
+	if !arrival.Open() {
+		if rr.Lag != nil {
+			return fmt.Errorf("present on a closed-loop run")
+		}
+		return nil
+	}
+	var lag LatencySummary
+	if rr.Lag != nil {
+		lag = *rr.Lag
+		if err := lag.validate(rr.Issued); err != nil {
+			return err
+		}
+	}
+	if rr.SnapshotSeq == 0 && rr.KernelError == "" && lag.Count != rr.Issued {
+		return fmt.Errorf("count %d, want one per issued arrival (%d)", lag.Count, rr.Issued)
 	}
 	return nil
 }
@@ -351,6 +388,12 @@ func (rep *Report) Render(w io.Writer) {
 			rr.Mechanism, rr.Problem, rr.Arrival, trafficParams(rr),
 			rr.Completed, rr.Issued, time.Duration(rr.ElapsedNs).Round(time.Millisecond),
 			rr.ThroughputOpsSec, verdict(rr))
+		if rr.Lag != nil {
+			// Finer than ns: a punctual generator's lag p50 is under 1µs.
+			lag := func(v int64) time.Duration { return time.Duration(v).Round(100 * time.Nanosecond) }
+			fmt.Fprintf(w, "  generator lag p50=%v p99=%v max=%v\n",
+				lag(rr.Lag.P50Ns), lag(rr.Lag.P99Ns), lag(rr.Lag.MaxNs))
+		}
 		for j := range rr.Classes {
 			c := &rr.Classes[j]
 			fmt.Fprintf(w, "  %-8s n=%-6d share=%.2f  wait p50=%v p99=%v max=%v  total p50=%v p99=%v\n",

@@ -3,6 +3,7 @@ package trace
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 )
@@ -260,17 +261,53 @@ func (t Trace) MustIntervals() []Interval {
 // OverlappingPairs returns every pair of executions whose Enter..Exit spans
 // intersect, excluding pairs executed by the same process (a process cannot
 // overlap itself; nested instrumentation would be reported spuriously).
+//
+// The scan relies on Intervals' order, executions by Enter and request-only
+// intervals last: from each execution it walks forward only while the next
+// one entered before this one exited, so it costs O(n + pairs) rather than
+// comparing every pair. For input in that order a pair is (earlier, later)
+// in input order, and pairs come by their first member, then their second.
+// Input in any other order is sorted by Enter first, which yields the same
+// set of pairs.
 func OverlappingPairs(ivs []Interval) [][2]Interval {
+	ivs = executions(ivs)
 	var out [][2]Interval
-	for i := 0; i < len(ivs); i++ {
-		for j := i + 1; j < len(ivs); j++ {
-			if ivs[i].ProcID == ivs[j].ProcID {
-				continue
-			}
-			if ivs[i].OverlapsExecution(ivs[j]) {
-				out = append(out, [2]Interval{ivs[i], ivs[j]})
+	for i := range ivs {
+		a := &ivs[i]
+		end := a.ExitSeq
+		if a.Open() {
+			end = math.MaxInt64
+		}
+		for j := i + 1; j < len(ivs) && ivs[j].EnterSeq < end; j++ {
+			// Every later execution entered later still, so the first
+			// one entering at or after end ends the walk.
+			if b := &ivs[j]; a.ProcID != b.ProcID && a.OverlapsExecution(*b) {
+				out = append(out, [2]Interval{*a, *b})
 			}
 		}
 	}
+	return out
+}
+
+// executions returns the executions among ivs in ascending Enter order:
+// ivs' prefix of executions when ivs is in Intervals' order, otherwise a
+// sorted copy of them.
+func executions(ivs []Interval) []Interval {
+	n := 0
+	for n < len(ivs) && ivs[n].Started() && (n == 0 || ivs[n-1].EnterSeq <= ivs[n].EnterSeq) {
+		n++
+	}
+	if !slices.ContainsFunc(ivs[n:], Interval.Started) {
+		return ivs[:n]
+	}
+	var out []Interval
+	for _, iv := range ivs {
+		if iv.Started() {
+			out = append(out, iv)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b Interval) int {
+		return cmp.Compare(a.EnterSeq, b.EnterSeq)
+	})
 	return out
 }

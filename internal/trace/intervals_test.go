@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -174,15 +175,79 @@ func sameIntervals(t *testing.T, tr Trace) {
 	}
 }
 
+// referenceOverlappingPairs is the all-pairs scan OverlappingPairs
+// replaced, kept as its specification: every (earlier, later) pair in
+// input order of executions by different processes whose spans
+// intersect.
+func referenceOverlappingPairs(ivs []Interval) [][2]Interval {
+	var out [][2]Interval
+	for i := 0; i < len(ivs); i++ {
+		for j := i + 1; j < len(ivs); j++ {
+			if ivs[i].ProcID == ivs[j].ProcID {
+				continue
+			}
+			if ivs[i].OverlapsExecution(ivs[j]) {
+				out = append(out, [2]Interval{ivs[i], ivs[j]})
+			}
+		}
+	}
+	return out
+}
+
+// pairSet renders pairs as a sorted list of unordered pairs, so pair
+// lists can be compared as sets.
+func pairSet(pairs [][2]Interval) []string {
+	out := make([]string, len(pairs))
+	for i, p := range pairs {
+		a, b := p[0].String(), p[1].String()
+		if b < a {
+			a, b = b, a
+		}
+		out[i] = a + " | " + b
+	}
+	sort.Strings(out)
+	return out
+}
+
+// sameOverlaps compares OverlappingPairs with the reference: pair for
+// pair on Intervals' own output when its executions are in Enter order
+// (a trace whose sequence numbers increase), and as a set on a shuffled
+// copy.
+func sameOverlaps(t *testing.T, ivs []Interval, rng *rand.Rand) {
+	t.Helper()
+	want := referenceOverlappingPairs(ivs)
+	got := OverlappingPairs(ivs)
+	var enters []int64
+	for _, iv := range ivs {
+		if iv.Started() {
+			enters = append(enters, iv.EnterSeq)
+		}
+	}
+	if slices.IsSorted(enters) {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("overlapping pairs differ:\nreference %v\ngot       %v\nintervals %v", want, got, ivs)
+		}
+	} else if g, w := pairSet(got), pairSet(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("overlapping pair sets differ:\nreference %v\ngot       %v", w, g)
+	}
+	shuffled := slices.Clone(ivs)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	if g, w := pairSet(OverlappingPairs(shuffled)), pairSet(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("overlapping pairs of a shuffled copy differ:\nreference %v\ngot       %v\nshuffled  %v", w, g, shuffled)
+	}
+}
+
 func TestIntervalsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	errs := 0
 	for i := 0; i < 2000; i++ {
 		tr := randomTrace(rng)
-		if _, err := referenceIntervals(tr); err != nil {
+		ivs, err := referenceIntervals(tr)
+		if err != nil {
 			errs++
 		}
 		sameIntervals(t, tr)
+		sameOverlaps(t, ivs, rng)
 	}
 	if errs == 0 || errs > 1000 {
 		t.Fatalf("%d of 2000 traces have an unmatched Exit; the generator lost its mix", errs)
@@ -191,7 +256,9 @@ func TestIntervalsMatchesReference(t *testing.T) {
 
 // FuzzIntervals decodes bytes into a trace, four per event (kind,
 // process, op, argument), and requires Intervals to agree with the
-// reference without panicking.
+// reference without panicking, and OverlappingPairs of its output to
+// agree with the all-pairs scan: pair for pair, and as a set on a
+// shuffled copy.
 func FuzzIntervals(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 1, 1, 0, 0, 2, 1, 0, 0})
 	f.Add([]byte{1, 1, 0, 1, 1, 1, 1, 2, 2, 1, 0, 0, 2, 1, 1, 0})
@@ -217,6 +284,9 @@ func FuzzIntervals(f *testing.F) {
 			tr = append(tr, e)
 		}
 		sameIntervals(t, tr)
+		if ivs, err := tr.Intervals(); err == nil {
+			sameOverlaps(t, ivs, rand.New(rand.NewSource(int64(len(data)))))
+		}
 	})
 }
 
@@ -291,5 +361,81 @@ func BenchmarkIntervalsReconstruction(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// rwClosedTrace is the trace of a closed loop of clients issuing ops
+// operations back to back on a readers/writers resource, readFrac of
+// them reads: at each step one client, drawn at random, exits its
+// operation or begins its next one, a write once nothing executes and a
+// read once no write does.
+func rwClosedTrace(ops, clients int, readFrac float64, seed int64) Trace {
+	rng := rand.New(rand.NewSource(seed))
+	active := make([]string, clients) // the executing op, "" when idle
+	next := make([]string, clients)   // the op a client waits to begin
+	readers, writing := 0, false
+	var tr Trace
+	add := func(c int, kind Kind, op string) {
+		tr = append(tr, Event{Seq: int64(len(tr) + 1), ProcID: c + 1, Proc: fmt.Sprintf("client#%d", c+1), Kind: kind, Op: op})
+	}
+	for issued, done := 0, 0; done < ops; {
+		c := rng.Intn(clients)
+		switch op := active[c]; {
+		case op != "":
+			add(c, KindExit, op)
+			active[c] = ""
+			done++
+			if op == "read" {
+				readers--
+			} else {
+				writing = false
+			}
+		case next[c] == "" && issued < ops:
+			next[c] = "write"
+			if rng.Float64() < readFrac {
+				next[c] = "read"
+			}
+			add(c, KindRequest, next[c])
+			issued++
+		case next[c] == "read" && !writing, next[c] == "write" && !writing && readers == 0:
+			add(c, KindEnter, next[c])
+			active[c], next[c] = next[c], ""
+			if active[c] == "read" {
+				readers++
+			} else {
+				writing = true
+			}
+		}
+	}
+	return tr
+}
+
+// pairsSink keeps the benchmarked scans' results live.
+var pairsSink [][2]Interval
+
+// BenchmarkOverlappingPairs times the exclusion judge's pair scan on a
+// 4000-operation closed-loop readers/writers trace of two clients (90%
+// reads, the shape of a load run's judged trace) and on 4000 reads by
+// eight clients, up to eight executing at once. The -all-pairs rows run
+// the all-pairs reference the scan replaced.
+func BenchmarkOverlappingPairs(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		ivs  []Interval
+	}{
+		{"closed-rw-4000", rwClosedTrace(4000, 2, 0.9, 1).MustIntervals()},
+		{"overlap-8", rwClosedTrace(4000, 8, 1, 1).MustIntervals()},
+	} {
+		for _, v := range []struct {
+			suffix string
+			fn     func([]Interval) [][2]Interval
+		}{{"", OverlappingPairs}, {"-all-pairs", referenceOverlappingPairs}} {
+			b.Run(c.name+v.suffix, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					pairsSink = v.fn(c.ivs)
+				}
+			})
+		}
 	}
 }
