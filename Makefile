@@ -35,16 +35,18 @@ lint:
 # schedules-to-finding/-exhaustion hunts — plus the simulated kernel's
 # context-switch benchmark, the random policy's reseed-and-pick cost
 # (BenchmarkRandomPolicy), the synth derived oracle's cost per judged
-# run (BenchmarkSynthCheck), one generated run on a recycled kernel slot
-# per mechanism (BenchmarkSynthRun; 0 allocs/op), interval pairing's,
-# for one process in series and for 256 requests in flight
+# run (BenchmarkSynthCheck) and on traces of 3000 to 12000 events,
+# beside the rescanning reference it replaced (BenchmarkSynthCheckLong),
+# one generated run on a recycled kernel slot per mechanism
+# (BenchmarkSynthRun; 0 allocs/op), interval pairing's, for one process
+# in series and for 256 requests in flight
 # (BenchmarkIntervalsReconstruction), the exclusion judge's overlap scan
-# on a closed-loop readers/writers trace and on 8-way overlap, beside
-# the all-pairs scan it replaced (BenchmarkOverlappingPairs), and DPOR's
-# race pass, one expand of a recorded hunt run at depth 40 and with no
-# bound, beside the vector-clock reference it replaced
-# (BenchmarkDPORRacePass). It
-# archives the numbers (ns/op, B/op, allocs/op, schedules/sec,
+# and the priority judges' release-window walk on a closed-loop
+# readers/writers trace and on 8-way overlap, each beside the all-pairs
+# loop it replaced (BenchmarkOverlappingPairs, BenchmarkOvertakings),
+# and DPOR's race pass, one expand of a recorded hunt run at depth 40
+# and with no bound, beside the vector-clock reference it replaced
+# (BenchmarkDPORRacePass). It archives the numbers (ns/op, B/op, allocs/op, schedules/sec,
 # schedules-to-finding and schedules-to-exhaustion per variant;
 # switches/sec for the kernel) into BENCH_explore.json. An exhaustion
 # row fails unless the search is Exhausted: the frontier emptied and no
@@ -54,7 +56,7 @@ lint:
 # BENCHTIME=1x) for a smoke run. -p 1 runs one package's benchmarks at a
 # time, so no package's build or benchmark competes with another's timed
 # loop for the CPUs.
-BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch|BenchmarkRandomPolicy|BenchmarkSynthCheck|BenchmarkSynthRun|BenchmarkIntervalsReconstruction|BenchmarkOverlappingPairs|BenchmarkDPORRacePass
+BENCHES   := BenchmarkE1|BenchmarkSimContextSwitch|BenchmarkRandomPolicy|BenchmarkSynthCheck|BenchmarkSynthCheckLong|BenchmarkSynthRun|BenchmarkIntervalsReconstruction|BenchmarkOverlappingPairs|BenchmarkOvertakings|BenchmarkDPORRacePass
 BENCHPKGS := . ./internal/kernel ./internal/synth ./internal/trace ./internal/explore
 bench:
 	$(GO) test -p 1 -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime $(BENCHTIME) -count 1 $(BENCHPKGS) \

@@ -56,7 +56,6 @@ type options struct {
 	yields   int
 	watchdog time.Duration
 
-	shards      int
 	soak        bool
 	interval    time.Duration
 	fairnessMin float64
@@ -85,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bufCap := fs.Int("cap", 0, "bounded-buffer capacity (0: standard)")
 	yields := fs.Int("yields", 2, "yields inside each operation body (contention window width)")
 	watchdog := fs.Duration("watchdog", 0, "per-run watchdog (0: duration+30s)")
-	shards := fs.Int("shards", 0, "latency histogram shards per class (0: cover GOMAXPROCS; 1: shared-histogram baseline)")
 	soak := fs.Bool("soak", false, "stream an incremental snapshot of each run every -interval")
 	interval := fs.Duration("interval", 10*time.Second, "soak snapshot interval")
 	fairnessMin := fs.Float64("fairness-min", 0, "soak-only: fail (exit 1) if any snapshot's Jain fairness index drops below this (0: disabled)")
@@ -119,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rate: *rate, burst: *burst, clients: *clients, think: *think,
 		duration: *duration, ops: *ops, seed: *seed, readFrac: *readFrac,
 		bufCap: *bufCap, yields: *yields, watchdog: *watchdog,
-		shards: *shards, soak: *soak, interval: *interval,
+		soak: *soak, interval: *interval,
 		fairnessMin: *fairnessMin, calibrate: *calibrate,
 		trace: *traceFlag, jsonOut: *jsonOut || *outPath != "", outPath: *outPath,
 		quiet: *quiet,
@@ -183,7 +181,7 @@ func execute(opt *options, stdout, stderr io.Writer) int {
 					Duration: opt.duration, MaxOps: opt.ops, Seed: opt.seed,
 					ReadFraction: opt.readFrac, BufferCap: opt.bufCap,
 					WorkYields: opt.yields, Watchdog: opt.watchdog,
-					Trace: opt.trace, HistShards: opt.shards,
+					Trace: opt.trace,
 				}
 				if opt.soak {
 					cfg.SnapshotEvery = opt.interval

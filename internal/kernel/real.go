@@ -22,10 +22,6 @@ type RealKernel struct {
 	closeOnce sync.Once
 	closed    chan struct{}  // closed by Close; parked processes then unwind
 	daemons   sync.WaitGroup // live daemons; Quiesce waits on it
-
-	mu      sync.Mutex
-	started bool
-	done    chan struct{} // closed when wg drains during Run
 }
 
 // RealOption configures a RealKernel.

@@ -37,7 +37,7 @@ func TestGeneratorClampsAtDeadline(t *testing.T) {
 		var mu sync.Mutex
 		var ats []int64
 		mk := func(name string) *class {
-			c := newClass(name, 0.5, 1)
+			c := newClass(name, 0.5)
 			c.do = func(p *kernel.Proc, at, seq int64) {
 				mu.Lock()
 				ats = append(ats, at)

@@ -93,13 +93,6 @@ type Config struct {
 	// Costs memory proportional to the operation count.
 	Trace bool
 
-	// HistShards is the shard count of each class's latency histograms
-	// (rounded up to a power of two). 0 selects a default covering
-	// GOMAXPROCS; 1 pins the legacy single shared histogram (every
-	// recorder contends on one set of atomics — the calibration
-	// baseline).
-	HistShards int
-
 	// DiurnalPeriod is the modulation period of ArrivalDiurnal (default
 	// 60s): the offered rate swings sinusoidally around RatePerSec over
 	// each period.
@@ -177,9 +170,6 @@ func (cfg *Config) normalize() error {
 	}
 	if cfg.Watchdog == 0 {
 		cfg.Watchdog = cfg.Duration + 30*time.Second
-	}
-	if cfg.HistShards < 0 {
-		return fmt.Errorf("load: negative histogram shard count %d", cfg.HistShards)
 	}
 	if cfg.DiurnalPeriod < 0 || cfg.SnapshotEvery < 0 {
 		return fmt.Errorf("load: negative diurnal period or snapshot interval")

@@ -49,7 +49,6 @@ type RunReport struct {
 	ReadFraction float64 `json:"read_fraction,omitempty"`
 	BufferCap    int     `json:"buffer_cap,omitempty"`
 	WorkYields   int     `json:"work_yields,omitempty"`
-	HistShards   int     `json:"hist_shards,omitempty"`
 
 	ElapsedNs        int64   `json:"elapsed_ns"`
 	Issued           int64   `json:"issued"`
@@ -129,7 +128,6 @@ func (r *Result) Report() RunReport {
 		SnapshotSeq:      r.SnapshotSeq,
 		Seed:             cfg.Seed,
 		WorkYields:       cfg.WorkYields,
-		HistShards:       cfg.HistShards,
 		ElapsedNs:        r.ElapsedNs,
 		Issued:           r.Issued,
 		Completed:        r.Completed,

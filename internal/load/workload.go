@@ -72,8 +72,10 @@ func DefaultProblems() []string {
 	return []string{problems.NameBoundedBuffer, problems.NameReadersPriority, problems.NameFCFS}
 }
 
-func newClass(name string, weight float64, shards int) *class {
-	return &class{name: name, weight: weight, wait: NewSharded(shards), total: NewSharded(shards)}
+// newClass creates a class whose latency histograms have the default
+// shard count, which covers GOMAXPROCS.
+func newClass(name string, weight float64) *class {
+	return &class{name: name, weight: weight, wait: NewSharded(0), total: NewSharded(0)}
 }
 
 // yieldWork stretches an operation body, creating real contention windows
@@ -85,23 +87,19 @@ func yieldWork(p *kernel.Proc, n int) {
 }
 
 // runBody is every class's operation body: stamp the admission instant,
-// do the work, and — when tracing — emit the Enter/Exit pair around it.
-// The pair lives in one function so the recorded interval can never be
-// left open, whatever the caller does (synclint's bracket analyzer
-// checks exactly this).
+// then record the Enter/Exit pair around the work (a nil rec records
+// nothing). The pair lives in one function so the recorded interval can
+// never be left open, whatever the caller does (synclint's bracket
+// analyzer checks exactly this).
 func runBody(rec *trace.Recorder, p *kernel.Proc, op string, arg int64, yields int, enter *int64, now func() int64) {
 	*enter = now()
-	if rec == nil {
-		yieldWork(p, yields)
-		return
-	}
 	rec.Enter(p, op, arg)
 	yieldWork(p, yields)
 	rec.Exit(p, op, arg)
 }
 
 // buildWorkload constructs the workload for cfg on kernel k, recording
-// into rec when non-nil.
+// into rec (nil records nothing).
 func buildWorkload(cfg *Config, s solutions.Suite, k kernel.Kernel, rec *trace.Recorder) (*workload, error) {
 	yields := cfg.WorkYields
 	now := k.Now
@@ -115,12 +113,10 @@ func buildWorkload(cfg *Config, s solutions.Suite, k kernel.Kernel, rec *trace.R
 	switch cfg.Problem {
 	case problems.NameBoundedBuffer:
 		bb := s.NewBoundedBuffer(k, cfg.BufferCap)
-		dep := newClass(problems.OpDeposit, 0.5, cfg.HistShards)
-		rem := newClass(problems.OpRemove, 0.5, cfg.HistShards)
+		dep := newClass(problems.OpDeposit, 0.5)
+		rem := newClass(problems.OpRemove, 0.5)
 		dep.do = func(p *kernel.Proc, at, seq int64) {
-			if rec != nil {
-				rec.Request(p, problems.OpDeposit, seq)
-			}
+			rec.Request(p, problems.OpDeposit, seq)
 			var enter int64
 			bb.Deposit(p, seq, func() {
 				runBody(rec, p, problems.OpDeposit, seq, yields, &enter, now)
@@ -130,9 +126,7 @@ func buildWorkload(cfg *Config, s solutions.Suite, k kernel.Kernel, rec *trace.R
 			dep.total.Record(uint64(seq), end-at)
 		}
 		rem.do = func(p *kernel.Proc, at, seq int64) {
-			if rec != nil {
-				rec.Request(p, problems.OpRemove, trace.NoArg)
-			}
+			rec.Request(p, problems.OpRemove, trace.NoArg)
 			var enter int64
 			bb.Remove(p, func(item int64) {
 				runBody(rec, p, problems.OpRemove, item, yields, &enter, now)
@@ -152,11 +146,9 @@ func buildWorkload(cfg *Config, s solutions.Suite, k kernel.Kernel, rec *trace.R
 
 	case problems.NameFCFS:
 		res := s.NewFCFS(k)
-		use := newClass(problems.OpUse, 1, cfg.HistShards)
+		use := newClass(problems.OpUse, 1)
 		use.do = func(p *kernel.Proc, at, seq int64) {
-			if rec != nil {
-				rec.Request(p, problems.OpUse, trace.NoArg)
-			}
+			rec.Request(p, problems.OpUse, trace.NoArg)
 			var enter int64
 			res.Use(p, func() {
 				runBody(rec, p, problems.OpUse, trace.NoArg, yields, &enter, now)
@@ -175,12 +167,10 @@ func buildWorkload(cfg *Config, s solutions.Suite, k kernel.Kernel, rec *trace.R
 	case problems.NameReadersPriority, problems.NameWritersPriority, problems.NameFCFSRW:
 		newDB, _ := solutions.RWConstructor(s, cfg.Problem)
 		db := newDB(k)
-		rd := newClass(problems.OpRead, cfg.ReadFraction, cfg.HistShards)
-		wr := newClass(problems.OpWrite, 1-cfg.ReadFraction, cfg.HistShards)
+		rd := newClass(problems.OpRead, cfg.ReadFraction)
+		wr := newClass(problems.OpWrite, 1-cfg.ReadFraction)
 		rd.do = func(p *kernel.Proc, at, seq int64) {
-			if rec != nil {
-				rec.Request(p, problems.OpRead, trace.NoArg)
-			}
+			rec.Request(p, problems.OpRead, trace.NoArg)
 			var enter int64
 			db.Read(p, func() {
 				runBody(rec, p, problems.OpRead, trace.NoArg, yields, &enter, now)
@@ -190,9 +180,7 @@ func buildWorkload(cfg *Config, s solutions.Suite, k kernel.Kernel, rec *trace.R
 			rd.total.Record(uint64(seq), end-at)
 		}
 		wr.do = func(p *kernel.Proc, at, seq int64) {
-			if rec != nil {
-				rec.Request(p, problems.OpWrite, trace.NoArg)
-			}
+			rec.Request(p, problems.OpWrite, trace.NoArg)
 			var enter int64
 			db.Write(p, func() {
 				runBody(rec, p, problems.OpWrite, trace.NoArg, yields, &enter, now)
@@ -238,7 +226,7 @@ func buildSynthWorkload(seed int64, s solutions.Suite, k kernel.Kernel, rec *tra
 	var classes []*class
 	for ci := range set.Classes {
 		sc := set.Classes[ci]
-		cl := newClass(sc.Name, float64(sc.Ops())/float64(totalOps), cfg.HistShards)
+		cl := newClass(sc.Name, float64(sc.Ops())/float64(totalOps))
 		cl.do = func(p *kernel.Proc, at, seq int64) {
 			arg, has := int64(0), false
 			ra := trace.NoArg

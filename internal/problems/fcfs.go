@@ -109,8 +109,8 @@ func CheckFCFS(tr trace.Trace, checkOrder bool) []Violation {
 		}
 		// An admission out of request order counts only if a release
 		// happened while the earlier request was waiting (see the
-		// release-window discussion in rw.go).
-		out = append(out, orderInversions("fcfs-order", ivs, releaseSeqs(tr, OpUse))...)
+		// release-window rule of trace.Overtakings).
+		out = append(out, orderInversions("fcfs-order", ivs, releaseSeqs(tr, OpUse), nil)...)
 	}
 	return out
 }

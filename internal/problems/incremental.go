@@ -73,9 +73,10 @@ type pendingReq struct {
 // overtakingStream is the streaming form of checkNoOvertaking: a loser
 // admission is a violation exactly when some favored request is still
 // waiting and a release (any read/write exit) has occurred since that
-// request — the same release-window rule the batch oracle applies,
-// evaluated at the loser's Enter event instead of over reconstructed
-// intervals.
+// request — the release-window rule the batch oracle applies through
+// trace.Overtakings, evaluated at the loser's Enter event as the events
+// arrive instead of over reconstructed intervals. It is the rule's
+// early-exit form, so it keeps its own bookkeeping.
 type overtakingStream struct {
 	favored, loser, rule string
 

@@ -108,21 +108,6 @@ func requireIntervals(tr trace.Trace) ([]trace.Interval, []Violation) {
 	return ivs, nil
 }
 
-// seqEnd is a sequence number beyond any recorded event. A request-only
-// interval (a waiter never admitted by trace end) is treated as entering
-// at seqEnd by the priority oracles: it waited forever, so anything
-// admitted after its request overtook it.
-const seqEnd = int64(^uint64(0) >> 1)
-
-// enterOrEnd is the admission point of iv for ordering comparisons, with
-// never-admitted waiters pushed past the end of the trace.
-func enterOrEnd(iv trace.Interval) int64 {
-	if !iv.Started() {
-		return seqEnd
-	}
-	return iv.EnterSeq
-}
-
 // releaseSeqs returns the ascending sequence numbers of Exit events for
 // the given operations — the observable release points at which a
 // mechanism makes an admission decision.
@@ -140,20 +125,6 @@ func releaseSeqs(tr trace.Trace, ops ...string) []int64 {
 		}
 	}
 	return out
-}
-
-// anyInWindow reports whether some seq in the ascending slice lies
-// strictly between lo and hi.
-func anyInWindow(seqs []int64, lo, hi int64) bool {
-	for _, s := range seqs {
-		if s >= hi {
-			return false
-		}
-		if s > lo {
-			return true
-		}
-	}
-	return false
 }
 
 // overlapViolations reports every overlapping pair (a, b) where the pair

@@ -139,15 +139,6 @@ func SpawnRW(k kernel.Kernel, db RWStore, r *trace.Recorder, cfg RWConfig) error
 	return nil
 }
 
-// DriveRW spawns the workload via SpawnRW and returns the kernel's
-// verdict from running it to completion.
-func DriveRW(k kernel.Kernel, db RWStore, r *trace.Recorder, cfg RWConfig) error {
-	if err := SpawnRW(k, db, r, cfg); err != nil {
-		return err
-	}
-	return k.Run()
-}
-
 // CheckRWExclusion judges the shared exclusion constraint: writes overlap
 // nothing; reads may overlap reads.
 func CheckRWExclusion(tr trace.Trace) []Violation {
@@ -177,50 +168,35 @@ func CheckWritersPriority(tr trace.Trace) []Violation {
 }
 
 // checkNoOvertaking reports every case where an interval of op loser was
-// *granted* admission while a favored-op request was waiting.
-//
-// Grant moments are not directly observable in a trace: a mechanism hands
-// the resource over at a release point, and the admitted process records
-// its Enter only when it next runs. A loser Enter between the favored
-// request and its admission is therefore a violation only if some release
-// (an Exit of either operation) occurred after the favored process was
-// already waiting — otherwise the grant decision predates the favored
-// request and no priority rule was broken. The paper's footnote-3 anomaly
-// satisfies this rule (the first writer's completion is the release at
-// which the second writer is wrongly preferred).
+// *granted* admission while a favored-op request was waiting: each pair
+// trace.Overtakings yields whose waiting interval is favored and whose
+// admitted one is a loser. Every read or write Exit is a release. A
+// favored waiter never admitted by trace end waited forever, so every
+// later loser admission after a release overtook it. The paper's
+// footnote-3 anomaly satisfies this rule: the first writer's completion
+// is the release at which the second writer is wrongly preferred.
 func checkNoOvertaking(tr trace.Trace, favored, loser, rule string) []Violation {
 	ivs, vs := requireIntervals(tr)
 	if vs != nil {
 		return vs
 	}
-	exits := releaseSeqs(tr, OpRead, OpWrite)
 	var out []Violation
-	for _, f := range ivs {
-		if f.Op != favored || f.RequestSeq == 0 {
-			continue
+	trace.Overtakings(ivs, releaseSeqs(tr, OpRead, OpWrite), func(w, l int) {
+		f, lv := ivs[w], ivs[l]
+		if f.Op != favored || lv.Op != loser {
+			return
 		}
-		// A favored waiter never admitted by trace end (Started() false)
-		// waited forever: every later loser admission overtook it.
-		fEnter := enterOrEnd(f)
-		for _, l := range ivs {
-			if l.Op != loser || !l.Started() {
-				continue
-			}
-			if l.EnterSeq > f.RequestSeq && l.EnterSeq < fEnter &&
-				anyInWindow(exits, f.RequestSeq, l.EnterSeq) {
-				admitted := fmt.Sprintf("admitted @%d", f.EnterSeq)
-				if !f.Started() {
-					admitted = "never admitted"
-				}
-				out = append(out, Violation{
-					Rule: rule,
-					Detail: fmt.Sprintf("%s admitted while %s was waiting (requested @%d, %s)",
-						l, f, f.RequestSeq, admitted),
-					Seq: l.EnterSeq,
-				})
-			}
+		admitted := fmt.Sprintf("admitted @%d", f.EnterSeq)
+		if !f.Started() {
+			admitted = "never admitted"
 		}
-	}
+		out = append(out, Violation{
+			Rule: rule,
+			Detail: fmt.Sprintf("%s admitted while %s was waiting (requested @%d, %s)",
+				lv, f, f.RequestSeq, admitted),
+			Seq: lv.EnterSeq,
+		})
+	})
 	return out
 }
 
@@ -243,46 +219,29 @@ func CheckFCFSRW(tr trace.Trace) []Violation {
 				Detail: fmt.Sprintf("%s has no request event", iv), Seq: iv.EnterSeq})
 		}
 	}
-	exits := releaseSeqs(tr, OpRead, OpWrite)
-	out = append(out, orderInversionsFiltered("rw-fcfs", ivs, exits,
+	out = append(out, orderInversions("rw-fcfs", ivs, releaseSeqs(tr, OpRead, OpWrite),
 		func(a, b trace.Interval) bool { return a.Op == OpRead && b.Op == OpRead })...)
 	return out
 }
 
-// orderInversions reports pairs admitted out of request order where a
-// release fell inside the waiting window.
-func orderInversions(rule string, ivs []trace.Interval, exits []int64) []Violation {
-	return orderInversionsFiltered(rule, ivs, exits, nil)
-}
-
-// orderInversionsFiltered is orderInversions with an exemption predicate:
-// pairs for which exempt(waiting, jumped) is true are not reported.
-func orderInversionsFiltered(rule string, ivs []trace.Interval, exits []int64, exempt func(a, b trace.Interval) bool) []Violation {
+// orderInversions reports pairs admitted out of request order: each
+// pair trace.Overtakings yields whose admitted interval requested after
+// the waiting one, unless exempt(waiting, admitted) holds (a nil exempt
+// exempts nothing).
+func orderInversions(rule string, ivs []trace.Interval, exits []int64, exempt func(waiting, admitted trace.Interval) bool) []Violation {
 	var out []Violation
-	for _, waiting := range ivs { // the earlier-requested interval
-		if waiting.RequestSeq == 0 {
-			continue
+	trace.Overtakings(ivs, exits, func(w, l int) {
+		waiting, jumped := ivs[w], ivs[l]
+		if jumped.RequestSeq == 0 || jumped.RequestSeq <= waiting.RequestSeq ||
+			exempt != nil && exempt(waiting, jumped) {
+			return
 		}
-		// A waiter never admitted by trace end waited forever; any later
-		// request that did get in jumped it (see enterOrEnd).
-		wEnter := enterOrEnd(waiting)
-		for _, jumped := range ivs { // the one that entered first
-			if jumped.RequestSeq == 0 || jumped.RequestSeq <= waiting.RequestSeq || !jumped.Started() {
-				continue
-			}
-			if exempt != nil && exempt(waiting, jumped) {
-				continue
-			}
-			if jumped.EnterSeq < wEnter &&
-				anyInWindow(exits, waiting.RequestSeq, jumped.EnterSeq) {
-				out = append(out, Violation{
-					Rule:   rule,
-					Detail: fmt.Sprintf("%s admitted before earlier request %s", jumped, waiting),
-					Seq:    jumped.EnterSeq,
-				})
-			}
-		}
-	}
+		out = append(out, Violation{
+			Rule:   rule,
+			Detail: fmt.Sprintf("%s admitted before earlier request %s", jumped, waiting),
+			Seq:    jumped.EnterSeq,
+		})
+	})
 	return out
 }
 

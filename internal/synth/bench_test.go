@@ -3,10 +3,12 @@ package synth
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/explore"
 	"repro/internal/kernel"
+	"repro/internal/problems"
 	"repro/internal/trace"
 )
 
@@ -69,6 +71,67 @@ func BenchmarkSynthCheck(b *testing.B) {
 		c := &traces[i%len(traces)]
 		if vs := c.oracle(c.tr); len(vs) != 0 {
 			b.Fatalf("%s: %v", c.name, vs)
+		}
+	}
+}
+
+// longTrace records corpus problem seed under mech on the FIFO schedule
+// with every class's Rounds scaled until the run records at least events
+// events, and returns the scaled set with the trace.
+func longTrace(tb testing.TB, seed int64, mech string, events int) (*Set, trace.Trace) {
+	tb.Helper()
+	set := *Generate(seed)
+	set.Classes = slices.Clone(set.Classes)
+	ops := 0
+	for _, c := range set.Classes {
+		ops += c.Ops()
+	}
+	scale := (events/3 + ops - 1) / ops // three events per operation
+	for i := range set.Classes {
+		set.Classes[i].Rounds *= scale
+	}
+	prog, _, err := Program(&set, mech)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	k := kernel.NewSim()
+	rec := trace.NewRecorder(k)
+	prog(k, rec)
+	if err := k.Run(); err != nil {
+		tb.Fatalf("%s/%s: %v", set.Name, mech, err)
+	}
+	return &set, rec.Events()
+}
+
+// BenchmarkSynthCheckLong is the derived oracle on long traces: corpus
+// problem 28 (two older-first priority rules, three history exclusions
+// and one on synchronization state), its classes' Rounds scaled until its
+// monitor run on the FIFO schedule records about 3000, 6000 and 12000
+// events. The rows should grow linearly with the trace. The -reference
+// rows judge the same traces by the reference oracle (reference_test.go),
+// which rescans every interval per condition and pairs every interval
+// with every other.
+func BenchmarkSynthCheckLong(b *testing.B) {
+	for _, events := range []int{3000, 6000, 12000} {
+		set, tr := longTrace(b, 28, "monitor", events)
+		j := set.compile()
+		if vs := j.check(tr, true); len(vs) != 0 {
+			b.Fatalf("%s: %v", set.Name, vs)
+		}
+		for _, v := range []struct {
+			suffix string
+			check  func(trace.Trace, bool) []problems.Violation
+		}{{"", j.check}, {"-reference", func(tr trace.Trace, strict bool) []problems.Violation {
+			return referenceCheck(set, tr, strict)
+		}}} {
+			b.Run(fmt.Sprintf("events-%d%s", events, v.suffix), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if vs := v.check(tr, true); len(vs) != 0 {
+						b.Fatalf("%s: %v", set.Name, vs)
+					}
+				}
+			})
 		}
 	}
 }

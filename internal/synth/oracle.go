@@ -7,17 +7,21 @@ package synth
 //
 //   - Exclusion: at each admitted operation's Enter point, every
 //     exclusion rule for its class is evaluated against the state the
-//     trace shows strictly before that point (the candidate's own
-//     interval excluded). A rule that holds is a violation.
+//     trace shows strictly before that point, the candidate's own request
+//     left out of the waiting population. A rule that holds is a
+//     violation. The state is the Gate's own population type (policy.go),
+//     advanced through the trace's requests and releases up to each
+//     Enter, then granted the operation that entered.
 //   - Priority (strict judging only): rule "A over B when cond" is
 //     violated by an admitted B-operation b and an A-candidate a with
-//     cond(a, b) when b entered inside a's waiting window — after a's
-//     request and before a's admission (never-admitted waiters extend to
-//     the end of the trace) — and some operation exited in between. The
-//     release window mirrors the handwritten rw.go rule: an admission
-//     decision is only attributable to the mechanism if it observably
-//     made one (a release) while the favored request was waiting; like
-//     the handwritten rule it has no admissibility escape.
+//     cond(a, b) when b entered inside a's waiting window after a release:
+//     a pair trace.Overtakings yields, every Exit of the set's operations
+//     a release. This is the rule the handwritten rw and fcfs oracles
+//     apply: an admission decision is only attributable to the mechanism
+//     if it observably made one (a release) while the favored request was
+//     waiting, and like them it has no admissibility escape. Priority
+//     conditions read no state (Validate admits only true, older,
+//     smaller-arg and larger-arg), so they are evaluated without one.
 //
 // Non-strict judging (real-kernel traces) skips priority rules and any
 // exclusion rule that consults the waiting population: both depend on
@@ -34,101 +38,6 @@ import (
 	"repro/internal/problems"
 	"repro/internal/trace"
 )
-
-// seqEnd is a sequence number beyond any recorded event (a never-admitted
-// waiter "enters" past the end of the trace).
-const seqEnd = int64(^uint64(0) >> 1)
-
-func enterOrEnd(iv trace.Interval) int64 {
-	if !iv.Started() {
-		return seqEnd
-	}
-	return iv.EnterSeq
-}
-
-// anyInWindow reports whether some seq in the ascending slice lies
-// strictly between lo and hi.
-func anyInWindow(seqs []int64, lo, hi int64) bool {
-	for _, s := range seqs {
-		if s >= hi {
-			return false
-		}
-		if s > lo {
-			return true
-		}
-	}
-	return false
-}
-
-// traceView is the StateView the trace shows strictly before sequence
-// point at, with one interval (the candidate under judgment) excluded.
-// A judgment keeps one and moves it from candidate to candidate by
-// setting at and skip.
-type traceView struct {
-	set  *Set
-	ivs  []trace.Interval
-	cls  []int
-	at   int64
-	skip int
-}
-
-func (v *traceView) Count(class int, kind CountKind) int {
-	n := 0
-	for i := range v.ivs {
-		if i == v.skip || v.cls[i] != class {
-			continue
-		}
-		iv := &v.ivs[i]
-		started := iv.EnterSeq > 0 && iv.EnterSeq < v.at
-		done := iv.ExitSeq > 0 && iv.ExitSeq < v.at
-		switch kind {
-		case CountWaiting:
-			if iv.RequestSeq > 0 && iv.RequestSeq < v.at && !started {
-				n++
-			}
-		case CountActive:
-			if started && !done {
-				n++
-			}
-		case CountStarted:
-			if started {
-				n++
-			}
-		case CountDone:
-			if done {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-func (v *traceView) Slots() int {
-	s := 0
-	for i := range v.ivs {
-		if i == v.skip {
-			continue
-		}
-		if v.ivs[i].ExitSeq > 0 && v.ivs[i].ExitSeq < v.at {
-			s += v.set.Classes[v.cls[i]].SlotDelta
-		}
-	}
-	return s
-}
-
-func (v *traceView) LastStarted() int {
-	best, bestSeq := -1, int64(0)
-	for i := range v.ivs {
-		if i == v.skip {
-			continue
-		}
-		if e := v.ivs[i].EnterSeq; e > 0 && e < v.at && e > bestSeq {
-			bestSeq = e
-			best = v.cls[i]
-		}
-	}
-	return best
-}
 
 // Check judges a trace against the set's constraints. strict
 // additionally checks priority rules and waiting-population conditions,
@@ -160,10 +69,12 @@ func (s *Set) compile() *judge {
 // one package pool, so a worker's buffers serve whichever program it
 // judges next, and a warm judgment of a clean trace allocates nothing.
 type scratch struct {
-	ivs   []trace.Interval
-	cls   []int
-	exits []int64
-	view  traceView
+	ivs      []trace.Interval
+	cls      []int
+	byReq    []int   // intervals with a request, by RequestSeq
+	byExit   []int   // intervals that exited, by ExitSeq
+	releases []int64 // their ExitSeqs, ascending
+	pop      population
 	// other is the disfavored candidate of a priority evaluation. Cond.Eval
 	// takes it by pointer through an interface, so a local would escape
 	// to the heap on every evaluation.
@@ -191,26 +102,48 @@ func (j *judge) check(tr trace.Trace, strict bool) []problems.Violation {
 		return []problems.Violation{{Rule: "instrumentation", Detail: err.Error()}}
 	}
 	sc.ivs = ivs
-	cls := sc.cls[:0]
-	for i := range ivs {
-		ci := s.classOf(ivs[i].Op)
-		if ci < 0 {
-			return []problems.Violation{{Rule: "instrumentation",
-				Detail: fmt.Sprintf("operation %q is not a class of set %s", ivs[i].Op, s.Name), Seq: ivs[i].EnterSeq}}
-		}
-		cls = append(cls, ci)
-	}
-	sc.cls = cls
-	v := &sc.view
-	*v = traceView{set: s, ivs: ivs, cls: cls}
-
-	var out []problems.Violation
+	cls, byReq, byExit := sc.cls[:0], sc.byReq[:0], sc.byExit[:0]
 	for i := range ivs {
 		iv := &ivs[i]
-		if !iv.Started() {
+		ci := s.classOf(iv.Op)
+		if ci < 0 {
+			return []problems.Violation{{Rule: "instrumentation",
+				Detail: fmt.Sprintf("operation %q is not a class of set %s", iv.Op, s.Name), Seq: iv.EnterSeq}}
+		}
+		cls = append(cls, ci)
+		if iv.RequestSeq != 0 {
+			byReq = append(byReq, i)
+		}
+		if iv.ExitSeq != 0 {
+			byExit = append(byExit, i)
+		}
+	}
+	slices.SortFunc(byReq, func(a, b int) int { return cmp.Compare(ivs[a].RequestSeq, ivs[b].RequestSeq) })
+	slices.SortFunc(byExit, func(a, b int) int { return cmp.Compare(ivs[a].ExitSeq, ivs[b].ExitSeq) })
+	sc.cls, sc.byReq, sc.byExit = cls, byReq, byExit
+
+	// Executions come first in Intervals' order, by Enter: advance the
+	// population to each one's Enter, judge it, then grant it.
+	var out []problems.Violation
+	pop := &sc.pop
+	pop.reset(s)
+	nextReq, nextExit := 0, 0
+	for i := range ivs {
+		iv := &ivs[i]
+		if iv.EnterSeq == 0 { // not Started(), which would copy *iv
 			continue
 		}
-		v.at, v.skip = iv.EnterSeq, i
+		for ; nextReq < len(byReq) && ivs[byReq[nextReq]].RequestSeq < iv.EnterSeq; nextReq++ {
+			pop.request(cls[byReq[nextReq]])
+		}
+		for ; nextExit < len(byExit) && ivs[byExit[nextExit]].ExitSeq < iv.EnterSeq; nextExit++ {
+			pop.release(cls[byExit[nextExit]])
+		}
+		waited := iv.RequestSeq != 0
+		pop.self = -1
+		if waited {
+			pop.self = cls[i]
+		}
 		self := Cand{Class: cls[i], Arg: iv.Arg, HasArg: iv.HasArg, Stamp: iv.RequestSeq}
 		for xi, x := range s.Excludes {
 			if x.Class != cls[i] {
@@ -219,7 +152,7 @@ func (j *judge) check(tr trace.Trace, strict bool) []problems.Violation {
 			if !strict && j.xWaiting[xi] {
 				continue
 			}
-			if x.Cond.Eval(v, self, nil) {
+			if x.Cond.Eval(pop, self, nil) {
 				out = append(out, problems.Violation{
 					Rule:   fmt.Sprintf("x%d", xi),
 					Detail: fmt.Sprintf("%s admitted while excluded (%s)", iv, x.Cond),
@@ -227,43 +160,32 @@ func (j *judge) check(tr trace.Trace, strict bool) []problems.Violation {
 				})
 			}
 		}
+		pop.grant(cls[i], waited)
 	}
 
-	if strict {
-		sc.exits = s.appendExitSeqs(sc.exits[:0], tr)
-		exits := sc.exits
-		for pi, r := range s.Priorities {
-			for ai := range ivs {
-				a := &ivs[ai]
-				if cls[ai] != r.A || a.RequestSeq == 0 {
+	if strict && len(s.Priorities) > 0 {
+		releases := sc.releases[:0]
+		for _, i := range byExit {
+			releases = append(releases, ivs[i].ExitSeq)
+		}
+		sc.releases = releases
+		trace.Overtakings(ivs, releases, func(ai, bi int) {
+			for pi, r := range s.Priorities {
+				if r.A != cls[ai] || r.B != cls[bi] {
 					continue
 				}
-				aEnd := enterOrEnd(*a)
-				ac := Cand{Class: cls[ai], Arg: a.Arg, HasArg: a.HasArg, Stamp: a.RequestSeq}
-				for bi := range ivs {
-					b := &ivs[bi]
-					if bi == ai || cls[bi] != r.B || !b.Started() {
-						continue
-					}
-					if b.EnterSeq <= a.RequestSeq || b.EnterSeq >= aEnd {
-						continue
-					}
-					if !anyInWindow(exits, a.RequestSeq, b.EnterSeq) {
-						continue
-					}
-					sc.other = Cand{Class: cls[bi], Arg: b.Arg, HasArg: b.HasArg, Stamp: b.RequestSeq}
-					v.at, v.skip = b.EnterSeq, bi
-					if !r.Cond.Eval(v, ac, &sc.other) {
-						continue
-					}
-					out = append(out, problems.Violation{
-						Rule:   fmt.Sprintf("p%d", pi),
-						Detail: fmt.Sprintf("%s admitted over waiting %s (%s)", b, a, r),
-						Seq:    b.EnterSeq,
-					})
+				a, b := &ivs[ai], &ivs[bi]
+				sc.other = Cand{Class: cls[bi], Arg: b.Arg, HasArg: b.HasArg, Stamp: b.RequestSeq}
+				if !r.Cond.Eval(nil, Cand{Class: cls[ai], Arg: a.Arg, HasArg: a.HasArg, Stamp: a.RequestSeq}, &sc.other) {
+					continue
 				}
+				out = append(out, problems.Violation{
+					Rule:   fmt.Sprintf("p%d", pi),
+					Detail: fmt.Sprintf("%s admitted over waiting %s (%s)", b, a, r),
+					Seq:    b.EnterSeq,
+				})
 			}
-		}
+		})
 	}
 
 	if len(out) > 1 {
@@ -275,16 +197,4 @@ func (j *judge) check(tr trace.Trace, strict bool) []problems.Violation {
 		})
 	}
 	return out
-}
-
-// appendExitSeqs appends the ascending Exit sequence numbers of the
-// set's operations — the observable release points at which a mechanism
-// makes admission decisions.
-func (s *Set) appendExitSeqs(dst []int64, tr trace.Trace) []int64 {
-	for i := range tr {
-		if e := &tr[i]; e.Kind == trace.KindExit && s.classOf(e.Op) >= 0 {
-			dst = append(dst, e.Seq)
-		}
-	}
-	return dst
 }

@@ -4,11 +4,16 @@ package synth
 // waiting candidate may start, given the populations the conditions
 // consult. Every mechanism adapter (resource.go) implements the same
 // policy with its own primitives — the Gate holds the shared state and
-// decision logic; the adapters contribute only blocking and wakeup. It
+// decision logic; the adapters contribute only blocking and wakeup. The
+// state is a population, the same type the derived oracle advances
+// through a recorded trace (oracle.go), so the Gate and the oracle
+// evaluate every condition against the same counts. It
 // is deliberately not thread-safe: each adapter serializes access with
 // the mechanism under test (monitor possession, region exclusion, a
 // mutex, the CSP server process), which is exactly the encapsulation the
 // paper's modularity criteria talk about.
+
+import "slices"
 
 // Waiter is one pending or admitted operation known to a Gate. A process
 // has at most one operation in flight, so an adapter can keep one Waiter
@@ -33,32 +38,94 @@ type Waiter struct {
 // Granted reports whether the waiter has been admitted.
 func (w *Waiter) Granted() bool { return w.granted }
 
-// Gate tracks the constraint-relevant state of one generated resource.
+// population is the state the constraint conditions consult: per class,
+// how many operations wait, execute, have started and have finished,
+// plus the slot counter and the class started last. The Gate advances it
+// as operations arrive, are granted and release; the derived oracle
+// advances it through a recorded trace's requests, Enters and Exits
+// (oracle.go), so both judge a condition against the same counts.
+//
+// It is a StateView as one candidate sees it: the candidate's own request
+// is left out of its class's waiting count, since the candidate does not
+// wait for itself. self is that class, -1 when no waiting candidate is
+// under judgment.
+type population struct {
+	set    *Set
+	counts [][CountDone + 1]int // per class, by CountKind
+	slots  int
+	last   int
+	self   int
+}
+
+// reset zeroes the population for set, keeping its buffer.
+func (p *population) reset(set *Set) {
+	p.set = set
+	p.counts = slices.Grow(p.counts[:0], len(set.Classes))[:len(set.Classes)]
+	clear(p.counts)
+	p.slots, p.last, p.self = 0, -1, -1
+}
+
+// request counts a new waiting operation of class.
+func (p *population) request(class int) { p.counts[class][CountWaiting]++ }
+
+// grant admits an operation of class: it starts and is active, and no
+// longer waits if it was counted as waiting.
+func (p *population) grant(class int, waited bool) {
+	c := &p.counts[class]
+	if waited {
+		c[CountWaiting]--
+	}
+	c[CountActive]++
+	c[CountStarted]++
+	p.last = class
+}
+
+// release completes an active operation of class and applies its slot
+// delta.
+func (p *population) release(class int) {
+	c := &p.counts[class]
+	c[CountActive]--
+	c[CountDone]++
+	p.slots += p.set.Classes[class].SlotDelta
+}
+
+// count is the population of class of the given kind, the candidate
+// included.
+func (p *population) count(class int, kind CountKind) int {
+	if kind < 0 || kind > CountDone {
+		return 0
+	}
+	return p.counts[class][kind]
+}
+
+// Count implements StateView, leaving the candidate out.
+func (p *population) Count(class int, kind CountKind) int {
+	n := p.count(class, kind)
+	if kind == CountWaiting && class == p.self {
+		n--
+	}
+	return n
+}
+
+// Slots implements StateView.
+func (p *population) Slots() int { return p.slots }
+
+// LastStarted implements StateView.
+func (p *population) LastStarted() int { return p.last }
+
+// Gate tracks the constraint-relevant state of one generated resource:
+// its waiting candidates in arrival order and their population.
 type Gate struct {
-	set      *Set
-	stamp    int64
-	waiting  []*Waiter // arrival (stamp) order
-	waitingN []int
-	active   []int
-	started  []int
-	done     []int
-	slots    int
-	last     int
-	view     gateView // the one view Admissible and MayStart lend their conditions
+	set     *Set
+	stamp   int64
+	waiting []*Waiter // arrival (stamp) order
+	pop     population
 }
 
 // NewGate creates a Gate for the set.
 func NewGate(set *Set) *Gate {
-	n := len(set.Classes)
-	g := &Gate{
-		set:      set,
-		waitingN: make([]int, n),
-		active:   make([]int, n),
-		started:  make([]int, n),
-		done:     make([]int, n),
-		last:     -1,
-	}
-	g.view.g = g
+	g := &Gate{set: set}
+	g.pop.reset(set)
 	return g
 }
 
@@ -70,60 +137,24 @@ func (g *Gate) Reset() {
 	g.stamp = 0
 	clear(g.waiting)
 	g.waiting = g.waiting[:0]
-	clear(g.waitingN)
-	clear(g.active)
-	clear(g.started)
-	clear(g.done)
-	g.slots = 0
-	g.last = -1
-	g.view.self = nil
+	g.pop.reset(g.set)
 }
 
 // Count implements StateView.
-func (g *Gate) Count(class int, kind CountKind) int {
-	switch kind {
-	case CountWaiting:
-		return g.waitingN[class]
-	case CountActive:
-		return g.active[class]
-	case CountStarted:
-		return g.started[class]
-	case CountDone:
-		return g.done[class]
-	}
-	return 0
-}
+func (g *Gate) Count(class int, kind CountKind) int { return g.pop.count(class, kind) }
 
 // Slots implements StateView.
-func (g *Gate) Slots() int { return g.slots }
+func (g *Gate) Slots() int { return g.pop.slots }
 
 // LastStarted implements StateView.
-func (g *Gate) LastStarted() int { return g.last }
+func (g *Gate) LastStarted() int { return g.pop.last }
 
-// gateView is the Gate as a candidate's condition sees it: the candidate
-// itself is excluded from the waiting population, matching the derived
-// oracle, which excludes the candidate's own interval from the state at
-// its admission point. The Gate keeps one and points it at each
+// viewOf is the population as w's conditions see it, w left out of its
+// class's waiting count. The Gate lends its one population to each
 // candidate in turn, so judging a candidate allocates nothing.
-type gateView struct {
-	g    *Gate
-	self *Waiter
-}
-
-func (v *gateView) Count(class int, kind CountKind) int {
-	n := v.g.Count(class, kind)
-	if kind == CountWaiting && v.self != nil && v.self.Class == class {
-		n--
-	}
-	return n
-}
-func (v *gateView) Slots() int       { return v.g.Slots() }
-func (v *gateView) LastStarted() int { return v.g.LastStarted() }
-
-// viewOf points the Gate's view at w.
-func (g *Gate) viewOf(w *Waiter) *gateView {
-	g.view.self = w
-	return &g.view
+func (g *Gate) viewOf(w *Waiter) StateView {
+	g.pop.self = w.Class
+	return &g.pop
 }
 
 // Arrive registers a new candidate and returns its waiter, a fresh one.
@@ -142,7 +173,7 @@ func (g *Gate) Enqueue(w *Waiter, class int, arg int64, hasArg bool) {
 	w.Cand = Cand{Class: class, Arg: arg, HasArg: hasArg, Stamp: g.stamp}
 	w.granted = false
 	g.waiting = append(g.waiting, w)
-	g.waitingN[class]++
+	g.pop.request(class)
 }
 
 // Admissible reports whether any exclusion rule currently bars w.
@@ -160,7 +191,8 @@ func (g *Gate) Admissible(w *Waiter) bool {
 // no other waiting candidate holds a priority rule over it. The check is
 // deliberately conservative — a favored waiter blocks w even while the
 // favored waiter is itself inadmissible — mirroring the derived oracle's
-// release-window rule, which has no admissibility escape either.
+// release-window rule (trace.Overtakings), which has no admissibility
+// escape either.
 func (g *Gate) MayStart(w *Waiter) bool {
 	if !g.Admissible(w) {
 		return false
@@ -190,21 +222,14 @@ func (g *Gate) Grant(w *Waiter) {
 			break
 		}
 	}
-	g.waitingN[w.Class]--
-	g.active[w.Class]++
-	g.started[w.Class]++
-	g.last = w.Class
+	g.pop.grant(w.Class, true)
 	w.granted = true
 	w.Hooks.enter()
 }
 
 // Release completes an operation of class: active → done, slot delta
 // applied.
-func (g *Gate) Release(class int) {
-	g.active[class]--
-	g.done[class]++
-	g.slots += g.set.Classes[class].SlotDelta
-}
+func (g *Gate) Release(class int) { g.pop.release(class) }
 
 // NextGrant returns the first waiting candidate in arrival order that
 // MayStart, or nil. Arrival order breaks ties the priority rules leave

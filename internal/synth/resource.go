@@ -62,11 +62,7 @@ type Hooks struct {
 	OnEnter func()
 }
 
-func (h Hooks) request() {
-	if h.Rec != nil {
-		h.Rec.Request(h.Proc, h.Op, h.Arg)
-	}
-}
+func (h Hooks) request() { h.Rec.Request(h.Proc, h.Op, h.Arg) }
 
 // enter records the admission; the interval it opens is closed by exit,
 // fired by the same adapter's release path.
@@ -76,17 +72,11 @@ func (h Hooks) enter() {
 	if h.OnEnter != nil {
 		h.OnEnter()
 	}
-	if h.Rec != nil {
-		h.Rec.Enter(h.Proc, h.Op, h.Arg)
-	}
+	h.Rec.Enter(h.Proc, h.Op, h.Arg)
 }
 
 //synclint:allow bracket: closes the interval enter opened at the grant
-func (h Hooks) exit() {
-	if h.Rec != nil {
-		h.Rec.Exit(h.Proc, h.Op, h.Arg)
-	}
-}
+func (h Hooks) exit() { h.Rec.Exit(h.Proc, h.Op, h.Arg) }
 
 // Resource runs one operation of a generated problem under a mechanism:
 // block until the constraints admit the operation, run body, release.

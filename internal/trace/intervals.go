@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 )
 
@@ -293,11 +294,7 @@ func OverlappingPairs(ivs []Interval) [][2]Interval {
 // ivs' prefix of executions when ivs is in Intervals' order, otherwise a
 // sorted copy of them.
 func executions(ivs []Interval) []Interval {
-	n := 0
-	for n < len(ivs) && ivs[n].Started() && (n == 0 || ivs[n-1].EnterSeq <= ivs[n].EnterSeq) {
-		n++
-	}
-	if !slices.ContainsFunc(ivs[n:], Interval.Started) {
+	if n, ok := enterOrdered(ivs); ok {
 		return ivs[:n]
 	}
 	var out []Interval
@@ -310,4 +307,83 @@ func executions(ivs []Interval) []Interval {
 		return cmp.Compare(a.EnterSeq, b.EnterSeq)
 	})
 	return out
+}
+
+// enterOrdered returns the length n of ivs' longest prefix of executions
+// in ascending Enter order, and whether that prefix holds every
+// execution, as it does in Intervals' order.
+//
+// It reads EnterSeq rather than calling Started: an Interval is too large
+// to copy into a value receiver for free, and this runs per judgment.
+func enterOrdered(ivs []Interval) (n int, ok bool) {
+	for n < len(ivs) && ivs[n].EnterSeq != 0 && (n == 0 || ivs[n-1].EnterSeq <= ivs[n].EnterSeq) {
+		n++
+	}
+	for i := n; i < len(ivs); i++ {
+		if ivs[i].EnterSeq != 0 {
+			return n, false
+		}
+	}
+	return n, true
+}
+
+// Overtakings is the release-window walk every priority judge runs. It
+// calls yield(w, l), with indices into ivs, for each interval w that
+// recorded a request and each execution l that entered after the first
+// release following w's request and before w entered: an admission the
+// mechanism decided while w was waiting. A w never admitted waits to the
+// end of the trace. releases holds the release points' sequence numbers
+// (the Exits the judge counts as admission decisions) in ascending order.
+//
+// A grant is not observable in a trace: the mechanism hands the resource
+// over at a release, and the admitted process records its Enter when it
+// next runs. So an admission counts against w only if some release fell
+// after w's request and before the admission; before that release the
+// decision predates w.
+//
+// Like OverlappingPairs, the walk relies on Intervals' order: w's window
+// is a run of consecutive executions, found by binary search, so each w
+// costs O(log n) plus its pairs rather than a scan of every interval. For
+// input in that order pairs come by w in input order, then by l's Enter,
+// which is the order of the nested loop over all pairs; input in any
+// other order is walked through its executions sorted by Enter, which
+// yields the same set of pairs.
+func Overtakings(ivs []Interval, releases []int64, yield func(waiting, admitted int)) {
+	n, ok := enterOrdered(ivs)
+	var order []int // the executions' indices by Enter; nil: ivs[:n]
+	if !ok {
+		for i := range ivs {
+			if ivs[i].EnterSeq != 0 {
+				order = append(order, i)
+			}
+		}
+		slices.SortStableFunc(order, func(a, b int) int {
+			return cmp.Compare(ivs[a].EnterSeq, ivs[b].EnterSeq)
+		})
+		n = len(order)
+	}
+	exec := func(k int) int {
+		if order == nil {
+			return k
+		}
+		return order[k]
+	}
+	for w := range ivs {
+		req := ivs[w].RequestSeq
+		if req == 0 {
+			continue
+		}
+		r := sort.Search(len(releases), func(k int) bool { return releases[k] > req })
+		if r == len(releases) {
+			continue // no release since the request: nothing was decided
+		}
+		lo := sort.Search(n, func(k int) bool { return ivs[exec(k)].EnterSeq > releases[r] })
+		hi := n
+		if enter := ivs[w].EnterSeq; enter != 0 {
+			hi = lo + sort.Search(n-lo, func(k int) bool { return ivs[exec(lo+k)].EnterSeq >= enter })
+		}
+		for k := lo; k < hi; k++ {
+			yield(w, exec(k))
+		}
+	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -237,9 +238,105 @@ func sameOverlaps(t *testing.T, ivs []Interval, rng *rand.Rand) {
 	}
 }
 
+// referenceOvertakings is the nested loop every priority judge ran
+// before Overtakings, kept as its specification: each pair (w, l) of an
+// interval w with a request and an execution l that entered after w's
+// request and before w entered (never, for a w still waiting), with some
+// release strictly between w's request and l's Enter.
+func referenceOvertakings(ivs []Interval, releases []int64) [][2]int {
+	var out [][2]int
+	for w := range ivs {
+		req := ivs[w].RequestSeq
+		if req == 0 {
+			continue
+		}
+		end := int64(math.MaxInt64)
+		if ivs[w].Started() {
+			end = ivs[w].EnterSeq
+		}
+		for l := range ivs {
+			enter := ivs[l].EnterSeq
+			if !ivs[l].Started() || enter <= req || enter >= end {
+				continue
+			}
+			for _, r := range releases {
+				if r >= enter {
+					break
+				}
+				if r > req {
+					out = append(out, [2]int{w, l})
+					break
+				}
+			}
+		}
+	}
+	return out
+}
+
+// overtakings collects Overtakings' pairs.
+func overtakings(ivs []Interval, releases []int64) [][2]int {
+	var out [][2]int
+	Overtakings(ivs, releases, func(w, l int) { out = append(out, [2]int{w, l}) })
+	return out
+}
+
+// exitSeqs is the ascending Exit sequence numbers of ivs: every
+// operation's release.
+func exitSeqs(ivs []Interval) []int64 {
+	var out []int64
+	for _, iv := range ivs {
+		if iv.ExitSeq != 0 {
+			out = append(out, iv.ExitSeq)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// overtakingSet renders index pairs as a sorted list of (waiting,
+// admitted) interval pairs, so pair lists over differently ordered
+// copies of the same intervals can be compared as sets.
+func overtakingSet(ivs []Interval, pairs [][2]int) []string {
+	out := make([]string, len(pairs))
+	for i, p := range pairs {
+		out[i] = ivs[p[0]].String() + " overtaken by " + ivs[p[1]].String()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// sameOvertakings compares Overtakings with the reference, taking every
+// Exit as a release and, in a second pass, every other one: pair for
+// pair on Intervals' own output when its executions are in Enter order,
+// and as a set on a shuffled copy.
+func sameOvertakings(t *testing.T, ivs []Interval, rng *rand.Rand) {
+	t.Helper()
+	all := exitSeqs(ivs)
+	var some []int64
+	for i := 0; i < len(all); i += 2 {
+		some = append(some, all[i])
+	}
+	for _, releases := range [][]int64{all, some} {
+		want := referenceOvertakings(ivs, releases)
+		got := overtakings(ivs, releases)
+		if _, ordered := enterOrdered(ivs); ordered {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("overtakings differ:\nreference %v\ngot       %v\nreleases  %v\nintervals %v", want, got, releases, ivs)
+			}
+		} else if g, w := overtakingSet(ivs, got), overtakingSet(ivs, want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("overtaking sets differ:\nreference %v\ngot       %v", w, g)
+		}
+		shuffled := slices.Clone(ivs)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if g, w := overtakingSet(shuffled, overtakings(shuffled, releases)), overtakingSet(ivs, want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("overtakings of a shuffled copy differ:\nreference %v\ngot       %v\nshuffled  %v", w, g, shuffled)
+		}
+	}
+}
+
 func TestIntervalsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	errs := 0
+	errs, overtaken := 0, 0
 	for i := 0; i < 2000; i++ {
 		tr := randomTrace(rng)
 		ivs, err := referenceIntervals(tr)
@@ -248,6 +345,13 @@ func TestIntervalsMatchesReference(t *testing.T) {
 		}
 		sameIntervals(t, tr)
 		sameOverlaps(t, ivs, rng)
+		sameOvertakings(t, ivs, rng)
+		if len(referenceOvertakings(ivs, exitSeqs(ivs))) > 0 {
+			overtaken++
+		}
+	}
+	if overtaken < 200 {
+		t.Fatalf("only %d of 2000 traces have an overtaking; the generator lost its mix", overtaken)
 	}
 	if errs == 0 || errs > 1000 {
 		t.Fatalf("%d of 2000 traces have an unmatched Exit; the generator lost its mix", errs)
@@ -256,9 +360,9 @@ func TestIntervalsMatchesReference(t *testing.T) {
 
 // FuzzIntervals decodes bytes into a trace, four per event (kind,
 // process, op, argument), and requires Intervals to agree with the
-// reference without panicking, and OverlappingPairs of its output to
-// agree with the all-pairs scan: pair for pair, and as a set on a
-// shuffled copy.
+// reference without panicking, and OverlappingPairs and Overtakings of
+// its output to agree with their all-pairs references: pair for pair,
+// and as sets on a shuffled copy.
 func FuzzIntervals(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 1, 1, 0, 0, 2, 1, 0, 0})
 	f.Add([]byte{1, 1, 0, 1, 1, 1, 1, 2, 2, 1, 0, 0, 2, 1, 1, 0})
@@ -285,7 +389,9 @@ func FuzzIntervals(f *testing.F) {
 		}
 		sameIntervals(t, tr)
 		if ivs, err := tr.Intervals(); err == nil {
-			sameOverlaps(t, ivs, rand.New(rand.NewSource(int64(len(data)))))
+			rng := rand.New(rand.NewSource(int64(len(data))))
+			sameOverlaps(t, ivs, rng)
+			sameOvertakings(t, ivs, rng)
 		}
 	})
 }
@@ -434,6 +540,43 @@ func BenchmarkOverlappingPairs(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					pairsSink = v.fn(c.ivs)
+				}
+			})
+		}
+	}
+}
+
+// overtakingsSink keeps the benchmarked walks' results live.
+var overtakingsSink int
+
+// BenchmarkOvertakings times the priority judges' release-window walk
+// on BenchmarkOverlappingPairs' traces, every Exit a release. The
+// -all-pairs rows run the nested-loop reference the walk replaced.
+func BenchmarkOvertakings(b *testing.B) {
+	count := func(ivs []Interval, releases []int64) int {
+		n := 0
+		Overtakings(ivs, releases, func(int, int) { n++ })
+		return n
+	}
+	reference := func(ivs []Interval, releases []int64) int {
+		return len(referenceOvertakings(ivs, releases))
+	}
+	for _, c := range []struct {
+		name string
+		ivs  []Interval
+	}{
+		{"closed-rw-4000", rwClosedTrace(4000, 2, 0.9, 1).MustIntervals()},
+		{"overlap-8", rwClosedTrace(4000, 8, 1, 1).MustIntervals()},
+	} {
+		releases := exitSeqs(c.ivs)
+		for _, v := range []struct {
+			suffix string
+			fn     func([]Interval, []int64) int
+		}{{"", count}, {"-all-pairs", reference}} {
+			b.Run(c.name+v.suffix, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					overtakingsSink = v.fn(c.ivs, releases)
 				}
 			})
 		}

@@ -102,7 +102,9 @@ type cooperativeKernel interface {
 // Recorder collects events. It is safe for concurrent use; when the
 // kernel is the cooperative SimKernel it skips its own lock entirely (the
 // kernel's coroutine switches already serialize and order every record
-// call).
+// call). A nil *Recorder records nothing: Request, Enter, Exit and Mark
+// on it return the zero Event, so an untraced run passes nil instead of
+// checking at every record point.
 type Recorder struct {
 	k    kernel.Kernel
 	coop cooperativeKernel // non-nil: unsynchronized fast path
@@ -150,6 +152,9 @@ func (r *Recorder) Reset() {
 }
 
 func (r *Recorder) record(p *kernel.Proc, kind Kind, op string, arg int64, note string) Event {
+	if r == nil {
+		return Event{}
+	}
 	if r.coop != nil {
 		// Cooperative fast path: exactly one process runs at a time and
 		// the kernel's coroutine switches order every access, so the
