@@ -343,8 +343,10 @@ func (m *Model) resolveCallTyped(call *ast.CallExpr) string {
 // isMechOp validates a name/arity classification against the type of the
 // receiver: when the receiver's type is known and is NOT a substrate
 // type, the call is not a mechanism operation no matter what it is
-// called. Unknown types keep the name/arity verdict (fallback).
-func (m *Model) isMechOp(op Op, fn *FuncInfo) bool {
+// called. Unknown types keep the name/arity verdict (fallback), and so
+// does an interface: a P/V contract the substrate types satisfy
+// (semscale.Sem) is a semaphore whatever implements it.
+func (m *Model) isMechOp(op Op) bool {
 	switch op.Class {
 	case OpNone, OpSpawn, OpRun, OpTraceEnter, OpTraceExit:
 		return true
@@ -353,8 +355,8 @@ func (m *Model) isMechOp(op Op, fn *FuncInfo) bool {
 		return true
 	}
 	t := m.typeOf(op.Recv)
-	if t == nil {
-		return true // untyped: trust name/arity as before
+	if t == nil || types.IsInterface(t) {
+		return true // untyped or an interface: trust name/arity
 	}
 	n := namedOf(t)
 	if n == nil || n.Obj().Pkg() == nil {
