@@ -362,7 +362,7 @@ func (w *escWalk) recordCall(call *ast.CallExpr, structural bool) {
 	if key == "" {
 		return
 	}
-	if fi := w.model.Funcs[key]; fi != nil && fi.Touches {
+	if s := w.model.Summaries[key]; s != nil && len(s.Acquires)+len(s.Parks)+len(s.NetReleased) > 0 {
 		w.sticky = true
 	}
 	if w.model.Structs[w.fn.Recv] != nil && w.model.Funcs[key] != nil && w.model.Funcs[key].Recv == w.fn.Recv {

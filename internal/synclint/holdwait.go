@@ -1,17 +1,15 @@
 package synclint
 
-import (
-	"go/ast"
-	"go/token"
-)
-
 // HoldWaitAnalyzer finds blocking calls reachable while an exclusion
 // bracket is held — the paper's §5.2 nested-monitor-call hazard [18]. A
 // Wait or Enqueue on a component of the HELD mechanism is the intended
 // use (the mechanism releases itself before blocking) and is exempt;
 // everything else that can block — a P, an inner Enter or Lock, a CSP
 // channel operation, a CCR/path-expression operation, or a call to a
-// function that transitively blocks — is reported.
+// function or local closure whose summary may acquire or park — is
+// reported. Held means an exclusion bracket (Enter, Lock, or the
+// mechanism whose Do, Execute or Exec body is running), read from the
+// held-lock replay; a P'd semaphore is not one.
 var HoldWaitAnalyzer = &Analyzer{
 	Name: "holdwait",
 	Doc:  "blocking call reachable while an outer mechanism is held (nested-monitor hazard)",
@@ -19,354 +17,47 @@ var HoldWaitAnalyzer = &Analyzer{
 }
 
 func runHoldWait(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			h := &holdWalk{
-				pass:        pass,
-				fn:          pass.Model.Funcs[funcKey(fd)],
-				localOwners: map[string]string{},
-				litBlocks:   map[string]bool{},
-				visited:     map[*ast.FuncLit]bool{},
-			}
-			if h.fn != nil {
-				h.localTypes = pass.Model.localTypes(h.fn)
-			}
-			h.prescanBindings(fd.Body)
-			h.walkBody(fd.Body, nil)
-			// Closures not dispatched through a mechanism call run in
-			// their own dynamic context, holding nothing.
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok && !h.visited[lit] {
-					h.visited[lit] = true
-					h.walkBody(lit.Body, nil)
-				}
-				return true
-			})
-		}
-	}
-}
-
-func funcKey(fd *ast.FuncDecl) string {
-	if fd.Recv != nil && len(fd.Recv.List) == 1 {
-		return typeText(fd.Recv.List[0].Type) + "." + fd.Name.Name
-	}
-	return fd.Name.Name
-}
-
-type heldEntry struct {
-	key  string // rendered receiver: "outer", "d.mutex"
-	recv ast.Expr
-}
-
-type holdWalk struct {
-	pass *Pass
-	fn   *FuncInfo
-	// localOwners maps component locals to their owner's rendered key:
-	// notFull := m.NewCondition(...)  =>  localOwners["notFull"] = "m".
-	localOwners map[string]string
-	// litBlocks records, per local closure binding, whether its body may
-	// block (innerGet := func(p){ inner.Enter(p); ... }).
-	litBlocks  map[string]bool
-	localTypes map[string]string
-	visited    map[*ast.FuncLit]bool
-}
-
-// prescanBindings collects component locals and closure-binding block
-// summaries for the whole declaration, including nested closures (their
-// bindings share the enclosing function's scope for our purposes).
-func (h *holdWalk) prescanBindings(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			if i >= len(as.Rhs) {
-				break
-			}
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			switch rhs := as.Rhs[i].(type) {
-			case *ast.CallExpr:
-				if sel, ok := rhs.Fun.(*ast.SelectorExpr); ok {
-					switch sel.Sel.Name {
-					case "NewCondition", "NewQueue", "NewCrowd":
-						h.localOwners[id.Name] = exprText(h.pass.Pkg.Fset, sel.X)
-					}
-				}
-			case *ast.FuncLit:
-				if h.litBlocks[id.Name] || h.litMayBlock(rhs) {
-					h.litBlocks[id.Name] = true
+	m := pass.Model
+	for _, f := range m.frames {
+		m.replay(f, func(ev *summaryEvent, sites, all []AcqSite) {
+			var held []AcqSite
+			for _, h := range all {
+				if h.Op == OpAcquire || bracketedBody(h.Op) {
+					held = append(held, h)
 				}
 			}
-		}
-		return true
-	})
-	// One propagation round: a closure calling a blocking closure blocks.
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
+			if len(held) == 0 {
+				return
 			}
-			for i, lhs := range as.Lhs {
-				if i >= len(as.Rhs) {
-					break
+			top := held[len(held)-1].Ref.Disp
+			switch {
+			case ev.kind == evCall:
+				if len(sites) > 0 {
+					pass.reportf(ev.pos, "call to %s may block while %s is held", ev.name, top)
 				}
-				id, ok := lhs.(*ast.Ident)
-				if !ok || h.litBlocks[id.Name] {
-					continue
+			case ev.op == OpAcquire:
+				pass.reportf(ev.pos, "%s acquired while %s is held", ev.ref.Disp, top)
+			case ev.op == OpWait || ev.op == OpEnqueue || ev.op == OpJoin:
+				// On a component of a held mechanism the operation releases
+				// that mechanism by construction.
+				if !holds(held, ev.ref.Owner) {
+					pass.reportf(ev.pos, "%s on %s blocks while %s is held", opWord(ev.op), ev.ref.Disp, top)
 				}
-				if lit, ok := as.Rhs[i].(*ast.FuncLit); ok && h.litCallsBlocking(lit) {
-					h.litBlocks[id.Name] = true
-					changed = true
-				}
+			case ev.op == OpExec && holds(held, ev.ref.Key):
+				// A path operation nested in another operation of the SAME
+				// set is the hierarchical-path idiom of §5.1 (requestread =
+				// begin read end); whether the nesting is admissible is
+				// decided by the compiled path at run time, not a
+				// nested-monitor hazard.
+			default:
+				pass.reportf(ev.pos, "%s on %s blocks while %s is held", opWord(ev.op), ev.ref.Disp, top)
 			}
-			return true
 		})
 	}
 }
 
-func (h *holdWalk) litMayBlock(lit *ast.FuncLit) bool {
-	blocks := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if classifyCall(call).Blocking() {
-				blocks = true
-			}
-		}
-		return !blocks
-	})
-	return blocks || h.litCallsBlocking(lit)
-}
-
-func (h *holdWalk) litCallsBlocking(lit *ast.FuncLit) bool {
-	blocks := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return !blocks
-		}
-		if id, ok := call.Fun.(*ast.Ident); ok {
-			if h.litBlocks[id.Name] {
-				blocks = true
-			}
-			if fi := h.pass.Model.Funcs[id.Name]; fi != nil && fi.Blocks {
-				blocks = true
-			}
-		}
-		return !blocks
-	})
-	return blocks
-}
-
-// walkBody traverses one dynamic frame in syntactic order, tracking the
-// stack of held brackets.
-func (h *holdWalk) walkBody(body *ast.BlockStmt, held []heldEntry) {
-	heldStack := append([]heldEntry{}, held...)
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		switch x := n.(type) {
-		case nil:
-			return
-		case *ast.FuncLit:
-			if !h.visited[x] {
-				h.visited[x] = true
-				h.walkBody(x.Body, nil)
-			}
-			return
-		case *ast.CallExpr:
-			op := classifyCall(x)
-			h.handleOp(op, &heldStack)
-			if op.Class != OpNone {
-				// Receivers and plain args first, then closures in their
-				// mechanism context.
-				for _, a := range x.Args {
-					if _, ok := a.(*ast.FuncLit); !ok {
-						walk(a)
-					}
-				}
-				h.walkClosureArgs(op, heldStack)
-				return
-			}
-			h.handlePlainCall(x, heldStack)
-		}
-		for _, c := range childNodes(n) {
-			walk(c)
-		}
-	}
-	for _, s := range body.List {
-		walk(s)
-	}
-}
-
-func (h *holdWalk) walkClosureArgs(op Op, held []heldEntry) {
-	protected, released := closureArgs(op)
-	key := ""
-	if op.Recv != nil {
-		key = exprText(h.pass.Pkg.Fset, op.Recv)
-	}
-	for _, lit := range protected {
-		if !h.visited[lit] {
-			h.visited[lit] = true
-			h.walkBody(lit.Body, []heldEntry{{key: key, recv: op.Recv}})
-		}
-	}
-	for _, lit := range released {
-		if !h.visited[lit] {
-			h.visited[lit] = true
-			h.walkBody(lit.Body, nil)
-		}
-	}
-}
-
-func (h *holdWalk) handleOp(op Op, held *[]heldEntry) {
-	switch op.Class {
-	case OpAcquire:
-		if len(*held) > 0 {
-			h.report(op.Call.Pos(), "%s acquired while %s is held", h.recvText(op), (*held)[len(*held)-1].key)
-		}
-		*held = append(*held, heldEntry{key: h.recvText(op), recv: op.Recv})
-	case OpRelease:
-		key := h.recvText(op)
-		for i := len(*held) - 1; i >= 0; i-- {
-			if (*held)[i].key == key {
-				*held = append((*held)[:i], (*held)[i+1:]...)
-				break
-			}
-		}
-	case OpWait, OpEnqueue, OpJoin, OpSignal:
-		// Operations on a component of a held mechanism release (or keep)
-		// that mechanism by construction; on anything else they block
-		// while the bracket stays held.
-		if op.Class == OpSignal {
-			return
-		}
-		if len(*held) == 0 || h.componentOfHeld(op.Recv, *held) {
-			return
-		}
-		h.report(op.Call.Pos(), "%s on %s blocks while %s is held", opWord(op), h.recvText(op), (*held)[len(*held)-1].key)
-	default:
-		if op.Class == OpExec && h.heldContains(*held, h.recvText(op)) {
-			// A path operation nested in another operation of the SAME set
-			// is the hierarchical-path idiom of §5.1 (requestread = begin
-			// read end); whether the nesting is admissible is decided by
-			// the compiled path at run time, not a nested-monitor hazard.
-			return
-		}
-		if op.Blocking() && len(*held) > 0 {
-			h.report(op.Call.Pos(), "%s on %s blocks while %s is held", opWord(op), h.recvText(op), (*held)[len(*held)-1].key)
-		}
-	}
-}
-
-func (h *holdWalk) handlePlainCall(call *ast.CallExpr, held []heldEntry) {
-	if len(held) == 0 {
-		return
-	}
-	name := ""
-	blocks := false
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		name = fun.Name
-		if h.litBlocks[name] {
-			blocks = true
-		}
-		if fi := h.pass.Model.Funcs[name]; fi != nil && fi.Blocks {
-			blocks = true
-		}
-	case *ast.SelectorExpr:
-		if h.fn != nil {
-			if key := h.pass.Model.resolveCall(h.fn, h.localTypes, call); key != "" {
-				name = key
-				if fi := h.pass.Model.Funcs[key]; fi != nil && fi.Blocks {
-					blocks = true
-				}
-			}
-		}
-	}
-	if blocks {
-		h.report(call.Pos(), "call to %s may block while %s is held", name, held[len(held)-1].key)
-	}
-}
-
-func (h *holdWalk) heldContains(held []heldEntry, key string) bool {
-	for _, e := range held {
-		if e.key == key {
-			return true
-		}
-	}
-	return false
-}
-
-// componentOfHeld reports whether recv is a condition/queue/crowd owned
-// by one of the held mechanisms.
-func (h *holdWalk) componentOfHeld(recv ast.Expr, held []heldEntry) bool {
-	if recv == nil {
-		return false
-	}
-	ownerKey := ""
-	switch x := recv.(type) {
-	case *ast.Ident:
-		ownerKey = h.localOwners[x.Name]
-	case *ast.SelectorExpr:
-		if base, ok := x.X.(*ast.Ident); ok {
-			if owner := h.fieldOwner(base, x.Sel.Name); owner != "" {
-				ownerKey = base.Name + "." + owner
-			}
-		}
-	}
-	if ownerKey == "" {
-		return false
-	}
-	for _, e := range held {
-		if e.key == ownerKey {
-			return true
-		}
-	}
-	return false
-}
-
-func (h *holdWalk) fieldOwner(base *ast.Ident, field string) string {
-	if h.fn == nil {
-		return ""
-	}
-	structName := ""
-	if base.Name == h.fn.RecvVar && h.fn.Recv != "" {
-		structName = h.fn.Recv
-	} else if t := h.localTypes[base.Name]; t != "" {
-		structName = t
-	}
-	si := h.pass.Model.Structs[structName]
-	if si == nil {
-		return ""
-	}
-	if f := si.Fields[field]; f != nil {
-		return f.Owner
-	}
-	return ""
-}
-
-func (h *holdWalk) recvText(op Op) string {
-	if op.Recv == nil {
-		return "<pkg>"
-	}
-	return exprText(h.pass.Pkg.Fset, op.Recv)
-}
-
-func (h *holdWalk) report(pos token.Pos, format string, args ...any) {
-	h.pass.reportf(pos, format, args...)
-}
-
-func opWord(op Op) string {
-	switch op.Class {
+func opWord(c OpClass) string {
+	switch c {
 	case OpWait:
 		return "Wait"
 	case OpEnqueue:

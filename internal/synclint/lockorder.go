@@ -63,11 +63,15 @@ func lockDisp(r LockRef) string {
 	return key
 }
 
-// qualifyRef pins unsubstituted parameter refs to their function so they
-// never collide across functions in the package graph.
+// qualifyRef pins unsubstituted parameter refs, and parameter owners, to
+// their function so they never collide across functions in the package
+// graph.
 func qualifyRef(ref LockRef, fnKey string) LockRef {
-	if i, ok := ref.isParam(); ok {
+	if i, ok := paramIndex(ref.Key); ok {
 		ref.Key = fmt.Sprintf("param:%s:%d", fnKey, i)
+	}
+	if i, ok := paramIndex(ref.Owner); ok {
+		ref.Owner = fmt.Sprintf("param:%s:%d", fnKey, i)
 	}
 	return ref
 }
@@ -86,13 +90,21 @@ func runLockOrder(pass *Pass) {
 		}
 	}
 
-	var fnKeys []string
-	for k := range m.events {
-		fnKeys = append(fnKeys, k)
-	}
-	sort.Strings(fnKeys)
-	for _, fnKey := range fnKeys {
-		replayHeld(m, fnKey, addEdge)
+	// Every acquisition, direct or through a callee, orders after
+	// everything held at that point, a P'd semaphore included.
+	for _, f := range m.frames {
+		fn := f.fn.Name
+		m.replay(f, func(_ *summaryEvent, sites, held []AcqSite) {
+			for _, site := range sites {
+				if parkLike(site.Op) {
+					continue
+				}
+				to := qualifyRef(site.Ref, fn)
+				for _, h := range held {
+					addEdge(qualifyRef(h.Ref, fn), to, site.Pos, fn, site.Path)
+				}
+			}
+		})
 	}
 
 	// Assemble the graph with sorted adjacency for deterministic cycle
@@ -127,60 +139,6 @@ func runLockOrder(pass *Pass) {
 		names = append(names, names[0])
 		pass.reportf(first.pos, "potential cyclic wait: %s (%s)",
 			strings.Join(names, " → "), strings.Join(parts, "; "))
-	}
-}
-
-// replayHeld replays one function's direct event stream with a held
-// stack, emitting order edges for direct acquisitions and for everything
-// a callee's summary says it may acquire.
-func replayHeld(m *Model, fnKey string, addEdge func(from, to LockRef, pos token.Pos, fn string, path []string)) {
-	events := m.events[fnKey]
-	var held []LockRef
-	popMatch := func(key string) {
-		for i := len(held) - 1; i >= 0; i-- {
-			if held[i].Key == key {
-				held = append(held[:i], held[i+1:]...)
-				return
-			}
-		}
-	}
-	for _, ev := range events {
-		switch ev.kind {
-		case evAcquire:
-			ref := qualifyRef(ev.ref, fnKey)
-			for _, h := range held {
-				addEdge(h, ref, ev.pos, fnKey, nil)
-			}
-			held = append(held, ref)
-		case evRelease:
-			popMatch(qualifyRef(ev.ref, fnKey).Key)
-		case evCall:
-			callee := m.Summaries[ev.callKey]
-			if callee == nil {
-				continue
-			}
-			step := fmt.Sprintf("%s (%s)", ev.callKey, shortPos(m.Pkg.Fset, ev.pos))
-			for _, a := range callee.Acquires {
-				site, ok := substitute(a, ev, step)
-				if !ok {
-					continue
-				}
-				ref := qualifyRef(site.Ref, fnKey)
-				for _, h := range held {
-					addEdge(h, ref, ev.pos, fnKey, site.Path)
-				}
-			}
-			for _, a := range callee.NetReleased {
-				if site, ok := substitute(a, ev, step); ok {
-					popMatch(qualifyRef(site.Ref, fnKey).Key)
-				}
-			}
-			for _, a := range callee.NetHeld {
-				if site, ok := substitute(a, ev, step); ok {
-					held = append(held, qualifyRef(site.Ref, fnKey))
-				}
-			}
-		}
 	}
 }
 
