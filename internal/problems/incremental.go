@@ -70,7 +70,7 @@ type pendingReq struct {
 	reqSeq int64
 }
 
-// overtakingStream is the streaming form of checkNoOvertaking: a loser
+// overtakingStream is the streaming form of noOvertaking: a loser
 // admission is a violation exactly when some favored request is still
 // waiting and a release (any read/write exit) has occurred since that
 // request — the release-window rule the batch oracle applies through

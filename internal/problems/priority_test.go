@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
 )
 
-// The priority judges below are the all-pairs loops checkNoOvertaking
-// and orderInversions ran before trace.Overtakings, kept as their
+// The priority judges below are the all-pairs loops noOvertaking and
+// orderInversions ran before trace.Overtakings, kept as their
 // specification.
 
 // referenceEnd is a sequence number beyond any recorded event: a waiter
@@ -140,6 +141,17 @@ func randomPriorityTrace(rng *rand.Rand) trace.Trace {
 // writers-priority, rw-fcfs and fcfs-order judges to the all-pairs loops
 // they replaced, whole []Violation values compared, on 20000 random
 // traces.
+// A malformed trace is one instrumentation violation, however many rules
+// a strict judgment runs.
+func TestCheckRWReportsMalformedTraceOnce(t *testing.T) {
+	tr := trace.Trace{{Seq: 1, ProcID: 1, Proc: "p#1", Kind: trace.KindExit, Op: OpRead}}
+	for _, problem := range []string{NameReadersPriority, NameWritersPriority, NameFCFSRW} {
+		if vs := CheckRW(problem, tr, true); len(vs) != 1 || vs[0].Rule != "instrumentation" {
+			t.Errorf("%s: want one instrumentation violation, got %v", problem, vs)
+		}
+	}
+}
+
 func TestPriorityJudgesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	readsShare := func(a, b trace.Interval) bool { return a.Op == OpRead && b.Op == OpRead }
@@ -148,12 +160,13 @@ func TestPriorityJudgesMatchReference(t *testing.T) {
 		tr := randomPriorityTrace(rng)
 		ivs := tr.MustIntervals()
 		rw, use := releaseSeqs(tr, OpRead, OpWrite), releaseSeqs(tr, OpUse)
+		rp, wp := CheckReadersPriority(tr), CheckWritersPriority(tr)
 		for _, c := range []struct {
 			rule      string
 			got, want []Violation
 		}{
-			{"readers-priority", CheckReadersPriority(tr), referenceNoOvertaking(tr, OpRead, OpWrite, "readers-priority")},
-			{"writers-priority", CheckWritersPriority(tr), referenceNoOvertaking(tr, OpWrite, OpRead, "writers-priority")},
+			{"readers-priority", rp, referenceNoOvertaking(tr, OpRead, OpWrite, "readers-priority")},
+			{"writers-priority", wp, referenceNoOvertaking(tr, OpWrite, OpRead, "writers-priority")},
 			{"rw-fcfs", orderInversions("rw-fcfs", ivs, rw, readsShare), referenceOrderInversions("rw-fcfs", ivs, rw, readsShare)},
 			{"fcfs-order", orderInversions("fcfs-order", ivs, use, nil), referenceOrderInversions("fcfs-order", ivs, use, nil)},
 		} {
@@ -163,6 +176,27 @@ func TestPriorityJudgesMatchReference(t *testing.T) {
 			}
 			if !reflect.DeepEqual(c.got, c.want) {
 				t.Fatalf("%s differs from the reference:\nreference %v\ngot       %v\n%s", c.rule, c.want, c.got, tr)
+			}
+		}
+		// A strict CheckRW judges on one reconstruction what the
+		// single-rule checkers judge on one each (every fourth trace:
+		// the identity is structural, and the checkers are slow to run
+		// three more times on each).
+		if i%4 != 0 {
+			continue
+		}
+		excl := CheckRWExclusion(tr)
+		for _, v := range []struct {
+			problem  string
+			priority []Violation
+		}{
+			{NameReadersPriority, rp},
+			{NameWritersPriority, wp},
+			{NameFCFSRW, CheckFCFSRW(tr)},
+		} {
+			want := append(slices.Clip(excl), v.priority...)
+			if got := CheckRW(v.problem, tr, true); !reflect.DeepEqual(got, want) {
+				t.Fatalf("CheckRW(%s) differs from its parts:\nparts %v\ngot   %v\n%s", v.problem, want, got, tr)
 			}
 		}
 	}

@@ -146,6 +146,10 @@ func CheckRWExclusion(tr trace.Trace) []Violation {
 	if vs != nil {
 		return vs
 	}
+	return rwOverlaps(ivs)
+}
+
+func rwOverlaps(ivs []trace.Interval) []Violation {
 	return overlapViolations("rw-exclusion", ivs,
 		func(a, b string) bool { return a == OpRead && b == OpRead })
 }
@@ -158,16 +162,38 @@ func CheckRWExclusion(tr trace.Trace) []Violation {
 //
 // Exact on deterministic traces; see CheckFCFS for the real-kernel caveat.
 func CheckReadersPriority(tr trace.Trace) []Violation {
-	return checkNoOvertaking(tr, OpRead, OpWrite, "readers-priority")
+	return judgeReleases(tr, readersPriority)
 }
 
 // CheckWritersPriority is the symmetric judgement: once a writer has
 // requested, no reader may be admitted before it.
 func CheckWritersPriority(tr trace.Trace) []Violation {
-	return checkNoOvertaking(tr, OpWrite, OpRead, "writers-priority")
+	return judgeReleases(tr, writersPriority)
 }
 
-// checkNoOvertaking reports every case where an interval of op loser was
+// A releaseJudge judges a trace's intervals against its release points,
+// the ascending Exit sequence numbers of reads and writes.
+type releaseJudge func(ivs []trace.Interval, exits []int64) []Violation
+
+// judgeReleases reconstructs tr's intervals and release points and runs
+// judge on them.
+func judgeReleases(tr trace.Trace, judge releaseJudge) []Violation {
+	ivs, vs := requireIntervals(tr)
+	if vs != nil {
+		return vs
+	}
+	return judge(ivs, releaseSeqs(tr, OpRead, OpWrite))
+}
+
+func readersPriority(ivs []trace.Interval, exits []int64) []Violation {
+	return noOvertaking(ivs, exits, OpRead, OpWrite, "readers-priority")
+}
+
+func writersPriority(ivs []trace.Interval, exits []int64) []Violation {
+	return noOvertaking(ivs, exits, OpWrite, OpRead, "writers-priority")
+}
+
+// noOvertaking reports every case where an interval of op loser was
 // *granted* admission while a favored-op request was waiting: each pair
 // trace.Overtakings yields whose waiting interval is favored and whose
 // admitted one is a loser. Every read or write Exit is a release. A
@@ -175,13 +201,9 @@ func CheckWritersPriority(tr trace.Trace) []Violation {
 // later loser admission after a release overtook it. The paper's
 // footnote-3 anomaly satisfies this rule: the first writer's completion
 // is the release at which the second writer is wrongly preferred.
-func checkNoOvertaking(tr trace.Trace, favored, loser, rule string) []Violation {
-	ivs, vs := requireIntervals(tr)
-	if vs != nil {
-		return vs
-	}
+func noOvertaking(ivs []trace.Interval, exits []int64, favored, loser, rule string) []Violation {
 	var out []Violation
-	trace.Overtakings(ivs, releaseSeqs(tr, OpRead, OpWrite), func(w, l int) {
+	trace.Overtakings(ivs, exits, func(w, l int) {
 		f, lv := ivs[w], ivs[l]
 		if f.Op != favored || lv.Op != loser {
 			return
@@ -202,16 +224,16 @@ func checkNoOvertaking(tr trace.Trace, favored, loser, rule string) []Violation 
 
 // CheckFCFSRW judges the FCFS variant: admissions occur strictly in
 // request order, subject to the same release-window rule as
-// checkNoOvertaking (see there). Read–read pairs are exempt: two reads
+// noOvertaking (see there). Read–read pairs are exempt: two reads
 // are admitted into a shared phase, so their relative Enter order is a
 // recording artifact (a Hoare signal cascade grants a batch of readers
 // FIFO but they record their Enters in scheduler order), not an
 // admission decision.
 func CheckFCFSRW(tr trace.Trace) []Violation {
-	ivs, vs := requireIntervals(tr)
-	if vs != nil {
-		return vs
-	}
+	return judgeReleases(tr, fcfsRW)
+}
+
+func fcfsRW(ivs []trace.Interval, exits []int64) []Violation {
 	var out []Violation
 	for _, iv := range ivs {
 		if iv.RequestSeq == 0 {
@@ -219,7 +241,7 @@ func CheckFCFSRW(tr trace.Trace) []Violation {
 				Detail: fmt.Sprintf("%s has no request event", iv), Seq: iv.EnterSeq})
 		}
 	}
-	out = append(out, orderInversions("rw-fcfs", ivs, releaseSeqs(tr, OpRead, OpWrite),
+	out = append(out, orderInversions("rw-fcfs", ivs, exits,
 		func(a, b trace.Interval) bool { return a.Op == OpRead && b.Op == OpRead })...)
 	return out
 }
@@ -245,19 +267,24 @@ func orderInversions(rule string, ivs []trace.Interval, exits []int64, exempt fu
 	return out
 }
 
-// CheckRW composes the exclusion check with the variant's priority check.
+// rwPriority maps each readers/writers variant to its priority judge.
+var rwPriority = map[string]releaseJudge{
+	NameReadersPriority: readersPriority,
+	NameWritersPriority: writersPriority,
+	NameFCFSRW:          fcfsRW,
+}
+
+// CheckRW composes the exclusion check with the variant's priority check
+// on one reconstruction of the trace's intervals; the release points are
+// read only when the priority check runs.
 func CheckRW(problem string, tr trace.Trace, checkPriority bool) []Violation {
-	out := CheckRWExclusion(tr)
-	if !checkPriority {
-		return out
+	ivs, vs := requireIntervals(tr)
+	if vs != nil {
+		return vs
 	}
-	switch problem {
-	case NameReadersPriority:
-		out = append(out, CheckReadersPriority(tr)...)
-	case NameWritersPriority:
-		out = append(out, CheckWritersPriority(tr)...)
-	case NameFCFSRW:
-		out = append(out, CheckFCFSRW(tr)...)
+	out := rwOverlaps(ivs)
+	if judge := rwPriority[problem]; checkPriority && judge != nil {
+		out = append(out, judge(ivs, releaseSeqs(tr, OpRead, OpWrite))...)
 	}
 	return out
 }
