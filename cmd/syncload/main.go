@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	mech := fs.String("mech", "all", "mechanism, comma-separated list, or \"all\"")
 	problem := fs.String("problem", "default", "problem, comma list, \"default\" (canonical trio), or \"all\"")
-	arrival := fs.String("arrival", "poisson,closed", "arrival models to run, comma list of closed poisson uniform burst")
+	arrival := fs.String("arrival", "poisson,closed", "arrival models to run, comma list of closed poisson uniform burst diurnal pareto")
 	rate := fs.Float64("rate", 1000, "open-loop offered rate, ops/sec")
 	burst := fs.Int("burst", 8, "arrivals per burst for -arrival burst")
 	clients := fs.Int("clients", 4, "closed-loop client population")

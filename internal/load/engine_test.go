@@ -32,7 +32,7 @@ func TestGeneratorClampsAtDeadline(t *testing.T) {
 		if err := cfg.normalize(); err != nil {
 			t.Fatal(err)
 		}
-		k := kernel.NewReal(kernel.WithTick(cfg.Tick), kernel.WithWatchdog(30*time.Second))
+		k := kernel.NewReal(kernel.WithTick(kernelTick), kernel.WithWatchdog(30*time.Second))
 		defer k.Close()
 		var mu sync.Mutex
 		var ats []int64

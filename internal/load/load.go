@@ -42,6 +42,10 @@ import (
 	"repro/internal/trace"
 )
 
+// kernelTick is the RealKernel tick of every load run: think times
+// (Config.ThinkTicks) and the generator's coarse sleeps count in it.
+const kernelTick = time.Microsecond
+
 // Config parameterizes one load run.
 type Config struct {
 	Mechanism string      // key into solutions.All
@@ -83,9 +87,7 @@ type Config struct {
 	// contention windows the oracles observe.
 	WorkYields int
 
-	// Tick is the kernel tick (default 1µs); Watchdog bounds Run
-	// (default Duration + 30s).
-	Tick     time.Duration
+	// Watchdog bounds Run (default Duration + 30s).
 	Watchdog time.Duration
 
 	// Trace records the run into a trace.Recorder and judges it with the
@@ -164,9 +166,6 @@ func (cfg *Config) normalize() error {
 	}
 	if cfg.WorkYields < 0 {
 		return fmt.Errorf("load: negative work yields %d", cfg.WorkYields)
-	}
-	if cfg.Tick == 0 {
-		cfg.Tick = time.Microsecond
 	}
 	if cfg.Watchdog == 0 {
 		cfg.Watchdog = cfg.Duration + 30*time.Second
@@ -247,7 +246,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	suite, _ := solutions.ByMechanism(cfg.Mechanism)
 
-	k := kernel.NewReal(kernel.WithTick(cfg.Tick), kernel.WithWatchdog(cfg.Watchdog))
+	k := kernel.NewReal(kernel.WithTick(kernelTick), kernel.WithWatchdog(cfg.Watchdog))
 	// Abandon stragglers (and CSP server daemons) when done: their
 	// goroutines unwind at their next Park instead of leaking.
 	defer k.Close()
@@ -434,7 +433,7 @@ const (
 func (e *engine) waitUntil(gp *kernel.Proc, at int64) {
 	now := e.k.Now()
 	if gap := at - now - coarseMargin.Nanoseconds(); gap > 0 {
-		gp.Sleep(gap / e.cfg.Tick.Nanoseconds())
+		gp.Sleep(gap / kernelTick.Nanoseconds())
 		now = e.k.Now()
 	}
 	if until := at - yieldWindow.Nanoseconds(); now < until {
